@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
-from .parsetree import Leaf, ParseTree, _postorder
-from .structures import (OrderedStructure, Relabeling, Structure, compose,
+from .parsetree import CompositionOp, ParseTree, fold
+from .structures import (OrderedStructure, Structure, _as_masks, compose,
                          induced, ordered_induced)
 
 # covers the documented envelope |A| <= 4, q <= 3 for direct construction
 MAX_DIRECT_WORK = 10_000
-
-CompositionOp = tuple[Relabeling, Relabeling, Relabeling]
 
 
 # --- full characteristic trees (oracle scale) ---------------------------
@@ -130,14 +128,16 @@ class RCForest:
     """Intern table for reduced characteristic trees.
 
     Ids are stable and identify subtrees up to deep structural equality.
-    All mutation goes through intern(); nodes themselves are immutable.
+    Nodes go in through intern() and are immutable.  cross_memo maps
+    ((q, op), id1, id2, d) to the id tree_cross_product returned for it;
+    it lives here because ids mean nothing outside their forest.
     Not thread-safe: confine construction to one thread.
     """
 
     def __init__(self):
         self._ids: dict[tuple, int] = {}
         self._nodes: list[RCNode] = []
-        self._leaf_memo: dict[tuple[int, int], int] = {}
+        self.cross_memo: dict[tuple, int] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -192,12 +192,7 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, q: int,
     brute-force oracle; the tree cross product is the scalable path.
     """
     c = tuple(c)
-    masks = []
-    for s in sets:
-        mask = s if isinstance(s, int) else sum(1 << e for e in set(s))
-        if mask >> a.n:
-            raise RwmsoError("set entry outside universe")
-        masks.append(mask)
+    masks = _as_masks(a.n, sets)
     remaining = q - len(c) - len(masks)
     if not force and (a.n > 4 or _full_work(a.n, remaining) > MAX_DIRECT_WORK):
         raise ScaleGuardError(
@@ -220,13 +215,7 @@ def leaf_char_tree(forest: RCForest, q: int, t: int) -> int:
     """Reduced tree of the single new-vertex structure (label {1})."""
     if t < 1:
         raise RwmsoError("leaf vertices carry label 1; need t >= 1")
-    key = (q, t)
-    nid = forest._leaf_memo.get(key)
-    if nid is None:
-        vertex = Structure(1, t, (0,), (1,))
-        nid = reduced_char_tree_direct(forest, vertex, q, force=True)
-        forest._leaf_memo[key] = nid
-    return nid
+    return reduced_char_tree_direct(forest, Structure(1, t, (0,), (1,)), q, force=True)
 
 
 # --- combining reduced trees --------------------------------------------
@@ -287,16 +276,15 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
 
 
 def tree_cross_product(forest: RCForest, id1: int, id2: int, q: int,
-                       op: CompositionOp, d: IndicatorVector = (),
-                       memo: dict | None = None) -> int:
+                       op: CompositionOp, d: IndicatorVector = ()) -> int:
     """Reduced tree of the composition from the factors' reduced trees.
 
     Point moves pair a point child of one side with the other side's
     whole tree (extending d); set moves pair set children of both sides.
     Both factors must have been built with depth at least q - m - p.
+    Results are memoized in the forest, across calls.
     """
-    if memo is None:
-        memo = {}
+    memo = forest.cross_memo
     opkey = (q, op)
 
     def rec(i1: int, i2: int, d: IndicatorVector) -> int:
@@ -339,18 +327,9 @@ def char_tree_from_parse_tree(tree: ParseTree, q: int,
         raise RwmsoError("depth must be nonnegative")
     if forest is None:
         forest = RCForest()
-    memo: dict = {}
-    leaf_id = leaf_char_tree(forest, q, tree.t)
-    results: list[int] = []
-    for node in _postorder(tree.root):
-        if isinstance(node, Leaf):
-            results.append(leaf_id)
-        else:
-            right = results.pop()
-            left = results.pop()
-            results.append(tree_cross_product(
-                forest, left, right, q, (node.g, node.f1, node.f2), (), memo))
-    return RCTree(forest, results[0])
+    root = fold(tree, leaf_char_tree(forest, q, tree.t),
+                lambda left, right, op: tree_cross_product(forest, left, right, q, op))
+    return RCTree(forest, root)
 
 
 def rc_dump(forest: RCForest, root: int) -> str:

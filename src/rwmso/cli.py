@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .chartree import RCForest, char_tree_from_parse_tree, rc_dump
+from .chartree import RCForest, RCTree, char_tree_from_parse_tree, rc_dump
 from .errors import RwmsoError
 from .games import evaluate, game_on_tree
 from .linemso import LinEMSOProblem, solve_linemso
@@ -33,10 +33,11 @@ ORACLE_MAX_SET_QUANTIFIERS = 2
 
 
 def _max_q() -> int:
+    raw = os.environ.get("RWMSO_MAX_Q", DEFAULT_MAX_Q)
     try:
-        return int(os.environ.get("RWMSO_MAX_Q", DEFAULT_MAX_Q))
+        return int(raw)
     except ValueError:
-        return DEFAULT_MAX_Q
+        raise RwmsoError(f"RWMSO_MAX_Q={raw!r} is not an integer") from None
 
 
 def _read_formula(args, t: int) -> Formula:
@@ -72,6 +73,13 @@ def _guard(args, exceeded: bool, message: str) -> None:
     print(f"warning: {message}; continuing due to --force", file=sys.stderr)
 
 
+def _tree_report(q: int, tree: ParseTree, rc: RCTree, elapsed: float) -> dict:
+    """Report fields shared by every command that folds a char tree."""
+    return {"q": q, "t": tree.t, "parseTreeNodes": tree.size(),
+            "charTreeNodes": rc.size(), "peakInterned": len(rc.forest),
+            "wallTimeSec": elapsed}
+
+
 def _count_set_quantifiers(phi: Formula) -> int:
     if isinstance(phi, (ExistsSet, ForallSet)):
         return 1 + _count_set_quantifiers(phi.sub)
@@ -98,11 +106,8 @@ def cmd_check(args) -> int:
     answer = game_on_tree(rc, to_nnf(phi))
     elapsed = time.perf_counter() - start
     print("true" if answer else "false")
-    _report(args, {
-        "command": "check", "answer": answer, "q": q, "t": tree.t,
-        "parseTreeNodes": tree.size(), "charTreeNodes": rc.size(),
-        "peakInterned": len(rc.forest), "wallTimeSec": elapsed,
-    })
+    _report(args, {"command": "check", "answer": answer,
+                   **_tree_report(q, tree, rc, elapsed)})
     return 0 if answer else 1
 
 
@@ -126,7 +131,11 @@ def cmd_oracle(args) -> int:
 def cmd_optimize(args) -> int:
     tree = _read_parse_tree(args.parse_tree)
     phi = _read_formula(args, tree.t)
-    weights = tuple(int(w) for w in args.weights.split(","))
+    try:
+        weights = tuple(int(w) for w in args.weights.split(","))
+    except ValueError:
+        raise RwmsoError(
+            f"--weights must be comma-separated integers, got {args.weights!r}") from None
     problem = LinEMSOProblem(phi, weights, args.direction)
     q = quantifier_rank(phi) + len(weights)
     _guard(args, q > _max_q(),
@@ -171,16 +180,13 @@ def cmd_chartree(args) -> int:
     start = time.perf_counter()
     rc = char_tree_from_parse_tree(tree, args.q)
     elapsed = time.perf_counter() - start
-    print(f"parse tree nodes {tree.size()}")
-    print(f"char tree nodes {rc.size()}")
-    print(f"interned total {len(rc.forest)}")
+    fields = _tree_report(args.q, tree, rc, elapsed)
+    print(f"parse tree nodes {fields['parseTreeNodes']}")
+    print(f"char tree nodes {fields['charTreeNodes']}")
+    print(f"interned total {fields['peakInterned']}")
     if args.dump:
         sys.stdout.write(rc_dump(rc.forest, rc.root))
-    _report(args, {
-        "command": "chartree", "answer": rc.size(), "q": args.q, "t": tree.t,
-        "parseTreeNodes": tree.size(), "charTreeNodes": rc.size(),
-        "peakInterned": len(rc.forest), "wallTimeSec": elapsed,
-    })
+    _report(args, {"command": "chartree", "answer": fields["charTreeNodes"], **fields})
     return 0
 
 

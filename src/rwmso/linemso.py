@@ -1,12 +1,13 @@
 """Linear optimization subject to an MSO1 constraint.
 
 A problem is a formula with free set variables X1..Xl, integer weights
-a1..al and a direction.  The solver runs a dynamic program over the
-parse tree whose states are reduced characteristic trees built with the
-l chosen sets preloaded as traces; states are combined pairwise with
-the tree cross product and only the best weight (plus one witness) is
-kept per interned tree.  At the root, the game decides which states
-satisfy the formula.
+a1..al and a direction.  The solver is the parse-tree fold of model
+checking with a richer value per subtree: a map from reduced
+characteristic trees, built with the l chosen sets preloaded as traces,
+to the best weight (plus one witness) reaching that tree.  The 2^l leaf
+states are built once per solve and combined pairwise with the tree
+cross product.  At the root, the game decides which states satisfy the
+formula.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
 from .errors import RwmsoError
 from .games import game_on_tree
 from .logic import Formula, free_variables, quantifier_rank, to_nnf
-from .parsetree import Leaf, ParseTree, _postorder
+from .parsetree import ParseTree, fold
 from .structures import Structure
 
 
@@ -62,47 +63,40 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
     nnf = to_nnf(problem.phi)
     set_vars = problem.set_vars
     forest = RCForest()
-    memo: dict = {}
     prefer_larger = problem.direction == "max"
 
     def better(a: int, b: int) -> bool:
         return a > b if prefer_larger else a < b
 
-    leaf_struct = Structure(1, tree.t, (0,), (1,))
     # states per subtree: interned tree id -> (weight, witness); ties keep
     # the first-found witness, so results are deterministic
-    stack: list[tuple[dict[int, tuple[int, tuple[frozenset[int], ...]]], int]] = []
-    for node in _postorder(tree.root):
-        if isinstance(node, Leaf):
-            classes: dict[int, tuple[int, tuple[frozenset[int], ...]]] = {}
-            for choice in range(1 << l):
-                masks = tuple((choice >> i) & 1 for i in range(l))
-                rid = reduced_char_tree_direct(forest, leaf_struct, q, (), masks)
-                value = sum(weights[i] for i in range(l) if masks[i])
-                witness = tuple(frozenset({0}) if masks[i] else frozenset()
-                                for i in range(l))
-                old = classes.get(rid)
-                if old is None or better(value, old[0]):
-                    classes[rid] = (value, witness)
-            stack.append((classes, 1))
-        else:
-            right, n2 = stack.pop()
-            left, n1 = stack.pop()
-            op = (node.g, node.f1, node.f2)
-            combined: dict[int, tuple[int, tuple[frozenset[int], ...]]] = {}
-            for id1, (v1, w1) in left.items():
-                for id2, (v2, w2) in right.items():
-                    rid = tree_cross_product(forest, id1, id2, q, op, (), memo)
-                    value = v1 + v2
-                    old = combined.get(rid)
-                    if old is None or better(value, old[0]):
-                        witness = tuple(
-                            a | frozenset(x + n1 for x in b)
-                            for a, b in zip(w1, w2))
-                        combined[rid] = (value, witness)
-            stack.append((combined, n1 + n2))
+    leaf_struct = Structure(1, tree.t, (0,), (1,))
+    leaf_states: dict[int, tuple[int, tuple[frozenset[int], ...]]] = {}
+    for choice in range(1 << l):
+        masks = tuple((choice >> i) & 1 for i in range(l))
+        rid = reduced_char_tree_direct(forest, leaf_struct, q, (), masks)
+        value = sum(w for w, m in zip(weights, masks) if m)
+        witness = tuple(frozenset({0} if m else ()) for m in masks)
+        old = leaf_states.get(rid)
+        if old is None or better(value, old[0]):
+            leaf_states[rid] = (value, witness)
 
-    classes, _ = stack.pop()
+    def combine(left, right, op):
+        (states1, n1), (states2, n2) = left, right
+        combined = {}
+        for id1, (v1, w1) in states1.items():
+            for id2, (v2, w2) in states2.items():
+                rid = tree_cross_product(forest, id1, id2, q, op)
+                value = v1 + v2
+                old = combined.get(rid)
+                if old is None or better(value, old[0]):
+                    witness = tuple(
+                        a | frozenset(x + n1 for x in b)
+                        for a, b in zip(w1, w2))
+                    combined[rid] = (value, witness)
+        return combined, n1 + n2
+
+    classes, _ = fold(tree, (leaf_states, 1), combine)
     best: tuple[int, tuple[frozenset[int], ...]] | None = None
     for rid, (value, witness) in classes.items():
         if not game_on_tree(RCTree(forest, rid), nnf, (), set_vars):

@@ -9,9 +9,13 @@ leaves-to-root; the i-th leaf in left-to-right order is vertex i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .errors import RwmsoError
 from .structures import Relabeling, Structure, compose
+
+T = TypeVar("T")
+CompositionOp = tuple[Relabeling, Relabeling, Relabeling]
 
 FAMILIES = ("path", "cycle", "complete", "cograph-union", "cograph-join", "star")
 
@@ -66,19 +70,24 @@ def _postorder(root: PNode):
             stack.append((node.left, False))
 
 
-def generate_graph(tree: ParseTree) -> Structure:
-    """Apply the operators leaves-to-root and return the generated graph."""
-    t = tree.t
-    leaf_struct = Structure(1, t, (0,), (1,) if t else (0,))
-    results: list[Structure] = []
+def fold(tree: ParseTree, leaf: T, combine: Callable[[T, T, CompositionOp], T]) -> T:
+    """Evaluate the tree leaves-to-root: every leaf is ``leaf``, and every
+    inner node is ``combine(left, right, (g, f1, f2))`` of its operands."""
+    results: list[T] = []
     for node in _postorder(tree.root):
         if isinstance(node, Leaf):
-            results.append(leaf_struct)
+            results.append(leaf)
         else:
             right = results.pop()
             left = results.pop()
-            results.append(compose(left, right, node.g, node.f1, node.f2))
+            results.append(combine(left, right, (node.g, node.f1, node.f2)))
     return results[0]
+
+
+def generate_graph(tree: ParseTree) -> Structure:
+    """Apply the operators leaves-to-root and return the generated graph."""
+    leaf = Structure(1, tree.t, (0,), (1,) if tree.t else (0,))
+    return fold(tree, leaf, lambda left, right, op: compose(left, right, *op))
 
 
 # --- text format --------------------------------------------------------

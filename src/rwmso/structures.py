@@ -323,6 +323,13 @@ def subspaces_orthogonal(b1: Iterable[int], b2: Iterable[int]) -> bool:
 # (optional; labels default to all-zero) and "e <u> <v>" lines.  Lines
 # starting with "c" are comments.
 
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise RwmsoError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_graph(text: str) -> Structure:
     n = m = t = None
     labels: list[int] = []
@@ -338,14 +345,14 @@ def parse_graph(text: str) -> Structure:
                 raise RwmsoError(f"line {lineno}: duplicate header")
             if len(parts) != 5 or parts[1] != "graph":
                 raise RwmsoError(f"line {lineno}: expected 'p graph <n> <m> <t>'")
-            n, m, t = int(parts[2]), int(parts[3]), int(parts[4])
+            n, m, t = (_int(tok, lineno) for tok in parts[2:])
             labels = [0] * n
         elif parts[0] == "v":
             if n is None:
                 raise RwmsoError(f"line {lineno}: vertex line before header")
             if len(parts) != 3:
                 raise RwmsoError(f"line {lineno}: expected 'v <id> <bits>'")
-            u = int(parts[1])
+            u = _int(parts[1], lineno)
             bits = parts[2]
             if not 0 <= u < n:
                 raise RwmsoError(f"line {lineno}: vertex {u} out of range")
@@ -355,7 +362,9 @@ def parse_graph(text: str) -> Structure:
         elif parts[0] == "e":
             if n is None:
                 raise RwmsoError(f"line {lineno}: edge line before header")
-            u, v = int(parts[1]), int(parts[2])
+            if len(parts) != 3:
+                raise RwmsoError(f"line {lineno}: expected 'e <u> <v>'")
+            u, v = _int(parts[1], lineno), _int(parts[2], lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise RwmsoError(f"line {lineno}: edge endpoint out of range")
             edges.append((u, v))

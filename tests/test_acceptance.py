@@ -77,7 +77,6 @@ def test_criterion_2_cross_product_soundness():
     at q in {1, 2}; plus 100 seeded random t=2 instances."""
     start = time.time()
     forest = RCForest()
-    memo = {}
     direct_cache = {}
 
     def direct(g, q):
@@ -95,7 +94,7 @@ def test_criterion_2_cross_product_soundness():
                 for g2 in pools[n2]:
                     for op in itertools.product(rels, repeat=3):
                         got = tree_cross_product(
-                            forest, direct(g1, q), direct(g2, q), q, op, (), memo)
+                            forest, direct(g1, q), direct(g2, q), q, op)
                         assert got == direct(compose(g1, g2, *op), q)
                         cases += 1
     rng = random.Random(202)
@@ -104,7 +103,7 @@ def test_criterion_2_cross_product_soundness():
         n2 = rng.randint(1, 4 - n1)
         g1, g2 = random_structure(rng, n1, 2), random_structure(rng, n2, 2)
         op = tuple(random_relabeling(rng, 2) for _ in range(3))
-        got = tree_cross_product(forest, direct(g1, 2), direct(g2, 2), 2, op, (), memo)
+        got = tree_cross_product(forest, direct(g1, 2), direct(g2, 2), 2, op)
         assert got == direct(compose(g1, g2, *op), 2)
         cases += 1
     elapsed = time.time() - start

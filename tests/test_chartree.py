@@ -9,6 +9,7 @@ from rwmso import (ParseTree, Relabeling, Structure, build_structure,
                    leaf_char_tree, ordered_induced, rename_combine,
                    reduced_char_tree_direct, size_bound, tower_at_least,
                    tree_cross_product)
+from rwmso import chartree
 from rwmso.chartree import RCForest, RCTree, full_tree_size, rc_dump
 from rwmso.errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from rwmso.parsetree import Leaf, Node
@@ -93,7 +94,7 @@ def test_leaf_char_tree():
     assert full_tree_size(full_char_tree(VERTEX, 1)) == 4
     assert len(node.point_children) == 1 and len(node.set_children) == 1
     assert unfold_rc(forest, nid) == merge_full_tree(VERTEX, full_char_tree(VERTEX, 1))
-    # memoized
+    # interned: rebuilding gives the same id
     assert leaf_char_tree(forest, 1, 1) == nid
 
 
@@ -314,6 +315,22 @@ def test_char_tree_stabilizes_on_paths():
            for n in range(2, 64)]
     # finitely many classes: the tail must be constant
     assert len(set(ids[-20:])) == 1
+
+
+def test_cross_products_are_memoized_in_the_forest(monkeypatch):
+    forest = RCForest()
+    tree = family_tree("cycle", 6)
+    first = char_tree_from_parse_tree(tree, 2, forest).root
+    calls = []
+    rename = chartree.rename_combine
+
+    def counting(*args):
+        calls.append(args)
+        return rename(*args)
+
+    monkeypatch.setattr(chartree, "rename_combine", counting)
+    assert char_tree_from_parse_tree(tree, 2, forest).root == first
+    assert calls == []
 
 
 def test_rc_dump_format():

@@ -57,6 +57,12 @@ def test_check_q_cap(p4_file, monkeypatch, capsys):
                  "--force"]) == 0
 
 
+def test_max_q_must_be_an_integer(p4_file, monkeypatch, capsys):
+    monkeypatch.setenv("RWMSO_MAX_Q", "abc")
+    assert main(["check", "--parse-tree", p4_file, "--formula", "Ex x. x = x"]) == 2
+    assert "RWMSO_MAX_Q='abc'" in capsys.readouterr().err
+
+
 def test_oracle(c5_graph, capsys):
     assert main(["oracle", "--graph", c5_graph,
                  "--formula", "Ex x. Ex y. adj(x,y)"]) == 0
@@ -96,6 +102,20 @@ def test_optimize(p4_file, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "value 2"
     assert json.loads(out[-1])["answer"] == 2
+
+
+def test_optimize_bad_weights(p4_file, capsys):
+    assert main(["optimize", "--parse-tree", p4_file,
+                 "--formula", "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))",
+                 "--weights", "a"]) == 2
+    assert "--weights" in capsys.readouterr().err
+
+
+def test_graph_with_malformed_number_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("p graph 2 1 1\ne 0 x\n")
+    assert main(["oracle", "--graph", str(bad), "--formula", "Ex x. x = x"]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_optimize_infeasible(p4_file, capsys):

@@ -3,8 +3,12 @@ import pytest
 from rwmso import (Assignment, LinEMSOProblem, evaluate, family_tree,
                    generate_graph, parse_formula, quantifier_rank,
                    solve_linemso, tower_at_least)
-from rwmso.chartree import size_bound
+from rwmso import linemso
+from rwmso.chartree import (RCForest, reduced_char_tree_direct, size_bound,
+                            tree_cross_product)
 from rwmso.errors import RwmsoError
+from rwmso.parsetree import fold
+from rwmso.structures import Structure
 
 from common import brute_force_linemso
 
@@ -93,26 +97,29 @@ def test_class_count_bounded_and_stabilizes():
     counts = []
     for n in range(2, 30):
         tree = family_tree("path", n)
-        # replicate the DP's state space: distinct interned trees at the root
-        from rwmso.chartree import RCForest, reduced_char_tree_direct, tree_cross_product
-        from rwmso.parsetree import Leaf, _postorder
-        from rwmso.structures import Structure
+        # the DP's state space: distinct interned trees at the root
         forest = RCForest()
-        memo = {}
         leaf_struct = Structure(1, tree.t, (0,), (1,))
-        stack = []
-        for node in _postorder(tree.root):
-            if isinstance(node, Leaf):
-                ids = {reduced_char_tree_direct(forest, leaf_struct, q, (), (m,))
-                       for m in (0, 1)}
-                stack.append(ids)
-            else:
-                right = stack.pop()
-                left = stack.pop()
-                op = (node.g, node.f1, node.f2)
-                stack.append({
-                    tree_cross_product(forest, i1, i2, q, op, (), memo)
-                    for i1 in left for i2 in right})
-        counts.append(len(stack[0]))
+        leaf_ids = {reduced_char_tree_direct(forest, leaf_struct, q, (), (m,))
+                    for m in (0, 1)}
+        root_ids = fold(tree, leaf_ids, lambda left, right, op: {
+            tree_cross_product(forest, i1, i2, q, op) for i1 in left for i2 in right})
+        counts.append(len(root_ids))
         assert tower_at_least(q + 1, f, counts[-1])
     assert len(set(counts[-8:])) == 1
+
+
+def test_leaf_states_are_built_once_per_solve(monkeypatch):
+    calls = []
+    direct = linemso.reduced_char_tree_direct
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(linemso, "reduced_char_tree_direct", counting)
+    problem = LinEMSOProblem(parse_formula(INDEP, 1), (1,), "max")
+    for n in (8, 16):
+        calls.clear()
+        assert solve_linemso(family_tree("path", n), problem).value == (n + 1) // 2
+        assert len(calls) == 2 ** len(problem.weights)

@@ -252,3 +252,14 @@ def test_graph_format_errors():
         parse_graph("p graph 2 1 1\n")  # missing edge
     with pytest.raises(RwmsoError):
         parse_graph("p graph 2 0 1\nv 0 11\n")  # label width
+
+
+@pytest.mark.parametrize("text, line", [
+    ("p graph 2 1 1\ne 0 x\n", 2),      # non-integer endpoint
+    ("p graph 2 x 1\n", 1),             # non-integer header field
+    ("p graph 2 1 1\ne 0\n", 2),        # missing endpoint
+    ("p graph 2 0 1\nv x 1\n", 2),      # non-integer vertex id
+])
+def test_graph_format_malformed_numbers(text, line):
+    with pytest.raises(RwmsoError, match=f"^line {line}: "):
+        parse_graph(text)
