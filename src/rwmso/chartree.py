@@ -13,6 +13,11 @@ The tree cross product combines the reduced trees of two structures
 into the reduced tree of their labeled composition without touching the
 underlying graphs; folding it over a parse tree yields the reduced tree
 of the generated graph in one pass.
+
+Reduced trees are built for a move budget: the (point, set) move counts
+that get children.  A depth q is the paper's tree (every m + p <= q);
+model checking builds the smaller tree of the moves its formula's game
+can take (logic.move_budget).
 """
 
 from __future__ import annotations
@@ -99,6 +104,39 @@ def full_tree_size(node: FullCharNode) -> int:
 
 # --- interned reduced characteristic trees ------------------------------
 
+# A move budget is a down-closed set of (point moves m, set moves p),
+# stored as caps[p] = the most point moves allowed after p set moves, so
+# caps is non-increasing.  The depth-q tree of the paper is the staircase
+# (q, q-1, ..., 0): every m + p <= q.  A node at (m, p) has point children
+# iff (m + 1, p) is in the budget and set children iff (m, p + 1) is.
+Budget = tuple[int, ...]
+
+
+def as_budget(budget: int | Sequence[int]) -> Budget:
+    """Normalise a depth q to its staircase; validate a caps sequence."""
+    if isinstance(budget, int):
+        if budget < 0:
+            raise RwmsoError("depth must be nonnegative")
+        return tuple(range(budget, -1, -1))
+    caps = tuple(budget)
+    if (not caps or not all(isinstance(c, int) for c in caps) or caps[-1] < 0
+            or any(a < b for a, b in zip(caps, caps[1:]))):
+        raise RwmsoError(
+            f"move budget must be a nonempty non-increasing sequence of "
+            f"nonnegative ints, got {budget!r}")
+    return caps
+
+
+def in_budget(caps: Budget, m: int, p: int) -> bool:
+    return p < len(caps) and m <= caps[p]
+
+
+def _moves_left(caps: Budget, m: int, p: int) -> int:
+    """Longest move sequence the budget allows from (m, p)."""
+    return max((cap - m + j - p for j, cap in enumerate(caps)
+                if j >= p and cap >= m), default=0)
+
+
 @dataclass(frozen=True)
 class RCNode:
     """Interned node: ordered structure plus sorted child id sets.
@@ -119,9 +157,10 @@ class RCNode:
     def p(self) -> int:
         return len(self.ord.set_traces)
 
-    def has_children(self) -> bool:
-        # a set move (D = empty) always exists while budget remains
-        return bool(self.set_children)
+    def has_children(self, point: bool) -> bool:
+        """Whether moves of this kind were built here.  A set move (the
+        empty set) always exists; a point move needs a nonempty universe."""
+        return bool(self.point_children if point else self.set_children)
 
 
 class RCForest:
@@ -129,8 +168,8 @@ class RCForest:
 
     Ids are stable and identify subtrees up to deep structural equality.
     Nodes go in through intern() and are immutable.  cross_memo maps
-    ((q, op), id1, id2, d) to the id tree_cross_product returned for it;
-    it lives here because ids mean nothing outside their forest.
+    ((caps, op), id1, id2, d) to the id tree_cross_product returned for
+    it; it lives here because ids mean nothing outside their forest.
     Not thread-safe: confine construction to one thread.
     """
 
@@ -174,26 +213,34 @@ class RCForest:
 
 @dataclass(frozen=True)
 class RCTree:
-    """A root id together with the forest that owns it."""
+    """A root id, the forest that owns it, and the move budget it was
+    built for (a depth q is normalised to its staircase)."""
 
     forest: RCForest
     root: int
+    budget: Budget
+
+    def __post_init__(self):
+        object.__setattr__(self, "budget", as_budget(self.budget))
 
     def size(self) -> int:
         return len(self.forest.reachable(self.root))
 
 
-def reduced_char_tree_direct(forest: RCForest, a: Structure, q: int,
+def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budget,
                              c: Sequence[int] = (), sets: Sequence[Iterable[int] | int] = (),
                              force: bool = False) -> int:
     """Reduced characteristic tree straight from the definition.
 
     Enumerates all moves of the underlying structure, so this is the
     brute-force oracle; the tree cross product is the scalable path.
+    The root sits at (len(c), len(sets)); below it, moves exist exactly
+    where the budget allows them.
     """
+    caps = as_budget(budget)
     c = tuple(c)
     masks = _as_masks(a.n, sets)
-    remaining = q - len(c) - len(masks)
+    remaining = _moves_left(caps, len(c), len(masks))
     if not force and (a.n > 4 or _full_work(a.n, remaining) > MAX_DIRECT_WORK):
         raise ScaleGuardError(
             f"direct construction would explore ~{_full_work(a.n, remaining)} moves; "
@@ -201,21 +248,23 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, q: int,
 
     def rec(c: tuple[int, ...], masks: tuple[int, ...]) -> int:
         label = ordered_induced(a, c, masks)
-        if len(c) + len(masks) + 1 <= q:
+        m, p = len(c), len(masks)
+        point = set_kids = ()
+        if in_budget(caps, m + 1, p):
             point = {rec(c + (d,), masks) for d in range(a.n)}
-            set_kids = {rec(c, masks + (m,)) for m in range(1 << a.n)}
-        else:
-            point = set_kids = set()
+        if in_budget(caps, m, p + 1):
+            set_kids = {rec(c, masks + (x,)) for x in range(1 << a.n)}
         return forest.intern(label, point, set_kids)
 
     return rec(c, tuple(masks))
 
 
-def leaf_char_tree(forest: RCForest, q: int, t: int) -> int:
+def leaf_char_tree(forest: RCForest, budget: int | Budget, t: int) -> int:
     """Reduced tree of the single new-vertex structure (label {1})."""
     if t < 1:
         raise RwmsoError("leaf vertices carry label 1; need t >= 1")
-    return reduced_char_tree_direct(forest, Structure(1, t, (0,), (1,)), q, force=True)
+    return reduced_char_tree_direct(forest, Structure(1, t, (0,), (1,)), budget,
+                                    force=True)
 
 
 # --- combining reduced trees --------------------------------------------
@@ -275,17 +324,23 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
     return ordered_induced(joined, merged, traces)
 
 
-def tree_cross_product(forest: RCForest, id1: int, id2: int, q: int,
+def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budget,
                        op: CompositionOp, d: IndicatorVector = ()) -> int:
     """Reduced tree of the composition from the factors' reduced trees.
 
     Point moves pair a point child of one side with the other side's
     whole tree (extending d); set moves pair set children of both sides.
-    Both factors must have been built with depth at least q - m - p.
-    Results are memoized in the forest, across calls.
+    A factor's own (m_i, p) never exceeds the product's (m, p) and the
+    budget is down-closed, so factors built for the same budget have
+    every move the product needs.  Results are memoized in the forest,
+    across calls.
     """
+    # the fold calls this once per parse node (LinEMSO once per state
+    # pair) with caps already normalised at its entry
+    caps = budget if type(budget) is tuple else as_budget(budget)
     memo = forest.cross_memo
-    opkey = (q, op)
+    opkey = (caps, op)
+    ncaps = len(caps)
 
     def rec(i1: int, i2: int, d: IndicatorVector) -> int:
         key = (opkey, i1, i2, d)
@@ -296,40 +351,51 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, q: int,
         o1, o2 = n1.ord, n2.ord
         root = rename_combine(o1, o2, d, op)
         m, p = len(d), o1.p
-        if m + p + 1 <= q:
-            if not n1.has_children() or not n2.has_children():
-                raise DepthBudgetError(
-                    f"factor tree too shallow at m={m}, p={p} for depth {q}")
+        point = set_kids = ()
+        # in_budget(caps, m + 1, p) and in_budget(caps, m, p + 1), inlined
+        if p < ncaps and m < caps[p]:
+            _check_factors(n1, n2, True, m, p, caps)
             point = set()
             for u in n1.point_children:
                 point.add(rec(u, i2, d + ((1, o1.m + 1),)))
             for u in n2.point_children:
                 point.add(rec(i1, u, d + ((2, o2.m + 1),)))
+        if p + 1 < ncaps and m <= caps[p + 1]:
+            _check_factors(n1, n2, False, m, p, caps)
             set_kids = {rec(u1, u2, d)
                         for u1 in n1.set_children for u2 in n2.set_children}
-            out = forest.intern(root, point, set_kids)
-        else:
-            out = forest.intern(root, (), ())
+        out = forest.intern(root, point, set_kids)
         memo[key] = out
         return out
 
     return rec(id1, id2, tuple(d))
 
 
-def char_tree_from_parse_tree(tree: ParseTree, q: int,
+def _check_factors(n1: RCNode, n2: RCNode, point: bool, m: int, p: int,
+                   caps: Budget):
+    # factors are parse-tree compositions of single vertices, so a missing
+    # point move means the factor was built for a smaller budget
+    if not (n1.has_children(point) and n2.has_children(point)):
+        kind = "point" if point else "set"
+        raise DepthBudgetError(
+            f"factor tree too shallow: no {kind} moves at m={m}, p={p} "
+            f"for budget {list(caps)}")
+
+
+def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
                               forest: RCForest | None = None) -> RCTree:
     """Fold the tree cross product over a parse tree, leaves to root.
 
-    Returns the reduced characteristic tree of the generated graph in
-    time linear in the parse tree for fixed q and t.
+    Returns the reduced characteristic tree of the generated graph, built
+    for the move budget (a depth q means every m + p <= q), in time
+    linear in the parse tree for a fixed budget and t.
     """
-    if q < 0:
-        raise RwmsoError("depth must be nonnegative")
+    caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
-    root = fold(tree, leaf_char_tree(forest, q, tree.t),
-                lambda left, right, op: tree_cross_product(forest, left, right, q, op))
-    return RCTree(forest, root)
+    root = fold(tree, leaf_char_tree(forest, caps, tree.t),
+                lambda left, right, op: tree_cross_product(forest, left, right, caps, op))
+    return RCTree(forest, root, caps)
 
 
 def rc_dump(forest: RCForest, root: int) -> str:

@@ -20,7 +20,7 @@ from .errors import RwmsoError
 from .games import evaluate, game_on_tree
 from .linemso import LinEMSOProblem, solve_linemso
 from .logic import (ExistsSet, ForallSet, Formula, free_variables, is_sentence,
-                    parse_formula, quantifier_rank, to_nnf)
+                    move_budget, parse_formula, quantifier_rank, to_nnf)
 from .parsetree import (FAMILIES, ParseTree, family_tree, format_parse_tree,
                         parse_tree_from_text)
 from .rankdec import MAX_EXACT_N, exact_rankwidth
@@ -75,7 +75,8 @@ def _guard(args, exceeded: bool, message: str) -> None:
 
 def _tree_report(q: int, tree: ParseTree, rc: RCTree, elapsed: float) -> dict:
     """Report fields shared by every command that folds a char tree."""
-    return {"q": q, "t": tree.t, "parseTreeNodes": tree.size(),
+    return {"q": q, "moveBudget": list(rc.budget), "t": tree.t,
+            "parseTreeNodes": tree.size(),
             "charTreeNodes": rc.size(), "peakInterned": len(rc.forest),
             "wallTimeSec": elapsed}
 
@@ -102,8 +103,10 @@ def cmd_check(args) -> int:
     q = quantifier_rank(phi)
     _guard(args, q > _max_q(), f"quantifier rank {q} exceeds RWMSO_MAX_Q={_max_q()}")
     start = time.perf_counter()
-    rc = char_tree_from_parse_tree(tree, q)
-    answer = game_on_tree(rc, to_nnf(phi))
+    # games.model_check, with the tree kept for the report
+    nnf = to_nnf(phi)
+    rc = char_tree_from_parse_tree(tree, move_budget(nnf))
+    answer = game_on_tree(rc, nnf)
     elapsed = time.perf_counter() - start
     print("true" if answer else "false")
     _report(args, {"command": "check", "answer": answer,
@@ -143,16 +146,17 @@ def cmd_optimize(args) -> int:
     start = time.perf_counter()
     result = solve_linemso(tree, problem)
     elapsed = time.perf_counter() - start
+    budget_fields = {"q": q, "moveBudget": list(problem.budget)}
     if result is None:
         print("INFEASIBLE")
-        _report(args, {"command": "optimize", "answer": None,
+        _report(args, {"command": "optimize", "answer": None, **budget_fields,
                        "wallTimeSec": elapsed})
         return 1
     sets = [sorted(u) for u in result.witness]
     print(f"value {result.value}")
     for var, u in zip(problem.set_vars, sets):
         print(f"{var} = {{{', '.join(map(str, u))}}}")
-    _report(args, {"command": "optimize", "answer": result.value,
+    _report(args, {"command": "optimize", "answer": result.value, **budget_fields,
                    "witness": sets, "wallTimeSec": elapsed})
     return 0
 
@@ -252,7 +256,11 @@ def _fit(rows: list[BenchRow]) -> tuple[float, float]:
 
 
 def cmd_bench(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",")]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise RwmsoError(
+            f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
     rows = run_bench(args.family, n_list, args.q, args.t, args.repeats)
     print("n,parse_tree_nodes,char_tree_nodes,peak_interned,seconds")
     for r in rows:

@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .chartree import FullCharNode, RCTree, char_tree_from_parse_tree
+from .chartree import (FullCharNode, RCTree, as_budget, char_tree_from_parse_tree,
+                       in_budget)
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
                     free_variables, is_atomic, is_nnf, is_sentence,
-                    parse_formula, quantifier_rank, to_nnf)
+                    move_budget, parse_formula, to_nnf)
 from .parsetree import ParseTree
 from .structures import Structure
 
@@ -219,6 +220,8 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
     along set extensions, connectives stay on the node, and atoms are
     decided inside the node label with the i-th collected variable bound
     to the i-th position (or trace).  Memoized per (node, position).
+    Raises DepthBudgetError, before playing, if phi has a quantifier
+    whose move the tree was not built for.
     """
     if not is_nnf(phi):
         raise RwmsoError("the game is defined on negation normal form")
@@ -230,12 +233,10 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
 
     if isinstance(tree, RCTree):
         forest = tree.forest
+        caps = tree.budget
 
         def node_of(key):
             return forest.node(key)
-
-        def kids(node, point: bool):
-            return node.point_children if point else node.set_children
 
         root_key = tree.root
         atom_eval = _atom_in_ordered
@@ -243,11 +244,10 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
         def label_of(node):
             return node.ord
     elif isinstance(tree, FullCharNode):
+        caps = _full_budget(tree)
+
         def node_of(key):
             return key
-
-        def kids(node, point: bool):
-            return node.point_children if point else node.set_children
 
         root_key = tree
         atom_eval = _atom_in_full
@@ -264,6 +264,17 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
 
     records, children = _index_positions(phi, tuple(x_vars), tuple(X_vars))
+    for psi, objs, sets in records:
+        if isinstance(psi, (ExistsObj, ForallObj)):
+            kind, m, p = "point", len(objs) + 1, len(sets)
+        elif isinstance(psi, (ExistsSet, ForallSet)):
+            kind, m, p = "set", len(objs), len(sets) + 1
+        else:
+            continue
+        if not in_budget(caps, m, p):
+            raise DepthBudgetError(
+                f"a {kind} move to m={m}, p={p} is outside the tree's move "
+                f"budget {list(caps)}: build the tree for the formula's budget")
     memo: dict[tuple, bool] = {}
 
     def rec(key, pos: int) -> bool:
@@ -285,11 +296,7 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
                 out = rec(key, l) or rec(key, r)
         else:
             point = isinstance(psi, (ExistsObj, ForallObj))
-            if not (kids(node, True) or kids(node, False)):
-                raise DepthBudgetError(
-                    "quantifier reached a leaf: quantifier rank plus free "
-                    "variables exceeds the tree depth")
-            moves = kids(node, point)
+            moves = node.point_children if point else node.set_children
             (sub,) = children[pos]
             if isinstance(psi, (ExistsObj, ExistsSet)):
                 out = any(rec(ch, sub) for ch in moves)
@@ -301,17 +308,28 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
     return rec(root_key, 0)
 
 
+def _full_budget(node: FullCharNode) -> tuple[int, ...]:
+    """Staircase of the depth a full tree was built for: it builds both
+    move kinds at every node above that depth, and a set move always
+    exists."""
+    depth = node.m + node.p
+    while node.set_children:
+        node = node.set_children[0]
+        depth += 1
+    return as_budget(depth)
+
+
 def model_check(tree: ParseTree, phi: Formula) -> bool:
     """Decide whether the generated graph models the sentence.
 
-    Builds the reduced characteristic tree of depth qr(phi) from the
-    parse tree, then plays the game on it; never materializes the graph.
+    Builds the reduced characteristic tree for phi's move budget from
+    the parse tree, then plays the game on it; never materializes the
+    graph.
     """
     if not is_sentence(phi):
         raise RwmsoError("model checking requires a sentence (no free variables)")
-    q = quantifier_rank(phi)
-    rc = char_tree_from_parse_tree(tree, q)
-    return game_on_tree(rc, to_nnf(phi))
+    nnf = to_nnf(phi)
+    return game_on_tree(char_tree_from_parse_tree(tree, move_budget(nnf)), nnf)
 
 
 # --- formula catalog (shared test fixture) --------------------------------

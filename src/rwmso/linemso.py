@@ -18,7 +18,7 @@ from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
                        tree_cross_product)
 from .errors import RwmsoError
 from .games import game_on_tree
-from .logic import Formula, free_variables, quantifier_rank, to_nnf
+from .logic import Formula, free_variables, move_budget, to_nnf
 from .parsetree import ParseTree, fold
 from .structures import Structure
 
@@ -43,6 +43,11 @@ class LinEMSOProblem:
     def set_vars(self) -> tuple[str, ...]:
         return free_variables(self.phi).sets
 
+    @property
+    def budget(self) -> tuple[int, ...]:
+        """Move budget of the game with the l chosen sets preloaded."""
+        return move_budget(self.phi, sets=len(self.weights))
+
 
 @dataclass(frozen=True)
 class LinEMSOResult:
@@ -54,12 +59,13 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
     """Optimize sum a_i |U_i| over set tuples satisfying the formula.
 
     Returns None when no assignment satisfies it.  The characteristic
-    trees are built with depth qr(phi) + l: the preloaded sets occupy l
-    set moves, leaving exactly qr(phi) moves for the game at the root.
+    trees are built for phi's move budget offset by the l preloaded
+    sets, which occupy the first l set moves: every tree starts at
+    (m, p) = (0, l) and has exactly the moves the game at the root takes.
     """
     weights = problem.weights
     l = len(weights)
-    q = quantifier_rank(problem.phi) + l
+    budget = problem.budget
     nnf = to_nnf(problem.phi)
     set_vars = problem.set_vars
     forest = RCForest()
@@ -74,7 +80,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
     leaf_states: dict[int, tuple[int, tuple[frozenset[int], ...]]] = {}
     for choice in range(1 << l):
         masks = tuple((choice >> i) & 1 for i in range(l))
-        rid = reduced_char_tree_direct(forest, leaf_struct, q, (), masks)
+        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks)
         value = sum(w for w, m in zip(weights, masks) if m)
         witness = tuple(frozenset({0} if m else ()) for m in masks)
         old = leaf_states.get(rid)
@@ -86,7 +92,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
         combined = {}
         for id1, (v1, w1) in states1.items():
             for id2, (v2, w2) in states2.items():
-                rid = tree_cross_product(forest, id1, id2, q, op)
+                rid = tree_cross_product(forest, id1, id2, budget, op)
                 value = v1 + v2
                 old = combined.get(rid)
                 if old is None or better(value, old[0]):
@@ -99,7 +105,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
     classes, _ = fold(tree, (leaf_states, 1), combine)
     best: tuple[int, tuple[frozenset[int], ...]] | None = None
     for rid, (value, witness) in classes.items():
-        if not game_on_tree(RCTree(forest, rid), nnf, (), set_vars):
+        if not game_on_tree(RCTree(forest, rid, budget), nnf, (), set_vars):
             continue
         if best is None or better(value, best[0]):
             best = (value, witness)

@@ -355,6 +355,36 @@ def quantifier_rank(phi: Formula) -> int:
     return quantifier_rank(phi.sub) + 1
 
 
+def move_budget(phi: Formula, objects: int = 0, sets: int = 0) -> tuple[int, ...]:
+    """The moves the game on phi can take, as caps[p] = the most point
+    moves after p set moves (see chartree.as_budget).
+
+    A root-to-atom path with m object and p set quantifiers ends at
+    (objects + m, sets + p), counting the free variables already placed;
+    the budget is the down-closure of those ends.  Negation does not
+    change the paths, so phi and its NNF get the same budget.
+    """
+    most: dict[int, int] = {}  # p -> most m among path ends
+    stack = [(phi, objects, sets)]
+    while stack:
+        psi, m, p = stack.pop()
+        if isinstance(psi, (ExistsObj, ForallObj)):
+            stack.append((psi.sub, m + 1, p))
+        elif isinstance(psi, (ExistsSet, ForallSet)):
+            stack.append((psi.sub, m, p + 1))
+        elif isinstance(psi, (And, Or)):
+            stack += [(psi.left, m, p), (psi.right, m, p)]
+        elif isinstance(psi, Not):
+            stack.append((psi.sub, m, p))
+        else:
+            most[p] = max(m, most.get(p, m))
+    caps, cap = [], 0
+    for p in range(max(most), -1, -1):
+        cap = max(cap, most.get(p, 0))
+        caps.append(cap)
+    return tuple(reversed(caps))
+
+
 def to_nnf(phi: Formula) -> Formula:
     """Push negations to the atoms; preserves quantifier rank."""
     if is_atomic(phi):

@@ -333,8 +333,7 @@ def _int(token: str, lineno: int) -> int:
 def parse_graph(text: str) -> Structure:
     n = m = t = None
     labels: list[int] = []
-    edges: list[tuple[int, int]] = []
-    seen_edges = 0
+    edges: dict[tuple[int, int], int] = {}  # (min, max) -> line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -367,14 +366,17 @@ def parse_graph(text: str) -> Structure:
             u, v = _int(parts[1], lineno), _int(parts[2], lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise RwmsoError(f"line {lineno}: edge endpoint out of range")
-            edges.append((u, v))
-            seen_edges += 1
+            key = (min(u, v), max(u, v))
+            if key in edges:
+                raise RwmsoError(
+                    f"line {lineno}: edge {u} {v} repeats the edge on line {edges[key]}")
+            edges[key] = lineno
         else:
             raise RwmsoError(f"line {lineno}: unknown line type {parts[0]!r}")
     if n is None:
         raise RwmsoError("missing 'p graph' header")
-    if seen_edges != m:
-        raise RwmsoError(f"header declares {m} edges, found {seen_edges}")
+    if len(edges) != m:
+        raise RwmsoError(f"header declares {m} edges, found {len(edges)}")
     return build_structure(n, edges, t, labels)
 
 

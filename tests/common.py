@@ -45,6 +45,19 @@ def random_parse_tree(rng: random.Random, leaves, t):
     return ParseTree(t, build(leaves))
 
 
+def small_parse_trees():
+    """Every t=1 parse tree with at most 3 leaves."""
+    rels = [Relabeling((0,)), Relabeling((1,))]
+    trees = [ParseTree(1, Node(*combo, Leaf(), Leaf()))
+             for combo in itertools.product(rels, repeat=3)]
+    for combo1 in itertools.product(rels, repeat=3):
+        for combo2 in itertools.product(rels, repeat=3):
+            inner = Node(*combo2, Leaf(), Leaf())
+            trees.append(ParseTree(1, Node(*combo1, inner, Leaf())))
+            trees.append(ParseTree(1, Node(*combo1, Leaf(), inner)))
+    return trees
+
+
 def are_isomorphic(g, h) -> bool:
     """Exhaustive permutation check, labels included."""
     if g.n != h.n or g.t != h.t:

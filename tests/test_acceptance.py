@@ -141,7 +141,7 @@ def test_criterion_3_game_chain_equivalence():
                     want = evaluate(g, phi)
                     assert game_on_structure(g, nnf) == want, name
                     assert game_on_tree(full, nnf) == want, name
-                    assert game_on_tree(RCTree(forest, rid), nnf) == want, name
+                    assert game_on_tree(RCTree(forest, rid, q), nnf) == want, name
                     checked += 1
             for phi, xs, Xs in open_cases:
                 nnf = to_nnf(phi)
@@ -156,7 +156,7 @@ def test_criterion_3_game_chain_equivalence():
                         f = full_char_tree(g, 2, objs, sets)
                         assert game_on_tree(f, nnf, xs, Xs) == want
                         r = reduced_char_tree_direct(forest, g, 2, objs, sets)
-                        assert game_on_tree(RCTree(forest, r), nnf, xs, Xs) == want
+                        assert game_on_tree(RCTree(forest, r, 2), nnf, xs, Xs) == want
                         checked += 1
     elapsed = time.time() - start
     print(f"\nACCEPTANCE 3 (game-chain equivalence): PASS — {checked} cases "
@@ -175,8 +175,8 @@ def test_criterion_4_q_equivalence_characterization():
     assert id_k2 != id_two
     has_edge = parse_formula("Ex x. Ex y. adj(x,y)")
     assert evaluate(k2, has_edge) and not evaluate(two, has_edge)
-    assert game_on_tree(RCTree(forest, id_k2), to_nnf(has_edge))
-    assert not game_on_tree(RCTree(forest, id_two), to_nnf(has_edge))
+    assert game_on_tree(RCTree(forest, id_k2, 2), to_nnf(has_edge))
+    assert not game_on_tree(RCTree(forest, id_two, 2), to_nnf(has_edge))
 
     rng = random.Random(303)
     pairs = 0

@@ -1,0 +1,126 @@
+"""Formula-directed move budgets: the fold builds only the (point, set)
+moves the game on phi can take, and answers as the full-depth tree does."""
+
+import pytest
+
+from rwmso import (CATALOG, FAMILIES, build_structure, catalog, char_tree_from_parse_tree,
+                   evaluate, family_tree, game_on_tree, generate_graph,
+                   model_check, parse_formula, quantifier_rank,
+                   reduced_char_tree_direct, to_nnf)
+from rwmso import chartree
+from rwmso.chartree import RCForest, RCTree, as_budget
+from rwmso.errors import DepthBudgetError, RwmsoError
+from rwmso.logic import move_budget
+
+from common import small_parse_trees
+
+
+@pytest.mark.parametrize("text, objects, sets, want", [
+    pytest.param("Ex x. Ex y. Ex z. (adj(x,y) & adj(y,z) & adj(x,z))", 0, 0, (3,),
+                 id="has-triangle"),
+    pytest.param("EX C. Ax x. Ax y. (!adj(x,y) | (C(x) & !C(y)) | (!C(x) & C(y)))",
+                 0, 0, (2, 2), id="two-colorable"),
+    pytest.param("AX S. Ex x. (S(x) | !S(x))", 0, 0, (1, 1), id="set-then-point"),
+    pytest.param("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", 0, 1, (2, 2),
+                 id="preloaded-set"),
+    pytest.param("(Ex x. EX S. Ex y. S(y)) | (Ax z. Ax w. Ax u. adj(z,w))", 0, 0, (3, 2),
+                 id="two-paths"),
+    pytest.param("!(Ex x. Ax y. adj(x,y))", 0, 0, (2,), id="negated"),
+    pytest.param("adj(x, y)", 2, 0, (2,), id="free-objects"),
+    pytest.param("S(x)", 1, 1, (1, 1), id="free-object-and-set"),
+])
+def test_move_budget_is_the_down_closure_of_path_ends(text, objects, sets, want):
+    phi = parse_formula(text, 1)
+    assert move_budget(phi, objects, sets) == want
+    assert move_budget(to_nnf(phi), objects, sets) == want
+
+
+def test_a_depth_is_its_staircase():
+    assert as_budget(0) == (0,)
+    assert as_budget(3) == (3, 2, 1, 0)
+    assert as_budget([2, 2]) == (2, 2)
+    for bad in (-1, (), (1, 2), (1, -1), (1.5,)):
+        with pytest.raises(RwmsoError):
+            as_budget(bad)
+
+
+def test_catalog_on_families_matches_full_depth_and_evaluate():
+    # every catalog sentence on every family with n <= 8: the answer on the
+    # tree built for phi's budget, on the full depth-3 tree, and by brute force
+    sentences = catalog(t=2)
+    forest = RCForest()
+    for family in FAMILIES:
+        for n in range(3 if family == "cycle" else 1, 9):
+            tree = family_tree(family, n, t=2)
+            g = generate_graph(tree)
+            full = char_tree_from_parse_tree(tree, 3, forest)
+            for name, phi in sentences:
+                want = evaluate(g, phi)
+                assert model_check(tree, phi) == want, (name, family, n)
+                assert game_on_tree(full, to_nnf(phi)) == want, (name, family, n)
+
+
+def test_small_parse_trees_match_full_depth_and_evaluate():
+    sentences = [(e.name, parse_formula(e.text, 1)) for e in CATALOG
+                 if "label2" not in e.text]
+    forest = RCForest()
+    for tree in small_parse_trees():
+        g = generate_graph(tree)
+        full = char_tree_from_parse_tree(tree, 3, forest)
+        for name, phi in sentences:
+            nnf = to_nnf(phi)
+            want = evaluate(g, phi)
+            rc = char_tree_from_parse_tree(tree, move_budget(nnf), forest)
+            assert game_on_tree(rc, nnf) == want, (name, tree)
+            assert game_on_tree(full, nnf) == want, (name, tree)
+
+
+def test_has_triangle_folds_a_quarter_of_the_full_depth_work(monkeypatch):
+    # deterministic count gate: has-triangle (moves PPP) on a long path
+    # needs no set child, so it folds far fewer nodes than full depth 3
+    calls = []
+    rename = chartree.rename_combine
+
+    def counting(*args):
+        calls.append(1)
+        return rename(*args)
+
+    monkeypatch.setattr(chartree, "rename_combine", counting)
+    tree = family_tree("path", 128, t=2)
+    phi = dict(catalog(t=2))["has-triangle"]
+    nnf = to_nnf(phi)
+    rc = char_tree_from_parse_tree(tree, move_budget(nnf))
+    budget_calls = len(calls)
+    calls.clear()
+    full = char_tree_from_parse_tree(tree, quantifier_rank(phi))
+    full_calls = len(calls)
+    assert rc.budget == (3,) and full.budget == (3, 2, 1, 0)
+    assert not game_on_tree(rc, nnf) and not game_on_tree(full, nnf)
+    assert 4 * budget_calls <= full_calls, (budget_calls, full_calls)
+    assert rc.size() < full.size()
+
+
+def test_game_rejects_a_move_kind_the_tree_was_not_built_for():
+    tree = family_tree("path", 4, t=2)
+    sentences = dict(catalog(t=2))
+    triangle = to_nnf(sentences["has-triangle"])
+    rc = char_tree_from_parse_tree(tree, move_budget(triangle))
+    assert not game_on_tree(rc, triangle)
+    # two-colorable needs a set move; this tree has none
+    with pytest.raises(DepthBudgetError, match="set move"):
+        game_on_tree(rc, to_nnf(sentences["two-colorable"]))
+    # and a fourth point move is out of budget even though points exist
+    deep = to_nnf(parse_formula("Ex a. Ex b. Ex c. Ex d. adj(a,d)", 2))
+    with pytest.raises(DepthBudgetError, match="point move"):
+        game_on_tree(rc, deep)
+
+
+def test_quantifiers_over_an_empty_universe_are_vacuous():
+    # no point children, but point moves are in the budget: Ex is false
+    # and Ax is true, not a budget error
+    forest = RCForest()
+    rid = reduced_char_tree_direct(forest, build_structure(0, []), (1, 1))
+    tree = RCTree(forest, rid, (1, 1))
+    assert not game_on_tree(tree, parse_formula("Ex x. x = x"))
+    assert game_on_tree(tree, to_nnf(parse_formula("Ax x. adj(x,x)")))
+    assert not game_on_tree(tree, parse_formula("EX S. Ex x. S(x)"))

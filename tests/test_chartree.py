@@ -10,13 +10,13 @@ from rwmso import (ParseTree, Relabeling, Structure, build_structure,
                    reduced_char_tree_direct, size_bound, tower_at_least,
                    tree_cross_product)
 from rwmso import chartree
-from rwmso.chartree import RCForest, RCTree, full_tree_size, rc_dump
+from rwmso.chartree import RCForest, RCTree, full_tree_size, in_budget, rc_dump
 from rwmso.errors import DepthBudgetError, RwmsoError, ScaleGuardError
-from rwmso.parsetree import Leaf, Node
+from rwmso.parsetree import Leaf
 
 from common import (all_structures, merge_full_tree, permuted,
                     random_parse_tree, random_relabeling, random_structure,
-                    unfold_rc)
+                    small_parse_trees, unfold_rc)
 
 IDENT = Relabeling.identity(1)
 VERTEX = Structure(1, 1, (0,), (1,))
@@ -86,7 +86,8 @@ def test_two_indistinguishable_elements_merge():
 
 def test_leaf_char_tree():
     forest = RCForest()
-    assert forest.node(leaf_char_tree(forest, 0, 1)).has_children() is False
+    leaf = forest.node(leaf_char_tree(forest, 0, 1))
+    assert not leaf.has_children(True) and not leaf.has_children(False)
     nid = leaf_char_tree(forest, 1, 1)
     node = forest.node(nid)
     # full tree has 3 children (1 point, 2 set); the set children merge
@@ -102,7 +103,7 @@ def test_leaf_char_tree_size_within_3_to_the_q():
     forest = RCForest()
     for q in (0, 1, 2, 3):
         rid = leaf_char_tree(forest, q, 1)
-        assert RCTree(forest, rid).size() <= sum(3 ** i for i in range(q + 1))
+        assert RCTree(forest, rid, q).size() <= sum(3 ** i for i in range(q + 1))
 
 
 def test_interning_gives_structural_equality():
@@ -132,20 +133,29 @@ def test_rc_ids_independent_of_presentation():
 
 
 def test_budget_monotone():
-    # children exist exactly while m + p + 1 <= q
+    # at depth q, children exist exactly while m + p + 1 <= q; under a
+    # move budget, point (set) children exactly when (m + 1, p)
+    # ((m, p + 1)) is in the budget
     forest = RCForest()
     g = build_structure(3, [(0, 1), (1, 2)])
     q = 2
     root = reduced_char_tree_direct(forest, g, q)
     for nid in forest.reachable(root):
         node = forest.node(nid)
-        assert node.has_children() == (node.m + node.p + 1 <= q)
+        assert node.has_children(True) == (node.m + node.p + 1 <= q)
+        assert node.has_children(False) == (node.m + node.p + 1 <= q)
         for ch in node.point_children:
             child = forest.node(ch)
             assert child.m == node.m + 1 and child.p == node.p
         for ch in node.set_children:
             child = forest.node(ch)
             assert child.m == node.m and child.p == node.p + 1
+    for budget in ((2, 1), (3,), (1, 1, 1), (0, 0)):
+        root = reduced_char_tree_direct(forest, g, budget)
+        for nid in forest.reachable(root):
+            node = forest.node(nid)
+            assert node.has_children(True) == in_budget(budget, node.m + 1, node.p)
+            assert node.has_children(False) == in_budget(budget, node.m, node.p + 1)
 
 
 def test_direct_guard():
@@ -263,24 +273,18 @@ def test_tcp_zero_budget_single_root():
     op = (IDENT, IDENT, IDENT)
     left = leaf_char_tree(forest, 0, 1)
     got = tree_cross_product(forest, left, left, 0, op)
-    assert not forest.node(got).has_children()
+    node = forest.node(got)
+    assert not node.has_children(True) and not node.has_children(False)
 
 
 def test_tcp_exhaustive_small_parse_trees():
-    # every t=1 parse tree with at most 3 leaves, at q <= 2
+    # every t=1 parse tree with at most 3 leaves, at q <= 2 and at move
+    # budgets that are not staircases
     forest = RCForest()
-    rels = [Relabeling((0,)), Relabeling((1,))]
-    trees = [ParseTree(1, Node(*combo, Leaf(), Leaf()))
-             for combo in itertools.product(rels, repeat=3)]
-    for combo1 in itertools.product(rels, repeat=3):
-        for combo2 in itertools.product(rels, repeat=3):
-            inner = Node(*combo2, Leaf(), Leaf())
-            trees.append(ParseTree(1, Node(*combo1, inner, Leaf())))
-            trees.append(ParseTree(1, Node(*combo1, Leaf(), inner)))
-    for q in (1, 2):
-        for tree in trees:
-            rc = char_tree_from_parse_tree(tree, q, forest)
-            want = reduced_char_tree_direct(forest, generate_graph(tree), q)
+    for budget in (1, 2, (3,), (2, 2), (1, 1, 1), (0, 0)):
+        for tree in small_parse_trees():
+            rc = char_tree_from_parse_tree(tree, budget, forest)
+            want = reduced_char_tree_direct(forest, generate_graph(tree), budget)
             assert rc.root == want
 
 

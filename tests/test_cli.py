@@ -28,6 +28,7 @@ def test_check_true_false_and_json(p4_file, capsys):
     report = json.loads(out[1])
     assert report["schema"] == "rwmso-report/1"
     assert report["answer"] is True
+    assert report["q"] == 2 and report["moveBudget"] == [2]
     assert report["parseTreeNodes"] == 7
     assert report["charTreeNodes"] > 0
     assert report["peakInterned"] >= report["charTreeNodes"]
@@ -101,7 +102,9 @@ def test_optimize(p4_file, capsys):
                  "--weights", "1", "--direction", "max", "--json"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "value 2"
-    assert json.loads(out[-1])["answer"] == 2
+    report = json.loads(out[-1])
+    assert report["answer"] == 2
+    assert report["q"] == 3 and report["moveBudget"] == [2, 2]
 
 
 def test_optimize_bad_weights(p4_file, capsys):
@@ -137,6 +140,12 @@ def test_chartree_dump(p4_file, capsys):
     assert " root 0 0 " in out
 
 
+def test_chartree_builds_the_full_depth_tree(p4_file, capsys):
+    assert main(["chartree", "--parse-tree", p4_file, "--q", "3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["q"] == 3 and report["moveBudget"] == [3, 2, 1, 0]
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "c5.pt"
     assert main(["gen", "--family", "cycle", "--n", "5",
@@ -159,3 +168,9 @@ def test_bench_csv(capsys):
     # |T| = 2n - 1 for family trees
     assert [int(r[1]) for r in rows] == [15, 31, 63]
     assert any(line.startswith("# time ~ slope") for line in lines)
+
+
+def test_bench_bad_n_list(capsys):
+    assert main(["bench", "--family", "path", "--n-list", "a"]) == 2
+    err = capsys.readouterr().err
+    assert "--n-list" in err and "'a'" in err

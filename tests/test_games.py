@@ -76,9 +76,9 @@ def test_game_on_tree_basic():
     forest = RCForest()
     nnf = to_nnf(HAS_EDGE)
     rid = reduced_char_tree_direct(forest, K2, 2)
-    assert game_on_tree(RCTree(forest, rid), nnf)
+    assert game_on_tree(RCTree(forest, rid, 2), nnf)
     rid = reduced_char_tree_direct(forest, TWO_ISOLATED, 2)
-    assert not game_on_tree(RCTree(forest, rid), nnf)
+    assert not game_on_tree(RCTree(forest, rid, 2), nnf)
     assert game_on_tree(full_char_tree(K2, 2), nnf)
 
 
@@ -86,9 +86,9 @@ def test_game_on_tree_q0_atomic_with_frees():
     forest = RCForest()
     phi = parse_formula("adj(x, y)")
     rid = reduced_char_tree_direct(forest, K2, 0, (0, 1), ())
-    assert game_on_tree(RCTree(forest, rid), phi, ("x", "y"), ())
+    assert game_on_tree(RCTree(forest, rid, 0), phi, ("x", "y"), ())
     rid = reduced_char_tree_direct(forest, K2, 0, (0, 0), ())
-    assert not game_on_tree(RCTree(forest, rid), phi, ("x", "y"), ())
+    assert not game_on_tree(RCTree(forest, rid, 0), phi, ("x", "y"), ())
 
 
 def test_game_on_tree_rejects_set_equality():
@@ -96,14 +96,14 @@ def test_game_on_tree_rejects_set_equality():
     phi = parse_formula("S = T")
     rid = reduced_char_tree_direct(forest, K2, 2, (), ({0}, {0}))
     with pytest.raises(RwmsoError, match="set-set equality"):
-        game_on_tree(RCTree(forest, rid), phi, (), ("S", "T"))
+        game_on_tree(RCTree(forest, rid, 2), phi, (), ("S", "T"))
 
 
 def test_game_on_tree_depth_budget():
     forest = RCForest()
     rid = reduced_char_tree_direct(forest, K2, 1)
     with pytest.raises(DepthBudgetError):
-        game_on_tree(RCTree(forest, rid), to_nnf(HAS_EDGE))
+        game_on_tree(RCTree(forest, rid, 1), to_nnf(HAS_EDGE))
 
 
 def test_four_evaluators_agree_with_assignments():
@@ -134,7 +134,7 @@ def test_four_evaluators_agree_with_assignments():
                     full = full_char_tree(g, q, objs, sets)
                     assert game_on_tree(full, nnf, xs, Xs) == want
                     rid = reduced_char_tree_direct(forest, g, q, objs, sets)
-                    assert game_on_tree(RCTree(forest, rid), nnf, xs, Xs) == want
+                    assert game_on_tree(RCTree(forest, rid, q), nnf, xs, Xs) == want
 
 
 def test_game_accepts_lower_rank_than_tree_depth():

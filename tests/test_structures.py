@@ -263,3 +263,9 @@ def test_graph_format_errors():
 def test_graph_format_malformed_numbers(text, line):
     with pytest.raises(RwmsoError, match=f"^line {line}: "):
         parse_graph(text)
+
+
+@pytest.mark.parametrize("second", ["e 0 1", "e 1 0"])
+def test_graph_format_rejects_a_repeated_edge(second):
+    with pytest.raises(RwmsoError, match="^line 3: .*line 2"):
+        parse_graph(f"p graph 2 2 1\ne 0 1\n{second}\n")
