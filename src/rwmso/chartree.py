@@ -1,13 +1,13 @@
-"""Characteristic trees of bounded depth and their combinators.
+"""Reduced characteristic trees and their combinators.
 
-A full characteristic tree records every sequence of at most q point and
-set moves on a structure; it is the explicit game tree and grows like
-(2^n + n)^q.  A reduced characteristic tree replaces each node label by
-the ordered structure induced by the chosen elements (with set traces)
-and merges equal sibling subtrees.  Reduced trees are hash-consed in an
-RCForest, so two subtrees are equal iff their interned ids are equal,
-and the number of distinct nodes is bounded by a function of q and the
-vocabulary only.
+A reduced characteristic tree is the game tree of a structure (one
+child per point or set move, up to a depth q) with each node label
+replaced by the ordered structure induced by the chosen elements (with
+set traces) and equal sibling subtrees merged.  Reduced trees are
+hash-consed in an RCForest, so two subtrees are equal iff their
+interned ids are equal, and the number of distinct nodes is bounded by
+a function of q and the vocabulary only.  The unmerged full tree grows
+like (2^n + n)^q and is only built by the tests, as an oracle.
 
 The tree cross product combines the reduced trees of two structures
 into the reduced tree of their labeled composition without touching the
@@ -28,78 +28,10 @@ from typing import Iterable, Sequence
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold
 from .structures import (OrderedStructure, Structure, _as_masks, compose,
-                         induced, ordered_induced)
+                         ordered_induced)
 
 # covers the documented envelope |A| <= 4, q <= 3 for direct construction
 MAX_DIRECT_WORK = 10_000
-
-
-# --- full characteristic trees (oracle scale) ---------------------------
-
-@dataclass(frozen=True)
-class FullCharNode:
-    """Node (A[c], c, C n c) with one child per move, kept unmerged.
-
-    point_children[d] is the child for element d; set_children[mask] the
-    child for the subset with that bitmask.
-    """
-
-    struct: Structure
-    elems: tuple[int, ...]
-    c: tuple[int, ...]
-    traces: tuple[frozenset[int], ...]
-    point_children: tuple["FullCharNode", ...]
-    set_children: tuple["FullCharNode", ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.c)
-
-    @property
-    def p(self) -> int:
-        return len(self.traces)
-
-
-def _full_work(n: int, depth: int) -> int:
-    return ((1 << n) + n) ** depth if depth > 0 else 1
-
-
-def full_char_tree(a: Structure, q: int, c: Sequence[int] = (),
-                   sets: Sequence[Iterable[int]] = (), force: bool = False) -> FullCharNode:
-    """Build the full characteristic tree per definition.
-
-    Guarded to universe size 3 and small depth unless forced.
-    """
-    c = tuple(c)
-    set_list = [frozenset(s) for s in sets]
-    remaining = q - len(c) - len(set_list)
-    if not force and (a.n > 3 or _full_work(a.n, remaining) > MAX_DIRECT_WORK):
-        raise ScaleGuardError(
-            f"full tree would have ~{_full_work(a.n, remaining)} nodes; pass force=True")
-
-    def rec(c: tuple[int, ...], chosen: tuple[frozenset[int], ...]) -> FullCharNode:
-        sub = induced(a, c)
-        elems = []
-        for e in c:
-            if e not in elems:
-                elems.append(e)
-        traces = tuple(frozenset(s) & set(c) for s in chosen)
-        if len(c) + len(chosen) + 1 <= q:
-            point = tuple(rec(c + (d,), chosen) for d in range(a.n))
-            set_kids = tuple(
-                rec(c, chosen + (frozenset(
-                    u for u in range(a.n) if (mask >> u) & 1),))
-                for mask in range(1 << a.n))
-        else:
-            point = set_kids = ()
-        return FullCharNode(sub, tuple(elems), c, traces, point, set_kids)
-
-    return rec(c, tuple(set_list))
-
-
-def full_tree_size(node: FullCharNode) -> int:
-    return 1 + sum(full_tree_size(ch)
-                   for ch in node.point_children + node.set_children)
 
 
 # --- interned reduced characteristic trees ------------------------------
@@ -227,6 +159,11 @@ class RCTree:
         return len(self.forest.reachable(self.root))
 
 
+def _direct_work(n: int, depth: int) -> int:
+    """Bound on the nodes a walk over every point and set move visits."""
+    return ((1 << n) + n) ** depth if depth > 0 else 1
+
+
 def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budget,
                              c: Sequence[int] = (), sets: Sequence[Iterable[int] | int] = (),
                              force: bool = False) -> int:
@@ -241,9 +178,9 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budge
     c = tuple(c)
     masks = _as_masks(a.n, sets)
     remaining = _moves_left(caps, len(c), len(masks))
-    if not force and (a.n > 4 or _full_work(a.n, remaining) > MAX_DIRECT_WORK):
+    if not force and (a.n > 4 or _direct_work(a.n, remaining) > MAX_DIRECT_WORK):
         raise ScaleGuardError(
-            f"direct construction would explore ~{_full_work(a.n, remaining)} moves; "
+            f"direct construction would explore ~{_direct_work(a.n, remaining)} moves; "
             "pass force=True")
 
     def rec(c: tuple[int, ...], masks: tuple[int, ...]) -> int:

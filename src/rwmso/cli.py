@@ -19,8 +19,8 @@ from .chartree import RCForest, RCTree, char_tree_from_parse_tree, rc_dump
 from .errors import RwmsoError
 from .games import evaluate, game_on_tree
 from .linemso import LinEMSOProblem, solve_linemso
-from .logic import (ExistsSet, ForallSet, Formula, free_variables, is_sentence,
-                    move_budget, parse_formula, quantifier_rank, to_nnf)
+from .logic import (Formula, free_variables, is_sentence, move_budget,
+                    parse_formula, quantifier_rank, to_nnf)
 from .parsetree import (FAMILIES, ParseTree, family_tree, format_parse_tree,
                         parse_tree_from_text)
 from .rankdec import MAX_EXACT_N, exact_rankwidth
@@ -81,17 +81,6 @@ def _tree_report(q: int, tree: ParseTree, rc: RCTree, elapsed: float) -> dict:
             "wallTimeSec": elapsed}
 
 
-def _count_set_quantifiers(phi: Formula) -> int:
-    if isinstance(phi, (ExistsSet, ForallSet)):
-        return 1 + _count_set_quantifiers(phi.sub)
-    total = 0
-    for attr in ("sub", "left", "right"):
-        child = getattr(phi, attr, None)
-        if isinstance(child, Formula):
-            total += _count_set_quantifiers(child)
-    return total
-
-
 def cmd_check(args) -> int:
     tree = _read_parse_tree(args.parse_tree)
     phi = _read_formula(args, tree.t)
@@ -119,9 +108,10 @@ def cmd_oracle(args) -> int:
     phi = _read_formula(args, graph.t)
     if not is_sentence(phi):
         raise RwmsoError("the oracle checks sentences only")
-    nsq = _count_set_quantifiers(phi)
+    # evaluate's cost multiplies by 2^n per set quantifier nested on a path
+    nsq = len(move_budget(phi)) - 1
     _guard(args, graph.n > ORACLE_MAX_N or nsq > ORACLE_MAX_SET_QUANTIFIERS,
-           f"brute force on n={graph.n} with {nsq} set quantifiers is too big")
+           f"brute force on n={graph.n} with {nsq} nested set quantifiers is too big")
     start = time.perf_counter()
     answer = evaluate(graph, phi)
     elapsed = time.perf_counter() - start

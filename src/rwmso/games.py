@@ -1,13 +1,14 @@
-"""Model-checking evaluators: direct semantics, and verifier/falsifier
-games on structures and on characteristic trees.
+"""Model-checking evaluators: direct semantics, and the verifier/falsifier
+game on reduced characteristic trees.
 
 The direct evaluator is the semantic oracle (exponential in set
-quantifiers).  The tree games never look at the original structure:
-object variables resolve to node positions, set variables to traces.
-Set-set equality atoms are supported by the oracle and the structure
-game only; on characteristic trees the node label retains just the
-trace of each chosen set, which cannot decide equality of the full
-sets, so the tree games reject such atoms.
+quantifiers); on a formula in negation normal form its any/all
+recursion is the model checking game played on the structure itself.
+The tree game never looks at the original structure: object variables
+resolve to node positions, set variables to traces.  Set-set equality
+atoms are supported by the direct evaluator only; a tree node keeps
+just the trace of each chosen set, which cannot decide equality of the
+full sets, so the tree game rejects such atoms.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .chartree import (FullCharNode, RCTree, as_budget, char_tree_from_parse_tree,
-                       in_budget)
+from .chartree import RCTree, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
@@ -97,42 +97,6 @@ def _eval(a: Structure, phi: Formula, obj: dict[str, int], sets: dict[str, int])
     raise RwmsoError(f"unknown formula node {phi!r}")
 
 
-def game_on_structure(a: Structure, phi: Formula, alpha: Assignment | None = None) -> bool:
-    """Winner of the model checking game: True iff the verifier wins.
-
-    The verifier moves at existential positions, the falsifier at
-    universal ones; at an atomic or negated position the verifier wins
-    iff the structure satisfies it.  Requires negation normal form.
-    """
-    if not is_nnf(phi):
-        raise RwmsoError("the game is defined on negation normal form")
-    alpha = alpha or Assignment()
-    _check_assignment(a, phi, alpha)
-    obj = dict(alpha.objects)
-    sets = {v: sum(1 << e for e in s) for v, s in alpha.sets.items()}
-
-    def wins(psi: Formula, obj, sets) -> bool:
-        if is_atomic(psi) or isinstance(psi, Not):
-            return _eval(a, psi, obj, sets)
-        if isinstance(psi, Or):  # verifier picks a disjunct
-            return wins(psi.left, obj, sets) or wins(psi.right, obj, sets)
-        if isinstance(psi, And):  # falsifier picks a conjunct
-            return wins(psi.left, obj, sets) and wins(psi.right, obj, sets)
-        if isinstance(psi, ExistsObj):  # verifier point move
-            return any(wins(psi.sub, {**obj, psi.var: d}, sets) for d in range(a.n))
-        if isinstance(psi, ForallObj):  # falsifier point move
-            return all(wins(psi.sub, {**obj, psi.var: d}, sets) for d in range(a.n))
-        if isinstance(psi, ExistsSet):  # verifier set move
-            return any(wins(psi.sub, obj, {**sets, psi.set_var: m})
-                       for m in range(1 << a.n))
-        if isinstance(psi, ForallSet):  # falsifier set move
-            return all(wins(psi.sub, obj, {**sets, psi.set_var: m})
-                       for m in range(1 << a.n))
-        raise RwmsoError(f"unknown formula node {psi!r}")
-
-    return wins(phi, obj, sets)
-
-
 # --- the game on characteristic trees ------------------------------------
 
 @dataclass
@@ -188,33 +152,10 @@ def _atom_in_ordered(ord_struct, psi: Formula, objs, sets) -> bool:
     raise RwmsoError(f"not an atomic formula: {psi!r}")
 
 
-def _atom_in_full(node: FullCharNode, psi: Formula, objs, sets) -> bool:
-    def el(v):
-        return node.c[objs.index(v)]
-
-    if isinstance(psi, Not):
-        return not _atom_in_full(node, psi.sub, objs, sets)
-    if isinstance(psi, Equal):
-        return el(psi.left) == el(psi.right)
-    if isinstance(psi, Adj):
-        u, v = node.elems.index(el(psi.left)), node.elems.index(el(psi.right))
-        return node.struct.has_edge(u, v)
-    if isinstance(psi, Label):
-        u = node.elems.index(el(psi.var))
-        return bool((node.struct.labels[u] >> (psi.index - 1)) & 1)
-    if isinstance(psi, In):
-        return el(psi.var) in node.traces[sets.index(psi.set_var)]
-    if isinstance(psi, SetEqual):
-        raise RwmsoError(
-            "set-set equality cannot be decided from set traces; "
-            "use the direct evaluator or rewrite via a point quantifier")
-    raise RwmsoError(f"not an atomic formula: {psi!r}")
-
-
-def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
+def game_on_tree(tree: RCTree, phi: Formula,
                  x_vars: tuple[str, ...] = (), X_vars: tuple[str, ...] = (),
                  stats: GameStats | None = None) -> bool:
-    """Winner of the model checking game played on a characteristic tree.
+    """Winner of the model checking game on a reduced characteristic tree.
 
     Object quantifiers descend along point extensions, set quantifiers
     along set extensions, connectives stay on the node, and atoms are
@@ -223,6 +164,8 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
     Raises DepthBudgetError, before playing, if phi has a quantifier
     whose move the tree was not built for.
     """
+    if not isinstance(tree, RCTree):
+        raise RwmsoError(f"the game needs an RCTree, got {type(tree).__name__}")
     if not is_nnf(phi):
         raise RwmsoError("the game is defined on negation normal form")
     fv = free_variables(phi)
@@ -231,33 +174,9 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
     if len(set(x_vars)) != len(x_vars) or len(set(X_vars)) != len(X_vars):
         raise RwmsoError("duplicate variable names")
 
-    if isinstance(tree, RCTree):
-        forest = tree.forest
-        caps = tree.budget
-
-        def node_of(key):
-            return forest.node(key)
-
-        root_key = tree.root
-        atom_eval = _atom_in_ordered
-
-        def label_of(node):
-            return node.ord
-    elif isinstance(tree, FullCharNode):
-        caps = _full_budget(tree)
-
-        def node_of(key):
-            return key
-
-        root_key = tree
-        atom_eval = _atom_in_full
-
-        def label_of(node):
-            return node
-    else:
-        raise RwmsoError(f"not a characteristic tree: {tree!r}")
-
-    root = node_of(root_key)
+    forest = tree.forest
+    caps = tree.budget
+    root = forest.node(tree.root)
     if root.m != len(x_vars) or root.p != len(X_vars):
         raise RwmsoError(
             f"tree was built for m={root.m}, p={root.p}; "
@@ -275,25 +194,25 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
             raise DepthBudgetError(
                 f"a {kind} move to m={m}, p={p} is outside the tree's move "
                 f"budget {list(caps)}: build the tree for the formula's budget")
-    memo: dict[tuple, bool] = {}
+    memo: dict[tuple[int, int], bool] = {}
 
-    def rec(key, pos: int) -> bool:
-        mk = (key if isinstance(key, int) else id(key), pos)
+    def rec(nid: int, pos: int) -> bool:
+        mk = (nid, pos)
         hit = memo.get(mk)
         if hit is not None:
             return hit
         if stats is not None:
             stats.evaluations += 1
         psi, objs, sets = records[pos]
-        node = node_of(key)
+        node = forest.node(nid)
         if is_atomic(psi) or isinstance(psi, Not):
-            out = atom_eval(label_of(node), psi, objs, sets)
+            out = _atom_in_ordered(node.ord, psi, objs, sets)
         elif isinstance(psi, (And, Or)):
             l, r = children[pos]
             if isinstance(psi, And):
-                out = rec(key, l) and rec(key, r)
+                out = rec(nid, l) and rec(nid, r)
             else:
-                out = rec(key, l) or rec(key, r)
+                out = rec(nid, l) or rec(nid, r)
         else:
             point = isinstance(psi, (ExistsObj, ForallObj))
             moves = node.point_children if point else node.set_children
@@ -305,18 +224,7 @@ def game_on_tree(tree: RCTree | FullCharNode, phi: Formula,
         memo[mk] = out
         return out
 
-    return rec(root_key, 0)
-
-
-def _full_budget(node: FullCharNode) -> tuple[int, ...]:
-    """Staircase of the depth a full tree was built for: it builds both
-    move kinds at every node above that depth, and a set move always
-    exists."""
-    depth = node.m + node.p
-    while node.set_children:
-        node = node.set_children[0]
-        depth += 1
-    return as_budget(depth)
+    return rec(tree.root, 0)
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:

@@ -15,6 +15,7 @@ Object variables start lowercase, set variables uppercase.  ``Ex``,
 ``Ax``, ``EX``, ``AX``, ``adj`` and ``label<digits>`` are reserved.
 Bound variables are alpha-renamed at parse time so that every binder
 introduces a globally fresh name, disjoint from all free variables.
+Nesting past MAX_NESTING levels is a FormulaSyntaxError.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ class ForallSet(Formula):
 
 ATOM_TYPES = (Equal, SetEqual, Adj, Label, In)
 _QUANT = {ExistsObj: "Ex", ForallObj: "Ax", ExistsSet: "EX", ForallSet: "AX"}
+_QUANT_OF = {tok: cls for cls, tok in _QUANT.items()}
 
 
 def is_atomic(phi: Formula) -> bool:
@@ -126,6 +128,12 @@ class FormulaSyntaxError(RwmsoError):
 
 
 _KEYWORDS = {"Ex", "Ax", "EX", "AX", "adj", "label"}
+# The deepest formula tree the parser builds, and the most parentheses,
+# negations and quantifiers it keeps open at once.  Every walker over
+# formulas recurses on the tree depth, and the parser on the open
+# constructs (four frames per parenthesis), so this keeps them all well
+# inside Python's default recursion limit.
+MAX_NESTING = 100
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()=.,&|!])")
 _LABEL_RE = re.compile(r"label(\d+)$")
 
@@ -147,11 +155,18 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
+    """Recursive descent.  Each method returns (formula, height), the
+    height being the depth of the formula tree; `depth` counts the
+    parentheses, negations and quantifiers open at the current token.
+    Both stay within MAX_NESTING, checked before the parser recurses
+    or nests a connective further."""
+
     def __init__(self, tokens: list[tuple[str, int]], text_len: int, t: int):
         self.tokens = tokens
         self.text_len = text_len
         self.t = t
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -161,6 +176,15 @@ class _Parser:
 
     def _error(self, message: str):
         raise FormulaSyntaxError(message, self._pos())
+
+    def _nesting(self, level: int, position: int) -> int:
+        if level > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_NESTING} levels", position)
+        return level
+
+    def _descend(self, position: int):
+        self.depth = self._nesting(self.depth + 1, position)
 
     def _expect(self, tok: str):
         if self._peek() != tok:
@@ -179,52 +203,61 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        phi = self.formula()
+        phi, _ = self.formula()
         if self.i < len(self.tokens):
             self._error(f"unexpected token {self._peek()!r}")
         return phi
 
-    def formula(self) -> Formula:
+    def formula(self) -> tuple[Formula, int]:
         tok = self._peek()
-        if tok in ("Ex", "Ax"):
+        if tok in _QUANT_OF:
+            position = self._pos()
             self.i += 1
-            var = self._ident("object variable")
+            var = self._ident("object variable" if tok in ("Ex", "Ax") else "set variable")
             self._expect(".")
-            body = self.formula()
-            return ExistsObj(var, body) if tok == "Ex" else ForallObj(var, body)
-        if tok in ("EX", "AX"):
-            self.i += 1
-            var = self._ident("set variable")
-            self._expect(".")
-            body = self.formula()
-            return ExistsSet(var, body) if tok == "EX" else ForallSet(var, body)
+            self._descend(position)
+            body, height = self.formula()
+            self.depth -= 1
+            return _QUANT_OF[tok](var, body), self._nesting(height + 1, position)
         return self.disj()
 
-    def disj(self) -> Formula:
-        phi = self.conj()
+    def disj(self) -> tuple[Formula, int]:
+        phi, height = self.conj()
         while self._peek() == "|":
+            position = self._pos()
             self.i += 1
-            phi = Or(phi, self.conj())
-        return phi
+            rhs, rhs_height = self.conj()
+            phi = Or(phi, rhs)
+            height = self._nesting(max(height, rhs_height) + 1, position)
+        return phi, height
 
-    def conj(self) -> Formula:
-        phi = self.unary()
+    def conj(self) -> tuple[Formula, int]:
+        phi, height = self.unary()
         while self._peek() == "&":
+            position = self._pos()
             self.i += 1
-            phi = And(phi, self.unary())
-        return phi
+            rhs, rhs_height = self.unary()
+            phi = And(phi, rhs)
+            height = self._nesting(max(height, rhs_height) + 1, position)
+        return phi, height
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self._peek()
         if tok == "!":
+            position = self._pos()
             self.i += 1
-            return Not(self.unary())
+            self._descend(position)
+            sub, height = self.unary()
+            self.depth -= 1
+            return Not(sub), self._nesting(height + 1, position)
         if tok == "(":
+            self._descend(self._pos())
             self.i += 1
-            phi = self.formula()
+            phi, height = self.formula()
+            self.depth -= 1
             self._expect(")")
-            return phi
-        return self.atom()
+            return phi, height
+        return self.atom(), 0
 
     def atom(self) -> Formula:
         tok = self._peek()

@@ -32,25 +32,23 @@ class Structure:
             raise RwmsoError("negative size")
         if len(self.adj) != self.n or len(self.labels) != self.n:
             raise RwmsoError("row count does not match universe size")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
-            if row & ~full:
+        adj = self.adj
+        for u, row in enumerate(adj):
+            if row >> self.n:
                 raise RwmsoError(f"adjacency row {u} references missing vertices")
             if (row >> u) & 1:
                 raise RwmsoError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in range(u):
-                if ((self.adj[u] >> v) & 1) != ((self.adj[v] >> u) & 1):
+            # walk the set bits: linear in the edges, not in n^2
+            while row:
+                low = row & -row
+                if not (adj[low.bit_length() - 1] >> u) & 1:
                     raise RwmsoError("adjacency not symmetric")
+                row ^= low
         if any(lab >> self.t for lab in self.labels):
             raise RwmsoError("label row wider than t")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
-
-    def label_set(self, u: int) -> frozenset[int]:
-        """Labels of u as a set of indices in 1..t."""
-        return frozenset(i + 1 for i in range(self.t) if (self.labels[u] >> i) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
@@ -145,16 +143,6 @@ def _union_adj(g1: Structure, g2: Structure, cross: Sequence[int]) -> tuple[int,
     return tuple(adj)
 
 
-def join(g1: Structure, g2: Structure) -> Structure:
-    """Disjoint union plus all edges {u,v} with lab1(u).lab2(v) = 1.
-
-    The result is unlabeled (all-zero label rows).
-    """
-    t = _check_width(g1.t, g2.t)
-    cross = _cross_rows(g1, g2.labels)
-    return Structure(g1.n + g2.n, t, _union_adj(g1, g2, cross), (0,) * (g1.n + g2.n))
-
-
 def compose(g1: Structure, g2: Structure, g: Relabeling, f1: Relabeling,
             f2: Relabeling) -> Structure:
     """Join g1 with g(g2), then relabel the two parts by f1 and f2.
@@ -166,25 +154,6 @@ def compose(g1: Structure, g2: Structure, g: Relabeling, f1: Relabeling,
     labels = tuple(f1.apply(lab) for lab in g1.labels) + \
         tuple(f2.apply(lab) for lab in g2.labels)
     return Structure(g1.n + g2.n, t, _union_adj(g1, g2, cross), labels)
-
-
-def induced(a: Structure, c: Sequence[int]) -> Structure:
-    """Substructure on the distinct entries of c (first-occurrence order)."""
-    elems: list[int] = []
-    for e in c:
-        if not 0 <= e < a.n:
-            raise RwmsoError(f"element {e} outside universe")
-        if e not in elems:
-            elems.append(e)
-    k = len(elems)
-    adj = []
-    for e in elems:
-        row = 0
-        for j, e2 in enumerate(elems):
-            if (a.adj[e] >> e2) & 1:
-                row |= 1 << j
-        adj.append(row)
-    return Structure(k, a.t, tuple(adj), tuple(a.labels[e] for e in elems))
 
 
 @dataclass(frozen=True)

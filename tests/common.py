@@ -2,16 +2,20 @@
 
 Everything here is deliberately independent of the code paths it
 checks: ranks by list-of-list elimination, reduction by merging the
-full move tree, optima by subset enumeration.
+full move tree, the game played on that unmerged tree, optima by
+subset enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
-from rwmso import (Assignment, ParseTree, Relabeling, build_structure,
-                   evaluate, ordered_induced)
+from rwmso import (Assignment, ParseTree, Relabeling, Structure,
+                   build_structure, evaluate, ordered_induced)
+from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
+                         ForallSet, In, Label, Not, Or)
 from rwmso.parsetree import Leaf, Node
 
 
@@ -78,6 +82,91 @@ def permuted(g, perm):
     for u in range(g.n):
         labels[perm[u]] = g.labels[u]
     return build_structure(g.n, edges, g.t, labels)
+
+
+def induced(a, c):
+    """Substructure on the distinct entries of c (first-occurrence order)."""
+    elems = list(dict.fromkeys(c))
+    adj = [sum(1 << j for j, e2 in enumerate(elems) if a.has_edge(e, e2))
+           for e in elems]
+    return Structure(len(elems), a.t, tuple(adj), tuple(a.labels[e] for e in elems))
+
+
+@dataclass(frozen=True)
+class FullCharNode:
+    """Node (A[c], c, C n c) with one child per move, kept unmerged.
+
+    point_children[d] is the child for element d; set_children[mask] the
+    child for the subset with that bitmask.
+    """
+
+    struct: Structure
+    elems: tuple[int, ...]
+    c: tuple[int, ...]
+    traces: tuple[frozenset[int], ...]
+    point_children: tuple["FullCharNode", ...]
+    set_children: tuple["FullCharNode", ...]
+
+
+def full_char_tree(a, q, c=(), sets=()):
+    """The full characteristic tree of depth q, per definition; it grows
+    like (2^n + n)^q, so keep n and q tiny."""
+    def rec(c, chosen):
+        point = set_kids = ()
+        if len(c) + len(chosen) < q:
+            point = tuple(rec(c + (d,), chosen) for d in range(a.n))
+            set_kids = tuple(
+                rec(c, chosen + (frozenset(u for u in range(a.n) if (mask >> u) & 1),))
+                for mask in range(1 << a.n))
+        traces = tuple(s & set(c) for s in chosen)
+        return FullCharNode(induced(a, c), tuple(dict.fromkeys(c)), c, traces,
+                            point, set_kids)
+
+    return rec(tuple(c), tuple(frozenset(s) for s in sets))
+
+
+def full_tree_size(node):
+    return 1 + sum(full_tree_size(ch)
+                   for ch in node.point_children + node.set_children)
+
+
+def full_tree_game(node, phi, objs=(), sets=()):
+    """The model checking game on a full characteristic tree, memo-free.
+
+    objs and sets name the variables bound to node.c and node.traces in
+    order; quantifiers extend them and descend to the move's child.
+    """
+    if isinstance(phi, Not):
+        return not full_tree_game(node, phi.sub, objs, sets)
+    if isinstance(phi, (And, Or)):
+        left = full_tree_game(node, phi.left, objs, sets)
+        right = full_tree_game(node, phi.right, objs, sets)
+        return left and right if isinstance(phi, And) else left or right
+    if isinstance(phi, (ExistsObj, ForallObj, ExistsSet, ForallSet)):
+        assert node.set_children, "full tree too shallow for the formula"
+        if isinstance(phi, (ExistsObj, ForallObj)):
+            wins = [full_tree_game(ch, phi.sub, objs + (phi.var,), sets)
+                    for ch in node.point_children]
+        else:
+            wins = [full_tree_game(ch, phi.sub, objs, sets + (phi.set_var,))
+                    for ch in node.set_children]
+        return any(wins) if isinstance(phi, (ExistsObj, ExistsSet)) else all(wins)
+
+    def el(v):
+        return node.c[objs.index(v)]
+
+    def vertex(v):
+        return node.elems.index(el(v))
+
+    if isinstance(phi, Equal):
+        return el(phi.left) == el(phi.right)
+    if isinstance(phi, Adj):
+        return node.struct.has_edge(vertex(phi.left), vertex(phi.right))
+    if isinstance(phi, Label):
+        return bool((node.struct.labels[vertex(phi.var)] >> (phi.index - 1)) & 1)
+    if isinstance(phi, In):
+        return el(phi.var) in node.traces[sets.index(phi.set_var)]
+    raise AssertionError(f"no full-tree atom for {phi!r}")
 
 
 def merge_full_tree(a, node):

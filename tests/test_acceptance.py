@@ -13,9 +13,9 @@ import random
 import time
 
 from rwmso import (Assignment, LinEMSOProblem, Structure, build_structure,
-                   evaluate, family_tree, full_char_tree, game_on_structure,
-                   game_on_tree, generate_graph, model_check, parse_formula,
-                   quantifier_rank, solve_linemso, to_nnf)
+                   evaluate, family_tree, game_on_tree, generate_graph,
+                   model_check, parse_formula, quantifier_rank, solve_linemso,
+                   to_nnf)
 from rwmso.chartree import (RCForest, RCTree, char_tree_from_parse_tree,
                             reduced_char_tree_direct, size_bound,
                             tree_cross_product)
@@ -25,9 +25,9 @@ from rwmso.parsetree import FAMILIES
 from rwmso.rankdec import cut_rank, exact_rankwidth
 from rwmso.structures import Relabeling, compose
 
-from common import (all_structures, brute_force_linemso, merge_full_tree,
-                    permuted, random_parse_tree, random_relabeling,
-                    random_structure)
+from common import (all_structures, brute_force_linemso, full_char_tree,
+                    full_tree_game, merge_full_tree, permuted,
+                    random_parse_tree, random_relabeling, random_structure)
 
 
 def _family_corpus(max_n, widths=(None, 2)):
@@ -116,7 +116,9 @@ def test_criterion_3_game_chain_equivalence():
     """The four evaluators agree pairwise on every structure with at
     most 3 elements (exhaustive at t=1) and depth 2: catalog sentences
     with qr <= 2 plus open formulas under all assignments with
-    m + p + qr <= 2."""
+    m + p + qr <= 2.  The evaluators are the semantics (evaluate on
+    phi), the game on the structure (evaluate on its NNF), the game on
+    the full tree (full_tree_game) and the game on the reduced tree."""
     start = time.time()
     forest = RCForest()
     sentences = [(name, phi, to_nnf(phi)) for name, phi in catalog(max_qr=2)]
@@ -139,8 +141,8 @@ def test_criterion_3_game_chain_equivalence():
                     if quantifier_rank(phi) > q:
                         continue
                     want = evaluate(g, phi)
-                    assert game_on_structure(g, nnf) == want, name
-                    assert game_on_tree(full, nnf) == want, name
+                    assert evaluate(g, nnf) == want, name
+                    assert full_tree_game(full, nnf) == want, name
                     assert game_on_tree(RCTree(forest, rid, q), nnf) == want, name
                     checked += 1
             for phi, xs, Xs in open_cases:
@@ -152,9 +154,9 @@ def test_criterion_3_game_chain_equivalence():
                         alpha = Assignment(objects=dict(zip(xs, objs)),
                                            sets=dict(zip(Xs, sets)))
                         want = evaluate(g, phi, alpha)
-                        assert game_on_structure(g, nnf, alpha) == want
+                        assert evaluate(g, nnf, alpha) == want
                         f = full_char_tree(g, 2, objs, sets)
-                        assert game_on_tree(f, nnf, xs, Xs) == want
+                        assert full_tree_game(f, nnf, xs, Xs) == want
                         r = reduced_char_tree_direct(forest, g, 2, objs, sets)
                         assert game_on_tree(RCTree(forest, r, 2), nnf, xs, Xs) == want
                         checked += 1

@@ -5,18 +5,19 @@ import pytest
 
 from rwmso import (ParseTree, Relabeling, Structure, build_structure,
                    char_tree_from_parse_tree, compose, exp_tower, family_tree,
-                   full_char_tree, generate_graph, indicator_vector,
+                   generate_graph, indicator_vector,
                    leaf_char_tree, ordered_induced, rename_combine,
                    reduced_char_tree_direct, size_bound, tower_at_least,
                    tree_cross_product)
 from rwmso import chartree
-from rwmso.chartree import RCForest, RCTree, full_tree_size, in_budget, rc_dump
+from rwmso.chartree import RCForest, RCTree, in_budget, rc_dump
 from rwmso.errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from rwmso.parsetree import Leaf
 
-from common import (all_structures, merge_full_tree, permuted,
-                    random_parse_tree, random_relabeling, random_structure,
-                    small_parse_trees, unfold_rc)
+from common import (all_structures, full_char_tree, full_tree_size,
+                    merge_full_tree, permuted, random_parse_tree,
+                    random_relabeling, random_structure, small_parse_trees,
+                    unfold_rc)
 
 IDENT = Relabeling.identity(1)
 VERTEX = Structure(1, 1, (0,), (1,))
@@ -36,13 +37,6 @@ def test_full_tree_counts():
     # two elements: root + 2 point + 4 set children
     two = build_structure(2, [])
     assert full_tree_size(full_char_tree(two, 1)) == 7
-
-
-def test_full_tree_guard():
-    with pytest.raises(ScaleGuardError):
-        full_char_tree(build_structure(4, []), 2)
-    with pytest.raises(ScaleGuardError):
-        full_char_tree(build_structure(3, []), 5)
 
 
 def test_full_tree_traces_intersect_chosen_elements():

@@ -80,6 +80,39 @@ def test_oracle_guard(tmp_path, capsys):
     assert "--force" in capsys.readouterr().err
 
 
+def test_oracle_guard_counts_nested_set_quantifiers(tmp_path, capsys):
+    p3 = tmp_path / "p3.graph"
+    p3.write_text(format_graph(generate_graph(family_tree("path", 3))))
+    side_by_side = ("(EX A. Ex x. A(x)) & (EX B. Ex x. B(x))"
+                    " & (EX C. Ex x. C(x))")
+    assert main(["oracle", "--graph", str(p3), "--formula", side_by_side]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    nested = "EX A. EX B. EX C. Ex x. A(x)"
+    assert main(["oracle", "--graph", str(p3), "--formula", nested]) == 2
+    assert "3 nested set quantifiers" in capsys.readouterr().err
+    assert main(["oracle", "--graph", str(p3), "--formula", nested, "--force"]) == 0
+
+
+def test_oracle_refuses_a_huge_header_only_graph(tmp_path, capsys):
+    # validating the 200000 empty rows must not take quadratic time
+    big = tmp_path / "big.graph"
+    big.write_text("p graph 200000 0 1\n")
+    assert main(["oracle", "--graph", str(big), "--formula", "Ex x. x = x"]) == 2
+    assert "brute force on n=200000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    " & ".join(["x = x"] * 3000),
+    "Ex x. " + "!" * 3000 + "x = x",
+    "Ex x. " + "(" * 3000 + "x = x" + ")" * 3000,
+], ids=["conjuncts", "negations", "parentheses"])
+def test_deep_formula_exits_2(p4_file, text, capsys):
+    assert main(["qrank", "--formula", text]) == 2
+    assert main(["check", "--parse-tree", p4_file, "--formula", text]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: formula nested deeper") == 2 and "Traceback" not in err
+
+
 def test_check_agrees_with_oracle(tmp_path, capsys):
     formulas = ["Ex x. Ex y. adj(x,y)", "Ex x. Ax y. !adj(x,y)",
                 "Ex x. label1(x)"]

@@ -4,15 +4,15 @@ import random
 import pytest
 
 from rwmso import (Assignment, GameStats, build_structure, evaluate,
-                   family_tree, full_char_tree, game_on_structure,
-                   game_on_tree, generate_graph, model_check, parse_formula,
-                   quantifier_rank, to_nnf)
+                   family_tree, game_on_tree, generate_graph, model_check,
+                   parse_formula, quantifier_rank, to_nnf)
 from rwmso.chartree import RCForest, RCTree, reduced_char_tree_direct
 from rwmso.errors import DepthBudgetError, RwmsoError
 from rwmso.games import CATALOG, catalog
 from rwmso.logic import free_variables
 
-from common import all_structures, random_structure
+from common import (all_structures, full_char_tree, full_tree_game,
+                    random_structure)
 
 K2 = build_structure(2, [(0, 1)])
 TWO_ISOLATED = build_structure(2, [])
@@ -51,25 +51,34 @@ def test_evaluate_assignments_and_errors():
         evaluate(K2, phi, Assignment(objects={"x": 0, "y": 5}))
 
 
-def test_game_on_structure_agrees_with_evaluate():
+def test_evaluate_agrees_on_nnf():
+    # on NNF, evaluate's any/all recursion is the game on the structure
     rng = random.Random(43)
     for _ in range(15):
         g = random_structure(rng, rng.randint(0, 3), 1)
         for _, phi in catalog(max_qr=2):
-            assert game_on_structure(g, to_nnf(phi)) == evaluate(g, phi)
+            assert evaluate(g, to_nnf(phi)) == evaluate(g, phi)
 
 
-def test_game_on_structure_vacuous_and_atomic():
+def test_evaluate_vacuous_and_atomic():
     empty = build_structure(0, [])
-    assert game_on_structure(empty, to_nnf(parse_formula("Ax x. adj(x,x)")))
+    assert evaluate(empty, to_nnf(parse_formula("Ax x. adj(x,x)")))
     phi = parse_formula("x = x")
-    assert game_on_structure(K2, phi, Assignment(objects={"x": 1}))
+    assert evaluate(K2, phi, Assignment(objects={"x": 1}))
 
 
-def test_game_on_structure_requires_nnf():
-    phi = parse_formula("!(Ex x. adj(x,x))")
-    with pytest.raises(RwmsoError):
-        game_on_structure(K2, phi)
+def test_game_on_tree_requires_nnf():
+    forest = RCForest()
+    rc = RCTree(forest, reduced_char_tree_direct(forest, K2, 1), 1)
+    with pytest.raises(RwmsoError, match="negation normal form"):
+        game_on_tree(rc, parse_formula("!(Ex x. adj(x,x))"))
+
+
+def test_game_on_tree_rejects_other_trees():
+    nnf = to_nnf(HAS_EDGE)
+    for tree in (full_char_tree(K2, 2), RCForest(), 0):
+        with pytest.raises(RwmsoError, match="needs an RCTree"):
+            game_on_tree(tree, nnf)
 
 
 def test_game_on_tree_basic():
@@ -79,7 +88,7 @@ def test_game_on_tree_basic():
     assert game_on_tree(RCTree(forest, rid, 2), nnf)
     rid = reduced_char_tree_direct(forest, TWO_ISOLATED, 2)
     assert not game_on_tree(RCTree(forest, rid, 2), nnf)
-    assert game_on_tree(full_char_tree(K2, 2), nnf)
+    assert full_tree_game(full_char_tree(K2, 2), nnf)
 
 
 def test_game_on_tree_q0_atomic_with_frees():
@@ -130,9 +139,9 @@ def test_four_evaluators_agree_with_assignments():
                     alpha = Assignment(objects=dict(zip(xs, objs)),
                                        sets=dict(zip(Xs, sets)))
                     want = evaluate(g, phi, alpha)
-                    assert game_on_structure(g, nnf, alpha) == want
+                    assert evaluate(g, nnf, alpha) == want
                     full = full_char_tree(g, q, objs, sets)
-                    assert game_on_tree(full, nnf, xs, Xs) == want
+                    assert full_tree_game(full, nnf, xs, Xs) == want
                     rid = reduced_char_tree_direct(forest, g, q, objs, sets)
                     assert game_on_tree(RCTree(forest, rid, q), nnf, xs, Xs) == want
 

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from rwmso import (FormulaSyntaxError, evaluate, free_variables, parse_formula,
-                   pretty_print, quantifier_rank, to_nnf)
+from rwmso import (FormulaSyntaxError, evaluate, family_tree, free_variables,
+                   model_check, parse_formula, pretty_print, quantifier_rank,
+                   to_nnf)
 from rwmso.games import CATALOG, catalog
-from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
-                         ForallSet, In, Label, Not, Or, SetEqual, is_nnf)
+from rwmso.logic import (MAX_NESTING, Adj, And, Equal, ExistsObj, ExistsSet,
+                         ForallObj, ForallSet, In, Label, Not, Or, SetEqual,
+                         is_nnf)
 
 from common import all_structures
 
@@ -25,6 +27,40 @@ def test_parse_error_position():
     with pytest.raises(FormulaSyntaxError) as err:
         parse_formula("adj(x,")
     assert err.value.position == 6
+
+
+# formulas k levels deep: k - 1 levels under one object quantifier
+NESTED = {
+    "conjuncts": lambda k: "Ex x. " + " & ".join(["x = x"] * k),
+    "negations": lambda k: "Ex x. " + "!" * (k - 1) + "x = x",
+    "parentheses": lambda k: "(" * (k - 1) + "Ex x. x = x" + ")" * (k - 1),
+}
+# 3000-deep inputs, keyed by the token that adds each level
+DEEP = {
+    "&": " & ".join(["x = x"] * 3000),
+    "!": "!" * 3000 + "x = x",
+    "(": "(" * 3000 + "x = x" + ")" * 3000,
+}
+
+
+@pytest.mark.parametrize("token", sorted(DEEP))
+def test_deep_formula_is_a_syntax_error(token):
+    text = DEEP[token]
+    with pytest.raises(FormulaSyntaxError, match="nested deeper") as err:
+        parse_formula(text)
+    # refused at the token that opens level MAX_NESTING + 1
+    offsets = [i for i, ch in enumerate(text) if ch == token]
+    assert err.value.position == offsets[MAX_NESTING]
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_formula_at_the_nesting_limit(shape):
+    phi = parse_formula(NESTED[shape](MAX_NESTING))
+    want = shape != "negations" or MAX_NESTING % 2 == 1
+    assert model_check(family_tree("path", 3), phi) == want
+    assert parse_formula(pretty_print(phi)) == phi
+    with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+        parse_formula(NESTED[shape](MAX_NESTING + 1))
 
 
 def test_parse_label_index_checked():

@@ -3,18 +3,29 @@ import random
 import pytest
 
 from rwmso import (Relabeling, Structure, build_structure, compose,
-                   format_graph, generated_subspace, induced,
-                   is_partial_isomorphism, join, ordered_induced, parse_graph,
-                   relabel, subspaces_orthogonal)
+                   format_graph, generated_subspace, is_partial_isomorphism,
+                   ordered_induced, parse_graph, relabel,
+                   subspaces_orthogonal)
 from rwmso.errors import RwmsoError, WidthMismatchError
 from rwmso.gf2 import mat_mul, rank
 
-from common import naive_rank, permuted, random_structure
+from common import induced, naive_rank, permuted, random_structure
+
+
+def join(g1, g2):
+    """Disjoint union plus the edges lab1(u).lab2(v) = 1, labels cleared."""
+    t = g1.t
+    return compose(g1, g2, Relabeling.identity(t), Relabeling.zero(t),
+                   Relabeling.zero(t))
 
 
 def test_structure_validation():
     with pytest.raises(RwmsoError):
         Structure(2, 1, (2, 0), (0, 0))  # asymmetric
+    with pytest.raises(RwmsoError):
+        Structure(2, 1, (0, 1), (0, 0))  # asymmetric, from the other row
+    with pytest.raises(RwmsoError):
+        Structure(2, 1, (4, 0), (0, 0))  # vertex 2 is missing
     with pytest.raises(RwmsoError):
         Structure(1, 1, (1,), (0,))  # loop
     with pytest.raises(RwmsoError):
@@ -102,11 +113,11 @@ def test_compose_width_mismatch():
 
 def test_induced():
     k3 = build_structure(3, [(0, 1), (1, 2), (0, 2)])
-    assert induced(k3, []).n == 0
-    assert induced(k3, [0, 1, 2]).edges() == k3.edges()
-    assert induced(k3, [0, 1]).edges() == [(0, 1)]
+    assert ordered_induced(k3, []).structure.n == 0
+    assert ordered_induced(k3, [0, 1, 2]).structure == k3
+    assert ordered_induced(k3, [0, 1]).structure.edges() == [(0, 1)]
     with pytest.raises(RwmsoError):
-        induced(k3, [3])
+        ordered_induced(k3, [3])
 
 
 def test_ordered_induced_position_classes():
