@@ -25,10 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
+from .errors import DepthBudgetError, RwmsoError, ScaleGuardError, WidthMismatchError
 from .parsetree import CompositionOp, ParseTree, fold
-from .structures import (OrderedStructure, Structure, _as_masks, compose,
-                         ordered_induced)
+# compose is no longer called here.  With ordered_induced it is
+# rename_combine's slow route, and perfbench's tracer wraps both at this
+# module, so both stay importable from it.
+from .structures import (OrderedStructure, Structure, _as_masks, _unchecked,
+                         compose, ordered_induced)  # noqa: F401
 
 # covers the documented envelope |A| <= 4, q <= 3 for direct construction
 MAX_DIRECT_WORK = 10_000
@@ -99,16 +102,20 @@ class RCForest:
     """Intern table for reduced characteristic trees.
 
     Ids are stable and identify subtrees up to deep structural equality.
-    Nodes go in through intern() and are immutable.  cross_memo maps
-    ((caps, op), id1, id2, d) to the id tree_cross_product returned for
-    it; it lives here because ids mean nothing outside their forest.
-    Not thread-safe: confine construction to one thread.
+    Nodes go in through intern() and are immutable.  cross_memo holds
+    tree_cross_product's results: it maps (caps, g.rows, f1.rows,
+    f2.rows), one key per move budget and operator, to a dict from
+    (id1, id2, d) to the product's id.  The operator is keyed by its
+    matrix rows, so equal operators parsed from text share entries, and
+    the inner keys are ints and the indicator vector only.  It lives
+    here because ids mean nothing outside their forest.  Not
+    thread-safe: confine construction to one thread.
     """
 
     def __init__(self):
         self._ids: dict[tuple, int] = {}
         self._nodes: list[RCNode] = []
-        self.cross_memo: dict[tuple, int] = {}
+        self.cross_memo: dict[tuple, dict[tuple, int]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -247,18 +254,62 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
     """Ordered structure of the composition, renamed via the indicator.
 
     Equals Ord(A1 (x) A2, c, C) whenever o_i = Ord(A_i, c[A_i], C n A_i)
-    and d is the indicator vector of c.
+    and d is the indicator vector of c.  It is built straight from the
+    operands: classes in order of first occurrence in d, adjacency within
+    a side from that side's rows and across sides from label parity under
+    g, labels through f1 and f2, traces merged per class.  No joined
+    structure is built and nothing is re-validated;
+    ordered_induced(compose(A1, A2, *op), c, C) is the slow route the
+    tests compare it against.
     """
     if o1.p != o2.p:
         raise RwmsoError(f"trace counts differ: {o1.p} vs {o2.p}")
     _check_indicator(d, o1.m, o2.m)
     g, f1, f2 = op
-    joined = compose(o1.structure, o2.structure, g, f1, f2)
-    k1 = o1.structure.n
-    merged = [o1.positions[k - 1] if side == 1 else k1 + o2.positions[k - 1]
-              for side, k in d]
-    traces = [o1.set_traces[j] | (o2.set_traces[j] << k1) for j in range(o1.p)]
-    return ordered_induced(joined, merged, traces)
+    s1, s2 = o1.structure, o2.structure
+    t = s1.t
+    if not t == s2.t == g.t == f1.t == f2.t:
+        raise WidthMismatchError(
+            f"label widths differ: {(s1.t, s2.t, g.t, f1.t, f2.t)}")
+    # element e < k1 is class e of side 1, e >= k1 class e - k1 of side 2,
+    # as in the joined structure of the slow route
+    k1 = s1.n
+    pos1, pos2 = o1.positions, o2.positions
+    first: dict[int, int] = {}
+    elems: list[int] = []
+    positions = []
+    for side, k in d:
+        e = pos1[k - 1] if side == 1 else k1 + pos2[k - 1]
+        cls = first.get(e)
+        if cls is None:
+            cls = first[e] = len(elems)
+            elems.append(e)
+        positions.append(cls)
+    # per class: side, index on its side, adjacency row on its side, and
+    # the label that decides cross edges (side 2 labels pass through g)
+    info = [(True, e, s1.adj[e], s1.labels[e]) if e < k1 else
+            (False, e - k1, s2.adj[e - k1], g.apply(s2.labels[e - k1]))
+            for e in elems]
+    adj = []
+    for side, _, row_a, lab_a in info:
+        row = 0
+        for b, (side_b, v, _, lab_b) in enumerate(info):
+            if ((row_a >> v) & 1 if side == side_b
+                    else (lab_a & lab_b).bit_count() & 1):
+                row |= 1 << b
+        adj.append(row)
+    labels = tuple(f1.apply(s1.labels[e]) if e < k1 else f2.apply(s2.labels[e - k1])
+                   for e in elems)
+    traces = []
+    for tr1, tr2 in zip(o1.set_traces, o2.set_traces):
+        merged = tr1 | (tr2 << k1)
+        tr = 0
+        for a, e in enumerate(elems):
+            if (merged >> e) & 1:
+                tr |= 1 << a
+        traces.append(tr)
+    return OrderedStructure(_unchecked(len(elems), t, tuple(adj), labels),
+                            tuple(positions), tuple(traces))
 
 
 def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budget,
@@ -275,16 +326,24 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     # the fold calls this once per parse node (LinEMSO once per state
     # pair) with caps already normalised at its entry
     caps = budget if type(budget) is tuple else as_budget(budget)
-    memo = forest.cross_memo
-    opkey = (caps, op)
+    g, f1, f2 = op
+    opkey = (caps, g.rows, f1.rows, f2.rows)
+    memo = forest.cross_memo.get(opkey)
+    if memo is None:
+        memo = forest.cross_memo[opkey] = {}
+    d = tuple(d)
+    get = memo.get
+    # most of LinEMSO's pair calls are hits: answer them before building rec
+    hit = get((id1, id2, d))
+    if hit is not None:
+        return hit
+    nodes = forest._nodes
     ncaps = len(caps)
 
     def rec(i1: int, i2: int, d: IndicatorVector) -> int:
-        key = (opkey, i1, i2, d)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        n1, n2 = forest.node(i1), forest.node(i2)
+        # a miss: every caller looked (i1, i2, d) up first, so hits cost
+        # no call
+        n1, n2 = nodes[i1], nodes[i2]
         o1, o2 = n1.ord, n2.ord
         root = rename_combine(o1, o2, d, op)
         m, p = len(d), o1.p
@@ -292,20 +351,25 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         # in_budget(caps, m + 1, p) and in_budget(caps, m, p + 1), inlined
         if p < ncaps and m < caps[p]:
             _check_factors(n1, n2, True, m, p, caps)
-            point = set()
-            for u in n1.point_children:
-                point.add(rec(u, i2, d + ((1, o1.m + 1),)))
-            for u in n2.point_children:
-                point.add(rec(i1, u, d + ((2, o2.m + 1),)))
+            d1 = d + ((1, o1.m + 1),)
+            d2 = d + ((2, o2.m + 1),)
+            point = {h if (h := get((u, i2, d1))) is not None else rec(u, i2, d1)
+                     for u in n1.point_children}
+            point.update(h if (h := get((i1, u, d2))) is not None else rec(i1, u, d2)
+                         for u in n2.point_children)
         if p + 1 < ncaps and m <= caps[p + 1]:
             _check_factors(n1, n2, False, m, p, caps)
-            set_kids = {rec(u1, u2, d)
+            set_kids = {h if (h := get((u1, u2, d))) is not None else rec(u1, u2, d)
                         for u1 in n1.set_children for u2 in n2.set_children}
-        out = forest.intern(root, point, set_kids)
-        memo[key] = out
+        out = memo[i1, i2, d] = forest.intern(root, point, set_kids)
         return out
 
-    return rec(id1, id2, tuple(d))
+    try:
+        return rec(id1, id2, d)
+    finally:
+        # rec reaches itself through its closure cell; clearing the cell
+        # frees it now instead of leaving a cycle to the garbage collector
+        del rec
 
 
 def _check_factors(n1: RCNode, n2: RCNode, point: bool, m: int, p: int,

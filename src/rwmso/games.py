@@ -224,7 +224,13 @@ def game_on_tree(tree: RCTree, phi: Formula,
         memo[mk] = out
         return out
 
-    return rec(tree.root, 0)
+    try:
+        return rec(tree.root, 0)
+    finally:
+        # rec reaches itself through its closure cell; clearing the cell
+        # frees it and the memo now instead of leaving a cycle to the
+        # garbage collector
+        del rec
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:

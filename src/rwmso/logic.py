@@ -361,7 +361,9 @@ def pretty_print(phi: Formula) -> str:
         return f"{phi.set_var}({phi.var})"
     if isinstance(phi, Not):
         sub = pretty_print(phi.sub)
-        return f"!{sub}" if is_atomic(phi.sub) or isinstance(phi.sub, Not) else f"!({sub})"
+        # an & or | prints its own parentheses
+        bare = is_atomic(phi.sub) or isinstance(phi.sub, (Not, And, Or))
+        return f"!{sub}" if bare else f"!({sub})"
     if isinstance(phi, (And, Or)):
         # quantifiers bind to the end of the formula, so as operands
         # they need their own parentheses

@@ -58,16 +58,21 @@ class ParseTree:
 
 
 def _postorder(root: PNode):
-    """Iterative post-order walk; trees can be thousands of levels deep."""
-    stack: list[tuple[PNode, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf) or expanded:
+    """Iterative post-order walk; trees can be thousands of levels deep.
+
+    Nodes and their "expanded" flags sit on two parallel lists, so the
+    walk allocates no container per node for the garbage collector to
+    scan (a (node, flag) tuple per entry did, on long caterpillars).
+    """
+    nodes: list[PNode] = [root]
+    expanded: list[bool] = [False]
+    while nodes:
+        node = nodes.pop()
+        if expanded.pop() or isinstance(node, Leaf):
             yield node
         else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+            nodes += (node, node.right, node.left)
+            expanded += (True, False, False)
 
 
 def fold(tree: ParseTree, leaf: T, combine: Callable[[T, T, CompositionOp], T]) -> T:

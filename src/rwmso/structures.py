@@ -58,6 +58,25 @@ class Structure:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
+def _unchecked(n: int, t: int, adj: tuple[int, ...], labels: tuple[int, ...]) -> Structure:
+    """A Structure built from rows already known to be valid.
+
+    Library code that derives a structure from validated structures (the
+    composition, induced substructures, the fold's miss kernel) builds it
+    here and skips ``__post_init__``; structures from user input go
+    through ``Structure(...)``, which validates.
+    """
+    s = object.__new__(Structure)
+    # set the fields as the generated __init__ does, so the instance keeps
+    # the compact attribute layout (a materialised __dict__ doubles it)
+    setattr_ = object.__setattr__
+    setattr_(s, "n", n)
+    setattr_(s, "t", t)
+    setattr_(s, "adj", adj)
+    setattr_(s, "labels", labels)
+    return s
+
+
 def build_structure(n: int, edges: Iterable[tuple[int, int]] = (), t: int = 1,
                     labels: Sequence[int] | None = None) -> Structure:
     """Convenience constructor from an edge list and optional label rows."""
@@ -153,7 +172,7 @@ def compose(g1: Structure, g2: Structure, g: Relabeling, f1: Relabeling,
     cross = _cross_rows(g1, [g.apply(lab) for lab in g2.labels])
     labels = tuple(f1.apply(lab) for lab in g1.labels) + \
         tuple(f2.apply(lab) for lab in g2.labels)
-    return Structure(g1.n + g2.n, t, _union_adj(g1, g2, cross), labels)
+    return _unchecked(g1.n + g2.n, t, _union_adj(g1, g2, cross), labels)
 
 
 @dataclass(frozen=True)
@@ -245,7 +264,7 @@ def ordered_induced(a: Structure, c: Sequence[int],
             if (mask >> e) & 1:
                 tr |= 1 << j
         traces.append(tr)
-    struct = Structure(k, a.t, tuple(adj), labels)
+    struct = _unchecked(k, a.t, tuple(adj), labels)
     return OrderedStructure(struct, tuple(positions), tuple(traces))
 
 

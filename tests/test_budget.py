@@ -4,8 +4,9 @@ moves the game on phi can take, and answers as the full-depth tree does."""
 import pytest
 
 from rwmso import (CATALOG, FAMILIES, build_structure, catalog, char_tree_from_parse_tree,
-                   evaluate, family_tree, game_on_tree, generate_graph,
-                   model_check, parse_formula, quantifier_rank,
+                   evaluate, family_tree, format_parse_tree, game_on_tree,
+                   generate_graph, model_check, parse_formula,
+                   parse_tree_from_text, quantifier_rank,
                    reduced_char_tree_direct, to_nnf)
 from rwmso import chartree
 from rwmso.chartree import RCForest, RCTree, as_budget
@@ -98,6 +99,32 @@ def test_has_triangle_folds_a_quarter_of_the_full_depth_work(monkeypatch):
     assert not game_on_tree(rc, nnf) and not game_on_tree(full, nnf)
     assert 4 * budget_calls <= full_calls, (budget_calls, full_calls)
     assert rc.size() < full.size()
+
+
+@pytest.mark.parametrize("name", ["two-colorable", "has-triangle"])
+def test_memo_misses_are_constant_past_stabilisation(monkeypatch, name):
+    # deterministic work-count gate: once the class count has stabilised,
+    # every further parse node is a memo hit, so a fresh fold makes the same
+    # number of rename_combine calls at n = 64, 128 and 256 (2797 for
+    # two-colorable, 479 for has-triangle).  A tree read back from text has
+    # distinct but equal operator objects, and must share memo entries too.
+    calls = []
+    rename = chartree.rename_combine
+
+    def counting(*args):
+        calls.append(1)
+        return rename(*args)
+
+    monkeypatch.setattr(chartree, "rename_combine", counting)
+    budget = move_budget(to_nnf(dict(catalog(t=2))[name]))
+    counts = []
+    for n in (64, 128, 256):
+        tree = family_tree("path", n, t=2)
+        for source in (tree, parse_tree_from_text(format_parse_tree(tree))):
+            calls.clear()
+            char_tree_from_parse_tree(source, budget)
+            counts.append(len(calls))
+    assert len(set(counts)) == 1 and counts[0] > 0, counts
 
 
 def test_game_rejects_a_move_kind_the_tree_was_not_built_for():

@@ -197,23 +197,42 @@ def _split_vector(rng, n1, n2, m):
 
 
 def test_rename_combine_matches_composition():
+    # rename_combine builds Ord(A1 (x) A2, c, C) straight from the operands;
+    # compose then ordered_induced is the independent slow route.  c mixes
+    # both sides or takes one side only, and either side may be empty.
     rng = random.Random(23)
-    for _ in range(150):
-        t = rng.choice((1, 2))
-        n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
-        g1, g2 = random_structure(rng, n1, t), random_structure(rng, n2, t)
-        op = tuple(random_relabeling(rng, t) for _ in range(3))
-        m = rng.randint(0, 4)
-        p = rng.randint(0, 2)
-        c, c1, c2, d = _split_vector(rng, n1, n2, m)
-        sets = [frozenset(v for v in range(n1 + n2) if rng.random() < 0.5)
-                for _ in range(p)]
-        sets1 = [frozenset(e for e in s if e < n1) for s in sets]
-        sets2 = [frozenset(e - n1 for e in s if e >= n1) for s in sets]
-        o1 = ordered_induced(g1, c1, sets1)
-        o2 = ordered_induced(g2, c2, sets2)
-        h = compose(g1, g2, *op)
-        assert rename_combine(o1, o2, d, op) == ordered_induced(h, c, sets)
+    for mode in ("interleaved", "left", "right"):
+        for _ in range(200):
+            t = rng.choice((1, 2, 3))
+            n1, n2 = rng.randint(0, 3), rng.randint(0, 3)
+            if mode == "left":
+                n1 = max(n1, 1)
+            elif mode == "right":
+                n2 = max(n2, 1)
+            g1, g2 = random_structure(rng, n1, t), random_structure(rng, n2, t)
+            op = tuple(random_relabeling(rng, t) for _ in range(3))
+            m = rng.randint(0, 4) if n1 or n2 else 0
+            if mode == "left":
+                c1 = [rng.randrange(n1) for _ in range(m)]
+                c, c2, d = list(c1), [], tuple((1, k) for k in range(1, m + 1))
+            elif mode == "right":
+                c2 = [rng.randrange(n2) for _ in range(m)]
+                c, c1, d = [n1 + e for e in c2], [], tuple((2, k) for k in range(1, m + 1))
+            else:
+                c, c1, c2, d = _split_vector(rng, n1, n2, m)
+            sets = [frozenset(v for v in range(n1 + n2) if rng.random() < 0.5)
+                    for _ in range(rng.randint(0, 2))]
+            o1 = ordered_induced(g1, c1, [{e for e in s if e < n1} for s in sets])
+            o2 = ordered_induced(g2, c2, [{e - n1 for e in s if e >= n1} for s in sets])
+            h = compose(g1, g2, *op)
+            slow = ordered_induced(h, c, sets)
+            fast = rename_combine(o1, o2, d, op)
+            assert fast == slow, (mode, t, n1, n2, d)
+            # the library builds these without validation; the validating
+            # constructor must accept every one of them
+            for struct in (h, o1.structure, o2.structure, slow.structure,
+                           fast.structure):
+                Structure(struct.n, struct.t, struct.adj, struct.labels)
 
 
 def test_rename_combine_interleaved_sides():

@@ -182,3 +182,17 @@ def test_pretty_print_round_trip():
         # normalize binder names through the parser once, then fixpoint
         phi = parse_formula(pretty_print(raw), 2)
         assert parse_formula(pretty_print(phi), 2) == phi
+
+
+def test_negated_conjunction_prints_one_pair_of_parentheses():
+    phi = parse_formula("!(x = y & adj(x, y))")
+    assert pretty_print(phi) == "!(x = y & adj(x, y))"
+    assert parse_formula(pretty_print(phi)) == phi
+    phi = parse_formula("!!(x = y | !(S(x) & label1(y)))")
+    assert parse_formula(pretty_print(phi)) == phi
+
+
+def test_deep_negated_conjunctions_round_trip():
+    # 80 open constructs parse; the print must not double them past the limit
+    phi = parse_formula("Ex x. " + "!(x = x & " * 40 + "x = x" + ")" * 40)
+    assert parse_formula(pretty_print(phi)) == phi

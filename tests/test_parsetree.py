@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from rwmso import (ParseTree, Relabeling, build_structure, family_tree,
                    format_parse_tree, generate_graph, parse_tree_from_text)
 from rwmso.errors import RwmsoError
-from rwmso.parsetree import FAMILIES, Leaf, Node
+from rwmso.parsetree import FAMILIES, Leaf, Node, _postorder
 
 from common import are_isomorphic, random_parse_tree
 
@@ -126,3 +127,23 @@ def test_leaf_order_is_vertex_order():
     # star: first leaf is the center, so vertex 0 has degree n-1
     g = generate_graph(family_tree("star", 6))
     assert g.adj[0].bit_count() == 5
+
+
+def test_postorder_walk_leaves_nothing_for_the_collector():
+    # the walk keeps nodes and flags on two lists, so on a left-deep
+    # caterpillar it holds no per-node container and no collection starts
+    tree = family_tree("path", 2 ** 14)
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        walked = sum(1 for _ in _postorder(tree.root))
+    finally:
+        gc.callbacks.remove(hook)
+    assert walked == 2 ** 15 - 1
+    assert started == []
