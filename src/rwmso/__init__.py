@@ -13,7 +13,7 @@ from .linemso import LinEMSOProblem, LinEMSOResult, solve_linemso
 from .logic import (Formula, FormulaSyntaxError, VariableList, free_variables,
                     is_sentence, parse_formula, pretty_print, quantifier_rank,
                     to_nnf)
-from .parsetree import (FAMILIES, Leaf, Node, ParseTree, family_tree,
+from .parsetree import (FAMILIES, ParseTree, family_tree,
                         format_parse_tree, generate_graph, parse_tree_from_text)
 from .rankdec import (BranchDecomposition, cut_rank, decomposition_width,
                       exact_rankwidth)

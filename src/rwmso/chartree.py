@@ -200,7 +200,10 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budge
             set_kids = {rec(c, masks + (x,)) for x in range(1 << a.n)}
         return forest.intern(label, point, set_kids)
 
-    return rec(c, tuple(masks))
+    try:
+        return rec(c, tuple(masks))
+    finally:
+        del rec  # rec reaches itself, and so the forest, through its cell
 
 
 def leaf_char_tree(forest: RCForest, budget: int | Budget, t: int) -> int:

@@ -40,7 +40,7 @@ def _max_q() -> int:
         raise RwmsoError(f"RWMSO_MAX_Q={raw!r} is not an integer") from None
 
 
-def _read_formula(args, t: int) -> Formula:
+def _read_formula(args, t: int | None) -> Formula:
     if args.formula_file:
         with open(args.formula_file) as fh:
             text = fh.read()
@@ -196,7 +196,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_qrank(args) -> int:
-    phi = _read_formula(args, t=64)
+    phi = _read_formula(args, None)  # the rank needs no label width
     print(quantifier_rank(phi))
     return 0
 
@@ -207,28 +207,32 @@ class BenchRow:
     parse_tree_nodes: int
     char_tree_nodes: int
     peak_interned: int
-    seconds: float
+    seconds: float                   # the best of the repeats
+    samples: tuple[float, ...] = ()  # each repeat's time, in run order
 
 
 def run_bench(family: str, n_list: list[int], q: int, t: int,
               repeats: int = 3) -> list[BenchRow]:
     """Construction time and interned-node counts per graph size.
 
-    Every run starts from a fresh forest so later sizes cannot reuse
-    work; the reported time is the best of the repeats.
+    Each timed fold gets a fresh forest, warmed by one fixed small fold
+    (path n=16) whose fixed cost would hide the per-node cost of small
+    trees.  Each repeat times every size in turn; a row has the best time
+    and every repeat's, and peak_interned counts the warm-up's nodes too.
     """
-    rows = []
-    for n in n_list:
-        tree = family_tree(family, n, t)
-        best = float("inf")
-        rc = None
-        for _ in range(max(repeats, 1)):
+    trees = [family_tree(family, n, t) for n in n_list]
+    warm_up = family_tree("path", 16, t)
+    samples: list[list[float]] = [[] for _ in trees]
+    for _ in range(max(repeats, 1)):
+        rcs = []
+        for tree, times in zip(trees, samples):
             forest = RCForest()
+            char_tree_from_parse_tree(warm_up, q, forest)
             start = time.perf_counter()
-            rc = char_tree_from_parse_tree(tree, q, forest)
-            best = min(best, time.perf_counter() - start)
-        rows.append(BenchRow(n, tree.size(), rc.size(), len(rc.forest), best))
-    return rows
+            rcs.append(char_tree_from_parse_tree(tree, q, forest))
+            times.append(time.perf_counter() - start)
+    return [BenchRow(n, tree.size(), rc.size(), len(rc.forest), min(times), tuple(times))
+            for n, tree, rc, times in zip(n_list, trees, rcs, samples)]
 
 
 def _fit(rows: list[BenchRow]) -> tuple[float, float]:

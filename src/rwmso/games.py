@@ -107,24 +107,23 @@ class GameStats:
 
 
 def _index_positions(phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...]):
-    """Assign ids to subformula positions with their collected variables."""
+    """Assign pre-order ids to subformula positions with their collected variables."""
     records: list[tuple[Formula, tuple[str, ...], tuple[str, ...]]] = []
     children: dict[int, tuple[int, ...]] = {}
-
-    def build(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]) -> int:
+    stack = [(phi, x_vars, X_vars, -1)]   # with the parent's id
+    while stack:
+        psi, objs, sets, parent = stack.pop()
         idx = len(records)
         records.append((psi, objs, sets))
         children[idx] = ()
+        if parent >= 0:
+            children[parent] += (idx,)
         if isinstance(psi, (And, Or)):
-            children[idx] = (build(psi.left, objs, sets),
-                             build(psi.right, objs, sets))
+            stack += ((psi.right, objs, sets, idx), (psi.left, objs, sets, idx))
         elif isinstance(psi, (ExistsObj, ForallObj)):
-            children[idx] = (build(psi.sub, objs + (psi.var,), sets),)
+            stack.append((psi.sub, objs + (psi.var,), sets, idx))
         elif isinstance(psi, (ExistsSet, ForallSet)):
-            children[idx] = (build(psi.sub, objs, sets + (psi.set_var,)),)
-        return idx
-
-    build(phi, x_vars, X_vars)
+            stack.append((psi.sub, objs, sets + (psi.set_var,), idx))
     return records, children
 
 

@@ -107,6 +107,7 @@ class ForallSet(Formula):
 
 
 ATOM_TYPES = (Equal, SetEqual, Adj, Label, In)
+_UNARY = ATOM_TYPES + (Not,)  # the formulas the grammar calls unary
 _QUANT = {ExistsObj: "Ex", ForallObj: "Ax", ExistsSet: "EX", ForallSet: "AX"}
 _QUANT_OF = {tok: cls for cls, tok in _QUANT.items()}
 
@@ -161,7 +162,8 @@ class _Parser:
     Both stay within MAX_NESTING, checked before the parser recurses
     or nests a connective further."""
 
-    def __init__(self, tokens: list[tuple[str, int]], text_len: int, t: int):
+    def __init__(self, tokens: list[tuple[str, int]], text_len: int,
+                 t: int | None):
         self.tokens = tokens
         self.text_len = text_len
         self.t = t
@@ -274,8 +276,9 @@ class _Parser:
         m = _LABEL_RE.match(tok)
         if m:
             index = int(m.group(1))
-            if not 1 <= index <= self.t:
-                self._error(f"label index {index} outside 1..{self.t}")
+            if index < 1 or (self.t is not None and index > self.t):
+                upper = "" if self.t is None else self.t
+                self._error(f"label index {index} outside 1..{upper}")
             self.i += 1
             self._expect("(")
             a = self._ident("object variable")
@@ -300,9 +303,10 @@ class _Parser:
         self._error(f"unexpected token {tok!r}")
 
 
-def parse_formula(text: str, t: int = 1) -> Formula:
-    """Parse the concrete syntax; bound variables are made unique."""
-    if t < 0:
+def parse_formula(text: str, t: int | None = 1) -> Formula:
+    """Parse the concrete syntax; bound variables are made unique.  Label
+    indices must lie in 1..t, or be any index >= 1 when t is None."""
+    if t is not None and t < 0:
         raise RwmsoError("label width must be nonnegative")
     tokens = _tokenize(text)
     phi = _Parser(tokens, len(text), t).parse()
@@ -346,11 +350,17 @@ def _alpha_rename(phi: Formula) -> Formula:
             return type(psi)(new, walk(psi.sub, {**env, psi.set_var: new}))
         raise RwmsoError(f"unknown formula node {psi!r}")
 
-    return walk(phi, {})
+    try:
+        return walk(phi, {})
+    finally:
+        del walk  # walk reaches itself through its closure cell
 
 
 def pretty_print(phi: Formula) -> str:
-    """Concrete syntax; ``parse_formula(pretty_print(phi)) == phi``."""
+    """Concrete syntax; ``parse_formula(pretty_print(phi)) == phi``.
+
+    Parentheses go only where the grammar needs them, so the print nests
+    no deeper than any text of phi."""
     if isinstance(phi, Equal) or isinstance(phi, SetEqual):
         return f"{phi.left} = {phi.right}"
     if isinstance(phi, Adj):
@@ -360,24 +370,23 @@ def pretty_print(phi: Formula) -> str:
     if isinstance(phi, In):
         return f"{phi.set_var}({phi.var})"
     if isinstance(phi, Not):
-        sub = pretty_print(phi.sub)
-        # an & or | prints its own parentheses
-        bare = is_atomic(phi.sub) or isinstance(phi.sub, (Not, And, Or))
-        return f"!{sub}" if bare else f"!({sub})"
-    if isinstance(phi, (And, Or)):
-        # quantifiers bind to the end of the formula, so as operands
-        # they need their own parentheses
-        def operand(sub: Formula) -> str:
-            s = pretty_print(sub)
-            return f"({s})" if isinstance(
-                sub, (ExistsObj, ForallObj, ExistsSet, ForallSet)) else s
-        sep = "&" if isinstance(phi, And) else "|"
-        return f"({operand(phi.left)} {sep} {operand(phi.right)})"
+        return "!" + _operand(phi.sub, _UNARY)
+    if isinstance(phi, And):
+        return f"{_operand(phi.left, _UNARY + (And,))} & {_operand(phi.right, _UNARY)}"
+    if isinstance(phi, Or):
+        return (f"{_operand(phi.left, _UNARY + (And, Or))} | "
+                f"{_operand(phi.right, _UNARY + (And,))}")
     if isinstance(phi, (ExistsObj, ForallObj)):
         return f"{_QUANT[type(phi)]} {phi.var}. {pretty_print(phi.sub)}"
     if isinstance(phi, (ExistsSet, ForallSet)):
         return f"{_QUANT[type(phi)]} {phi.set_var}. {pretty_print(phi.sub)}"
     raise RwmsoError(f"unknown formula node {phi!r}")
+
+
+def _operand(sub: Formula, bare: tuple[type, ...]) -> str:
+    # & and | group to the left, and a quantifier reaches to the end
+    text = pretty_print(sub)
+    return text if isinstance(sub, bare) else f"({text})"
 
 
 def quantifier_rank(phi: Formula) -> int:
@@ -464,8 +473,10 @@ def free_variables(phi: Formula) -> VariableList:
     """Free variables ordered by first occurrence."""
     objects: dict[str, None] = {}
     sets: dict[str, None] = {}
-
-    def walk(psi: Formula, bound: frozenset[str]):
+    # left operands are popped first, so atoms are met in text order
+    stack: list[tuple[Formula, frozenset[str]]] = [(phi, frozenset())]
+    while stack:
+        psi, bound = stack.pop()
         if isinstance(psi, (Equal, Adj)):
             for v in (psi.left, psi.right):
                 if v not in bound:
@@ -483,18 +494,15 @@ def free_variables(phi: Formula) -> VariableList:
             if psi.var not in bound:
                 objects.setdefault(psi.var)
         elif isinstance(psi, Not):
-            walk(psi.sub, bound)
+            stack.append((psi.sub, bound))
         elif isinstance(psi, (And, Or)):
-            walk(psi.left, bound)
-            walk(psi.right, bound)
+            stack += ((psi.right, bound), (psi.left, bound))
         elif isinstance(psi, (ExistsObj, ForallObj)):
-            walk(psi.sub, bound | {psi.var})
+            stack.append((psi.sub, bound | {psi.var}))
         elif isinstance(psi, (ExistsSet, ForallSet)):
-            walk(psi.sub, bound | {psi.set_var})
+            stack.append((psi.sub, bound | {psi.set_var}))
         else:
             raise RwmsoError(f"unknown formula node {psi!r}")
-
-    walk(phi, frozenset())
     return VariableList(tuple(objects), tuple(sets))
 
 

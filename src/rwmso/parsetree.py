@@ -18,74 +18,59 @@ T = TypeVar("T")
 CompositionOp = tuple[Relabeling, Relabeling, Relabeling]
 
 FAMILIES = ("path", "cycle", "complete", "cograph-union", "cograph-join", "star")
-
-
-class PNode:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Leaf(PNode):
-    pass
-
-
-@dataclass(frozen=True)
-class Node(PNode):
-    g: Relabeling
-    f1: Relabeling
-    f2: Relabeling
-    left: PNode
-    right: PNode
+LEAF = -1
 
 
 @dataclass(frozen=True)
 class ParseTree:
+    """An operator table and the nodes in post-order.
+
+    ``ops`` holds the distinct (g, f1, f2) operators in the order ``code``
+    first uses them.  ``code`` has one int per node: LEAF (-1) for a leaf,
+    else the node's index into ``ops``; its two subtrees are the two that
+    end just before it, left then right.  So equal trees compare equal.
+    """
+
     t: int
-    root: PNode
+    ops: tuple[CompositionOp, ...]
+    code: tuple[int, ...]
 
     def __post_init__(self):
-        for node in _postorder(self.root):
-            if isinstance(node, Node):
-                if not node.g.t == node.f1.t == node.f2.t == self.t:
-                    raise RwmsoError("relabeling width differs from declared t")
+        if any([getattr(r, "t", None) for r in op] != [self.t] * 3 for op in self.ops):
+            raise RwmsoError(f"an operator is three relabelings of width {self.t}")
+        if len(set(self.ops)) != len(self.ops):
+            raise RwmsoError("operators must be distinct")
+        subtrees = used = 0   # subtrees finished so far, operators used so far
+        for c in self.code:
+            if c == LEAF:
+                subtrees += 1
+            elif type(c) is not int or not 0 <= c <= used or c >= len(self.ops):
+                raise RwmsoError(f"operator index {c!r} out of range or first-use order")
+            elif subtrees < 2:
+                raise RwmsoError("an inner node has fewer than two children")
+            else:
+                used += c == used
+                subtrees -= 1
+        if subtrees != 1 or used != len(self.ops):
+            raise RwmsoError(f"code builds {subtrees} trees with {used} of "
+                             f"{len(self.ops)} operators, not one tree using all")
 
     def size(self) -> int:
         """Total node count |T|."""
-        return sum(1 for _ in _postorder(self.root))
-
-    def leaf_count(self) -> int:
-        return sum(1 for n in _postorder(self.root) if isinstance(n, Leaf))
-
-
-def _postorder(root: PNode):
-    """Iterative post-order walk; trees can be thousands of levels deep.
-
-    Nodes and their "expanded" flags sit on two parallel lists, so the
-    walk allocates no container per node for the garbage collector to
-    scan (a (node, flag) tuple per entry did, on long caterpillars).
-    """
-    nodes: list[PNode] = [root]
-    expanded: list[bool] = [False]
-    while nodes:
-        node = nodes.pop()
-        if expanded.pop() or isinstance(node, Leaf):
-            yield node
-        else:
-            nodes += (node, node.right, node.left)
-            expanded += (True, False, False)
+        return len(self.code)
 
 
 def fold(tree: ParseTree, leaf: T, combine: Callable[[T, T, CompositionOp], T]) -> T:
-    """Evaluate the tree leaves-to-root: every leaf is ``leaf``, and every
-    inner node is ``combine(left, right, (g, f1, f2))`` of its operands."""
+    """Evaluate the tree leaves-to-root, in post-order: every leaf is ``leaf``,
+    every inner node ``combine(left, right, (g, f1, f2))`` of its operands."""
+    ops = tree.ops
     results: list[T] = []
-    for node in _postorder(tree.root):
-        if isinstance(node, Leaf):
+    for c in tree.code:
+        if c == LEAF:
             results.append(leaf)
         else:
             right = results.pop()
-            left = results.pop()
-            results.append(combine(left, right, (node.g, node.f1, node.f2)))
+            results[-1] = combine(results[-1], right, ops[c])
     return results[0]
 
 
@@ -108,20 +93,27 @@ def _format_matrix(r: Relabeling) -> str:
 
 
 def format_parse_tree(tree: ParseTree) -> str:
-    # Assemble iteratively; recursion would overflow on long caterpillars.
+    heads = [f"(o {' '.join(_format_matrix(m) for m in op)} " for op in tree.ops]
+    # Read backwards, the code meets a node, its right subtree, then its
+    # left one: the text comes out back to front, ")" right " " left head.
     parts: list[str] = []
-    stack: list[object] = [tree.root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, Leaf):
-            parts.append("(v)")
-        else:
-            mats = " ".join(_format_matrix(m) for m in (item.g, item.f1, item.f2))
-            parts.append(f"(o {mats} ")
-            stack.extend([")", item.right, " ", item.left])
-    return f"t={tree.t}\n" + "".join(parts) + "\n"
+    open_ops: list[int] = []   # inner nodes still missing a child
+    missing: list[int] = []    # and how many children each misses
+    for c in reversed(tree.code):
+        if c != LEAF:
+            parts.append(")")
+            open_ops.append(c)
+            missing.append(2)
+            continue
+        parts.append("(v)")
+        while missing:         # a finished subtree is a child of the top node
+            missing[-1] -= 1
+            if missing[-1]:
+                parts.append(" ")
+                break
+            missing.pop()
+            parts.append(heads[open_ops.pop()])
+    return f"t={tree.t}\n" + "".join(reversed(parts)) + "\n"
 
 
 def _parse_matrix(token: str, t: int) -> Relabeling:
@@ -130,6 +122,11 @@ def _parse_matrix(token: str, t: int) -> Relabeling:
         raise RwmsoError(f"bad {t}x{t} matrix {token!r}")
     return Relabeling(tuple(
         sum(1 << j for j, ch in enumerate(row) if ch == "1") for row in rows))
+
+
+def _expect(tokens: list, i: int, want: str):
+    if tokens[i] != want:
+        raise RwmsoError(f"expected {want!r}, got {tokens[i]!r}")
 
 
 def parse_tree_from_text(text: str) -> ParseTree:
@@ -142,57 +139,48 @@ def parse_tree_from_text(text: str) -> ParseTree:
         raise RwmsoError("bad width in header") from None
     if t < 1:
         raise RwmsoError("width must be at least 1")
-    body = " ".join(lines[1:])
-    tokens = body.replace("(", " ( ").replace(")", " ) ").split()
-
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise RwmsoError(f"expected {expected or 'token'!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    # Explicit stack instead of recursion: caterpillar trees get deep.
-    def parse_node() -> PNode:
-        ops: list[tuple[Relabeling, Relabeling, Relabeling]] = []
-        children: list[list[PNode]] = []
-        while True:
-            take("(")
-            tok = take()
-            if tok == "v":
-                take(")")
-                node: PNode = Leaf()
-                while True:
-                    if not ops:
-                        return node
-                    children[-1].append(node)
-                    if len(children[-1]) < 2:
-                        break
-                    g, f1, f2 = ops.pop()
-                    left, right = children.pop()
-                    take(")")
-                    node = Node(g, f1, f2, left, right)
-            elif tok == "o":
-                mats = []
-                while peek() not in ("(", None):
-                    mats.append(take())
-                if len(mats) != 3:
-                    raise RwmsoError(f"expected three matrices, got {len(mats)}")
+    # the None at the end keeps every lookahead below in range
+    tokens = " ".join(lines[1:]).replace("(", " ( ").replace(")", " ) ").split() + [None]
+    # One scan appends each node to the code where it ends; a matrix
+    # triple is parsed once, keyed by its text, where it first ends a node.
+    index: dict[tuple[str, ...], int] = {}
+    ops: list[CompositionOp] = []
+    code: list[int] = []
+    open_mats: list[tuple[str, ...]] = []   # matrix texts of the open nodes
+    has_left: list[bool] = []               # whether each has its left child
+    i = 0
+    while True:
+        _expect(tokens, i, "(")
+        if tokens[i + 1] == "o":
+            j = i + 2
+            while tokens[j] not in ("(", None):
+                j += 1
+            if j - i - 2 != 3:
+                raise RwmsoError(f"expected three matrices, got {j - i - 2}")
+            open_mats.append(tuple(tokens[i + 2:j]))
+            has_left.append(False)
+            i = j
+            continue
+        if tokens[i + 1] != "v":
+            raise RwmsoError(f"expected 'v' or 'o', got {tokens[i + 1]!r}")
+        _expect(tokens, i + 2, ")")
+        i += 3
+        code.append(LEAF)
+        while has_left and has_left[-1]:   # a right child ends its parent
+            _expect(tokens, i, ")")
+            i += 1
+            has_left.pop()
+            mats = open_mats.pop()
+            if mats not in index:
+                index[mats] = len(ops)
                 ops.append(tuple(_parse_matrix(m, t) for m in mats))
-                children.append([])
-            else:
-                raise RwmsoError(f"expected 'v' or 'o', got {tok!r}")
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise RwmsoError(f"trailing input after tree: {tokens[pos]!r}")
-    return ParseTree(t, root)
+            code.append(index[mats])
+        if not has_left:
+            break
+        has_left[-1] = True
+    if tokens[i] is not None:
+        raise RwmsoError(f"trailing input after tree: {tokens[i]!r}")
+    return ParseTree(t, tuple(ops), tuple(code))
 
 
 # --- standard families --------------------------------------------------
@@ -222,39 +210,36 @@ def family_tree(family: str, n: int, t: int | None = None) -> ParseTree:
     one = _pad((1,), t)      # every label to {1}
     zero = Relabeling.zero(t)
     ident = Relabeling.identity(t)
-
-    def chain(ops) -> PNode:
-        node: PNode = Leaf()
-        for g, f1, f2 in ops:
-            node = Node(g, f1, f2, node, Leaf())
-        return node
-
-    if family == "complete":
-        root = chain([(one, one, one)] * (n - 1))
-    elif family == "star":
-        # invariant: only the center keeps label {1}
-        root = chain([(one, ident, zero)] * (n - 1))
-    elif family == "path":
-        # invariant: only the growing end keeps label {1}
-        root = chain([(one, zero, one)] * (n - 1))
-    elif family == "cycle":
+    if family.startswith("cograph"):
+        code: list[int] = []
+        _balanced(n, code)
+        op = (zero, ident, ident) if family == "cograph-union" else (one, one, one)
+        return ParseTree(t, (op,) if n > 1 else (), tuple(code))
+    if family == "cycle":
         # invariant: start {1}, active end {2}, interior unlabeled
         to_end = _pad((2,), t)           # new vertex becomes the end
         keep_start = _pad((1, 0), t)     # retire the end, keep the start
-        attach_start = (ident, ident, to_end)
-        attach_end = (_pad((2,), t), keep_start, to_end)
-        close = (_pad((3,), t), zero, zero)
-        root = chain([attach_start] + [attach_end] * (n - 3) + [close])
-    elif family == "cograph-union":
-        root = _balanced(n, (zero, ident, ident))
-    else:  # cograph-join
-        root = _balanced(n, (one, one, one))
-    return ParseTree(t, root)
+        runs = [((ident, ident, to_end), 1),
+                ((_pad((2,), t), keep_start, to_end), n - 3),
+                ((_pad((3,), t), zero, zero), 1)]
+    else:
+        # star: only the center keeps label {1}; path: only the growing end
+        runs = [({"complete": (one, one, one), "star": (one, ident, zero),
+                  "path": (one, zero, one)}[family], n - 1)]
+    # a left-deep caterpillar: each run adds count leaves, bottom up
+    runs = [(op, count) for op, count in runs if count]
+    code = [LEAF]
+    for k, (_, count) in enumerate(runs):
+        code += (LEAF, k) * count
+    return ParseTree(t, tuple(op for op, _ in runs), tuple(code))
 
 
-def _balanced(n: int, op) -> PNode:
+def _balanced(n: int, code: list[int]):
+    """Append the post-order of a balanced tree on n leaves, one operator."""
     if n == 1:
-        return Leaf()
+        code.append(LEAF)
+        return
     half = n // 2
-    g, f1, f2 = op
-    return Node(g, f1, f2, _balanced(n - half, op), _balanced(half, op))
+    _balanced(n - half, code)
+    _balanced(half, code)
+    code.append(0)

@@ -16,7 +16,6 @@ from rwmso import (Assignment, ParseTree, Relabeling, Structure,
                    build_structure, evaluate, ordered_induced)
 from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                          ForallSet, In, Label, Not, Or)
-from rwmso.parsetree import Leaf, Node
 
 
 def all_structures(n, t=1):
@@ -39,26 +38,44 @@ def random_relabeling(rng: random.Random, t):
     return Relabeling(tuple(rng.randrange(1 << t) for _ in range(t)))
 
 
+def tree_of(t, shape):
+    """ParseTree of a nested shape: None is a leaf, (op, left, right) an
+    inner node.  Operators are numbered in order of first use."""
+    index, code = {}, []
+
+    def emit(node):
+        if node is None:
+            code.append(-1)
+            return
+        op, left, right = node
+        emit(left)
+        emit(right)
+        code.append(index.setdefault(tuple(op), len(index)))
+
+    emit(shape)
+    return ParseTree(t, tuple(index), tuple(code))
+
+
 def random_parse_tree(rng: random.Random, leaves, t):
     def build(k):
         if k == 1:
-            return Leaf()
+            return None
         split = rng.randint(1, k - 1)
-        return Node(random_relabeling(rng, t), random_relabeling(rng, t),
-                    random_relabeling(rng, t), build(k - split), build(split))
-    return ParseTree(t, build(leaves))
+        op = tuple(random_relabeling(rng, t) for _ in range(3))
+        return op, build(k - split), build(split)
+    return tree_of(t, build(leaves))
 
 
 def small_parse_trees():
     """Every t=1 parse tree with at most 3 leaves."""
     rels = [Relabeling((0,)), Relabeling((1,))]
-    trees = [ParseTree(1, Node(*combo, Leaf(), Leaf()))
-             for combo in itertools.product(rels, repeat=3)]
-    for combo1 in itertools.product(rels, repeat=3):
-        for combo2 in itertools.product(rels, repeat=3):
-            inner = Node(*combo2, Leaf(), Leaf())
-            trees.append(ParseTree(1, Node(*combo1, inner, Leaf())))
-            trees.append(ParseTree(1, Node(*combo1, Leaf(), inner)))
+    ops = list(itertools.product(rels, repeat=3))
+    trees = [tree_of(1, (op, None, None)) for op in ops]
+    for op1 in ops:
+        for op2 in ops:
+            inner = (op2, None, None)
+            trees.append(tree_of(1, (op1, inner, None)))
+            trees.append(tree_of(1, (op1, None, inner)))
     return trees
 
 
@@ -94,7 +111,7 @@ def induced(a, c):
 
 @dataclass(frozen=True)
 class FullCharNode:
-    """Node (A[c], c, C n c) with one child per move, kept unmerged.
+    """Full-tree node (A[c], c, C n c) with one child per move, kept unmerged.
 
     point_children[d] is the child for element d; set_children[mask] the
     child for the subset with that bitmask.

@@ -12,7 +12,6 @@ from rwmso import (ParseTree, Relabeling, Structure, build_structure,
 from rwmso import chartree
 from rwmso.chartree import RCForest, RCTree, in_budget, rc_dump
 from rwmso.errors import DepthBudgetError, RwmsoError, ScaleGuardError
-from rwmso.parsetree import Leaf
 
 from common import (all_structures, full_char_tree, full_tree_size,
                     merge_full_tree, permuted, random_parse_tree,
@@ -310,7 +309,7 @@ def test_tcp_depth_budget_error():
 
 def test_char_tree_single_leaf():
     forest = RCForest()
-    tree = ParseTree(1, Leaf())
+    tree = ParseTree(1, (), (-1,))
     for q in (0, 1, 2, 3):
         assert char_tree_from_parse_tree(tree, q, forest).root == \
             leaf_char_tree(forest, q, 1)

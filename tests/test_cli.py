@@ -192,6 +192,14 @@ def test_qrank(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_qrank_takes_any_label_index(capsys):
+    # the rank does not depend on the label width, so none is assumed
+    assert main(["qrank", "--formula", "Ex x. label70(x)"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert main(["qrank", "--formula", "Ex x. label0(x)"]) == 2
+    assert "label index 0 outside 1.." in capsys.readouterr().err
+
+
 def test_bench_csv(capsys):
     assert main(["bench", "--family", "path", "--n-list", "8,16,32",
                  "--q", "1", "--t", "2", "--repeats", "1"]) == 0

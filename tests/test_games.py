@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -207,3 +209,39 @@ def test_catalog_sentences_are_sentences():
         fv = free_variables(phi)
         assert not fv.objects and not fv.sets
         assert quantifier_rank(phi) == entry.qr
+
+
+def test_finished_calls_leave_no_cycles(monkeypatch):
+    # with the collector off, reference counting alone must free what a
+    # finished call built: the forest of a model check or a solve, and
+    # every closure of the formula walkers and the game
+    from rwmso import LinEMSOProblem, chartree, linemso, solve_linemso
+
+    forests = []
+
+    class TrackedForest(RCForest):
+        def __init__(self):
+            super().__init__()
+            forests.append(weakref.ref(self))
+
+    monkeypatch.setattr(chartree, "RCForest", TrackedForest)
+    monkeypatch.setattr(linemso, "RCForest", TrackedForest)
+    tree = family_tree("cycle", 6)
+    gc.collect()
+    gc.disable()
+    try:
+        phi = parse_formula(
+            next(e.text for e in CATALOG if e.name == "two-colorable"), 2)
+        free_variables(phi)
+        assert model_check(tree, phi)
+        problem = LinEMSOProblem(
+            parse_formula("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", 2), (1,), "max")
+        assert solve_linemso(tree, problem).value == 3
+        forest = RCForest()
+        rid = reduced_char_tree_direct(forest, K2, 2)
+        assert game_on_tree(RCTree(forest, rid, 2), to_nnf(HAS_EDGE))
+        del forest
+        assert len(forests) == 2 and all(ref() is None for ref in forests)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

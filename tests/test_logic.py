@@ -196,3 +196,24 @@ def test_deep_negated_conjunctions_round_trip():
     # 80 open constructs parse; the print must not double them past the limit
     phi = parse_formula("Ex x. " + "!(x = x & " * 40 + "x = x" + ")" * 40)
     assert parse_formula(pretty_print(phi)) == phi
+
+
+def test_quantified_operands_round_trip():
+    # a quantifier operand of & or | takes one pair of parentheses, so the
+    # print opens no more constructs than the 68 of the text
+    text = "(Ex x. " * 34 + "x = x" + " & x = x)" * 34
+    phi = parse_formula(text)
+    assert pretty_print(phi).count("(") <= text.count("(")
+    assert parse_formula(pretty_print(phi)) == phi
+
+
+def test_print_groups_to_the_left():
+    a, b, c = (parse_formula(v) for v in ("x = x", "y = y", "z = z"))
+    assert pretty_print(And(And(a, b), c)) == "x = x & y = y & z = z"
+    assert pretty_print(And(a, And(b, c))) == "x = x & (y = y & z = z)"
+    assert pretty_print(Or(And(a, b), c)) == "x = x & y = y | z = z"
+    assert pretty_print(And(Or(a, b), c)) == "(x = x | y = y) & z = z"
+    assert pretty_print(Or(a, Or(b, c))) == "x = x | (y = y | z = z)"
+    for phi in (And(a, And(b, c)), Or(And(a, b), c), And(Or(a, b), c),
+                Or(a, Or(b, c)), Not(Or(a, b))):
+        assert parse_formula(pretty_print(phi)) == phi

@@ -4,24 +4,33 @@ import random
 import pytest
 
 from rwmso import (ParseTree, Relabeling, build_structure, family_tree,
-                   format_parse_tree, generate_graph, parse_tree_from_text)
+                   format_parse_tree, generate_graph, model_check, parse_formula,
+                   parse_tree_from_text)
 from rwmso.errors import RwmsoError
-from rwmso.parsetree import FAMILIES, Leaf, Node, _postorder
+from rwmso.parsetree import FAMILIES, fold
 
 from common import are_isomorphic, random_parse_tree
 
 
 def test_parse_leaf():
     tree = parse_tree_from_text("t=1\n(v)")
-    assert tree.t == 1 and isinstance(tree.root, Leaf)
+    assert tree == ParseTree(1, (), (-1,))
 
 
 def test_parse_single_node():
     tree = parse_tree_from_text("t=1\n(o 1 1 1 (v) (v))")
-    root = tree.root
-    assert isinstance(root, Node)
-    assert root.g == root.f1 == root.f2 == Relabeling((1,))
-    assert isinstance(root.left, Leaf) and isinstance(root.right, Leaf)
+    one = Relabeling((1,))
+    assert tree == ParseTree(1, ((one, one, one),), (-1, -1, 0))
+
+
+def test_parse_numbers_operators_by_first_use():
+    # the text meets the root's operator first; the code uses it last
+    text = "t=1\n(o 0 0 0 (o 1 1 1 (v) (v)) (o 1 1 1 (v) (v)))"
+    tree = parse_tree_from_text(text)
+    zero, one = Relabeling((0,)), Relabeling((1,))
+    assert tree.ops == ((one, one, one), (zero, zero, zero))
+    assert tree.code == (-1, -1, 0, -1, -1, 0, 1)
+    assert format_parse_tree(tree) == text + "\n"
 
 
 def test_parse_missing_matrix():
@@ -38,8 +47,48 @@ def test_parse_errors():
         parse_tree_from_text("t=1\n(v) (v)")
 
 
+@pytest.mark.parametrize("body", [
+    "(o 1 1 1 (v))",                  # missing child
+    "(o 1 1 1 (v) (v) (v))",          # extra child
+    "(o 1 1 1 (v) (v)) x",            # trailing token
+    "(o 1 1 1 (v) (v)))",             # trailing close
+    "(o 1 1 1 (v) (v)",               # unclosed node
+    "(o 1 1 1 (o 1 1 1 (v) (v) (v)))",  # child counts off on both nodes
+    "(x)",
+    "(v",
+    "",
+])
+def test_parse_malformed_text(body):
+    with pytest.raises(RwmsoError):
+        parse_tree_from_text("t=1\n" + body)
+
+
+_ONE = (Relabeling((1,)),) * 3
+_ZERO = (Relabeling((0,)),) * 3
+
+
+@pytest.mark.parametrize("ops,code", [
+    ((_ONE,), (-1, -1, 1)),           # operator index out of range
+    ((_ONE,), (-1, -1, -2)),
+    ((_ONE,), (-1, 0)),               # missing child
+    ((_ONE,), (-1, -1, -1, 0)),       # extra child
+    ((_ONE,), (-1, -1, 0, 0)),
+    ((), ()),                         # no tree
+    ((_ONE,), (-1,)),                 # unused operator
+    ((_ONE, _ONE), (-1, -1, 0, -1, 1)),   # operators not distinct
+    ((_ONE, _ZERO), (-1, -1, 1, -1, 0)),  # not in order of first use
+    (((Relabeling((1, 0)),) * 3,), (-1, -1, 0)),  # wrong width
+    (((1,), (1,), (1,)), (-1, -1, 0)),            # not relabelings
+    ((_ONE[:2],), (-1, -1, 0)),                   # two matrices
+    ((_ONE,), (-1, -1, "0")),
+])
+def test_malformed_code(ops, code):
+    with pytest.raises(RwmsoError):
+        ParseTree(1, ops, code)
+
+
 def test_generate_leaf():
-    g = generate_graph(ParseTree(2, Leaf()))
+    g = generate_graph(ParseTree(2, (), (-1,)))
     assert g.n == 1 and g.labels == (1,) and g.num_edges() == 0
 
 
@@ -82,8 +131,13 @@ def test_family_tree_shape():
     for family in FAMILIES:
         for n in (3, 5, 7):
             tree = family_tree(family, n)
-            assert tree.leaf_count() == n
+            assert tree.code.count(-1) == n
             assert tree.size() == 2 * n - 1
+    for family in ("path", "star", "complete"):
+        assert family_tree(family, 6).code == (-1,) + (-1, 0) * 5
+    assert family_tree("cycle", 3).code == (-1, -1, 0, -1, 1)
+    assert family_tree("cycle", 5).code == (-1, -1, 0, -1, 1, -1, 1, -1, 2)
+    assert family_tree("cograph-join", 4).code == (-1, -1, 0, -1, -1, 0, 0)
 
 
 def test_family_padding_keeps_graph():
@@ -116,11 +170,21 @@ def test_round_trip():
 
 
 def test_deep_tree_no_recursion_limit():
-    # dataclass == would recurse here, so compare the serialized form
-    tree = family_tree("path", 5000)
-    assert tree.size() == 9999
-    text = format_parse_tree(tree)
-    assert format_parse_tree(parse_tree_from_text(text)) == text
+    # caterpillars on 2^16 leaves, deep to the left (the path family) and
+    # to the right: text, equality, hash, repr and fold run without
+    # recursion
+    n = 2 ** 16
+    left_deep = family_tree("path", n, t=2)
+    right_deep = ParseTree(2, left_deep.ops, (-1,) * n + (0,) * (n - 1))
+    for tree in (left_deep, right_deep):
+        assert tree.size() == 2 * n - 1 and tree.code.count(-1) == n
+        text = format_parse_tree(tree)
+        again = parse_tree_from_text(text)
+        assert again == tree and hash(again) == hash(tree) and repr(again) == repr(tree)
+        assert format_parse_tree(again) == text
+        assert fold(tree, 1, lambda left, right, op: left + right) == n
+        assert fold(tree, 0, lambda left, right, op: max(left, right) + 1) == n - 1
+        assert model_check(tree, parse_formula("Ex x. Ex y. adj(x,y)"))
 
 
 def test_leaf_order_is_vertex_order():
@@ -130,8 +194,9 @@ def test_leaf_order_is_vertex_order():
 
 
 def test_postorder_walk_leaves_nothing_for_the_collector():
-    # the walk keeps nodes and flags on two lists, so on a left-deep
-    # caterpillar it holds no per-node container and no collection starts
+    # the fold keeps one stack of results and reads the code as ints, so
+    # on a caterpillar with int results it allocates nothing the garbage
+    # collector tracks and no collection starts
     tree = family_tree("path", 2 ** 14)
     started = []
 
@@ -142,8 +207,8 @@ def test_postorder_walk_leaves_nothing_for_the_collector():
     gc.collect()
     gc.callbacks.append(hook)
     try:
-        walked = sum(1 for _ in _postorder(tree.root))
+        leaves = fold(tree, 1, lambda left, right, op: left + right)
     finally:
         gc.callbacks.remove(hook)
-    assert walked == 2 ** 15 - 1
+    assert leaves == 2 ** 14
     assert started == []
