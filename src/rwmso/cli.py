@@ -9,8 +9,10 @@ RWMSO_MAX_Q (default 4) caps the characteristic-tree depth.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from .errors import RwmsoError
 from .games import evaluate, game_on_tree
 from .linemso import LinEMSOProblem, solve_linemso
 from .logic import (Formula, free_variables, is_sentence, move_budget,
-                    parse_formula, quantifier_rank, to_nnf)
+                    parse_formula, quantifier_rank)
 from .parsetree import (FAMILIES, ParseTree, family_tree, format_parse_tree,
                         parse_tree_from_text)
 from .rankdec import MAX_EXACT_N, exact_rankwidth
@@ -93,9 +95,8 @@ def cmd_check(args) -> int:
     _guard(args, q > _max_q(), f"quantifier rank {q} exceeds RWMSO_MAX_Q={_max_q()}")
     start = time.perf_counter()
     # games.model_check, with the tree kept for the report
-    nnf = to_nnf(phi)
-    rc = char_tree_from_parse_tree(tree, move_budget(nnf))
-    answer = game_on_tree(rc, nnf)
+    rc = char_tree_from_parse_tree(tree, move_budget(phi))
+    answer = game_on_tree(rc, phi)
     elapsed = time.perf_counter() - start
     print("true" if answer else "false")
     _report(args, {"command": "check", "answer": answer,
@@ -262,9 +263,12 @@ def cmd_bench(args) -> int:
               f"{r.peak_interned},{r.seconds:.6f}")
     slope, corr = _fit(rows)
     print(f"# time ~ slope * |T|: slope={slope:.3e} s/node, correlation={corr:.4f}")
+    # per pair of sizes, the median over repeats of their time ratio within
+    # one repeat, as criterion 6 takes it; best-of times mix repeats
     for prev, cur in zip(rows, rows[1:]):
-        if prev.seconds > 0:
-            print(f"# n {prev.n} -> {cur.n}: time ratio {cur.seconds / prev.seconds:.2f}")
+        ratios = [b / a for a, b in zip(prev.samples, cur.samples) if a > 0]
+        if ratios:
+            print(f"# n {prev.n} -> {cur.n}: time ratio {statistics.median(ratios):.2f}")
     return 0
 
 
@@ -274,7 +278,9 @@ def _add_formula_args(p):
     grp.add_argument("--formula-file", help="file containing the formula")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="rwmso",
         description="MSO1 model checking on graphs given as t-labeled parse trees")

@@ -4,11 +4,13 @@ game on reduced characteristic trees.
 The direct evaluator is the semantic oracle (exponential in set
 quantifiers); on a formula in negation normal form its any/all
 recursion is the model checking game played on the structure itself.
-The tree game never looks at the original structure: object variables
-resolve to node positions, set variables to traces.  Set-set equality
-atoms are supported by the direct evaluator only; a tree node keeps
-just the trace of each chosen set, which cannot decide equality of the
-full sets, so the tree game rejects such atoms.
+The tree game takes any formula and compiles it once into the int
+positions of its negation normal form.  It never looks at the original
+structure: each object variable resolves to its innermost binder's
+node position, each set variable to its binder's trace.  Set-set
+equality atoms are supported by the direct evaluator only; a tree node
+keeps just the trace of each chosen set, which cannot decide equality
+of the full sets, so the tree game refuses a formula containing one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .chartree import RCTree, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
-                    free_variables, is_atomic, is_nnf, is_sentence,
-                    move_budget, parse_formula, to_nnf)
+                    free_variables, is_sentence, move_budget, parse_formula)
 from .parsetree import ParseTree
 from .structures import Structure
 
@@ -106,49 +107,75 @@ class GameStats:
     evaluations: int = 0
 
 
-def _index_positions(phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...]):
-    """Assign pre-order ids to subformula positions with their collected variables."""
-    records: list[tuple[Formula, tuple[str, ...], tuple[str, ...]]] = []
-    children: dict[int, tuple[int, ...]] = {}
-    stack = [(phi, x_vars, X_vars, -1)]   # with the parent's id
-    while stack:
-        psi, objs, sets, parent = stack.pop()
-        idx = len(records)
-        records.append((psi, objs, sets))
-        children[idx] = ()
-        if parent >= 0:
-            children[parent] += (idx,)
-        if isinstance(psi, (And, Or)):
-            stack += ((psi.right, objs, sets, idx), (psi.left, objs, sets, idx))
-        elif isinstance(psi, (ExistsObj, ForallObj)):
-            stack.append((psi.sub, objs + (psi.var,), sets, idx))
-        elif isinstance(psi, (ExistsSet, ForallSet)):
-            stack.append((psi.sub, objs, sets + (psi.set_var,), idx))
-    return records, children
+# kinds of the game's positions; a position is (kind, a, b): and/or
+# have children a and b, a quantifier has its child a and b = 1 for a
+# point move or 0 for a set move, an atom has its test a and polarity b
+_ATOM, _AND, _OR, _EXISTS, _FORALL = range(5)
 
 
-def _atom_in_ordered(ord_struct, psi: Formula, objs, sets) -> bool:
-    s = ord_struct.structure
-    pos = ord_struct.positions
+def _binder(names: tuple[str, ...], v: str) -> int:
+    """Index of v's innermost binder among the variables placed so far."""
+    for i in range(len(names) - 1, -1, -1):
+        if names[i] == v:
+            return i
+    raise RwmsoError(f"free variable {v!r} of the formula is not listed")
 
-    def el(v):
-        return pos[objs.index(v)]
 
+def _compile(psi: Formula, positive: bool, objs: tuple[str, ...],
+             sets: tuple[str, ...], caps, table: list) -> int:
+    """Append psi's positions to table in pre-order; return psi's index.
+
+    A negation flips the polarity and takes no position, so the table
+    holds exactly the positions of psi's negation normal form.  Each
+    variable resolves here to its innermost binder's index, and each
+    quantifier's move is checked against the tree's budget caps.
+    """
     if isinstance(psi, Not):
-        return not _atom_in_ordered(ord_struct, psi.sub, objs, sets)
-    if isinstance(psi, Equal):
-        return el(psi.left) == el(psi.right)
-    if isinstance(psi, Adj):
-        return s.has_edge(el(psi.left), el(psi.right))
+        return _compile(psi.sub, not positive, objs, sets, caps, table)
+    pos = len(table)
+    table.append(None)
+    if isinstance(psi, (And, Or)):
+        kind = _AND if isinstance(psi, And) == positive else _OR
+        left = _compile(psi.left, positive, objs, sets, caps, table)
+        table[pos] = (kind, left, _compile(psi.right, positive, objs, sets, caps, table))
+    elif isinstance(psi, (ExistsObj, ForallObj, ExistsSet, ForallSet)):
+        point = isinstance(psi, (ExistsObj, ForallObj))
+        if point:
+            objs += (psi.var,)
+        else:
+            sets += (psi.set_var,)
+        m, p = len(objs), len(sets)
+        if not in_budget(caps, m, p):
+            raise DepthBudgetError(
+                f"a {'point' if point else 'set'} move to m={m}, p={p} is outside "
+                f"the tree's move budget {list(caps)}: build the tree for the "
+                "formula's budget")
+        kind = _EXISTS if isinstance(psi, (ExistsObj, ExistsSet)) == positive else _FORALL
+        table[pos] = (kind, _compile(psi.sub, positive, objs, sets, caps, table), int(point))
+    else:
+        table[pos] = (_ATOM, _atom_test(psi, objs, sets), positive)
+    return pos
+
+
+def _atom_test(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]):
+    """The atom as a test on a node's ordered structure, its variables
+    resolved to position and trace indices."""
+    if isinstance(psi, (Equal, Adj)):
+        i, j = _binder(objs, psi.left), _binder(objs, psi.right)
+        if isinstance(psi, Equal):
+            return lambda o: o.positions[i] == o.positions[j]
+        return lambda o: o.structure.has_edge(o.positions[i], o.positions[j])
     if isinstance(psi, Label):
-        return bool((s.labels[el(psi.var)] >> (psi.index - 1)) & 1)
+        i, bit = _binder(objs, psi.var), psi.index - 1
+        return lambda o: (o.structure.labels[o.positions[i]] >> bit) & 1
     if isinstance(psi, In):
-        return bool((ord_struct.set_traces[sets.index(psi.set_var)] >> el(psi.var)) & 1)
+        k, i = _binder(sets, psi.set_var), _binder(objs, psi.var)
+        return lambda o: (o.set_traces[k] >> o.positions[i]) & 1
     if isinstance(psi, SetEqual):
         raise RwmsoError(
             "set-set equality cannot be decided from set traces; "
             "use the direct evaluator or rewrite via a point quantifier")
-    raise RwmsoError(f"not an atomic formula: {psi!r}")
+    raise RwmsoError(f"unknown formula node {psi!r}")
 
 
 def game_on_tree(tree: RCTree, phi: Formula,
@@ -156,43 +183,29 @@ def game_on_tree(tree: RCTree, phi: Formula,
                  stats: GameStats | None = None) -> bool:
     """Winner of the model checking game on a reduced characteristic tree.
 
-    Object quantifiers descend along point extensions, set quantifiers
-    along set extensions, connectives stay on the node, and atoms are
-    decided inside the node label with the i-th collected variable bound
-    to the i-th position (or trace).  Memoized per (node, position).
-    Raises DepthBudgetError, before playing, if phi has a quantifier
-    whose move the tree was not built for.
+    phi, any formula, is compiled once into the int positions of its
+    negation normal form.  Object quantifiers descend along point
+    extensions, set quantifiers along set extensions, connectives stay
+    on the node, and atoms are decided inside the node label, each
+    variable at its innermost binder's position (or trace), after the
+    listed x_vars and X_vars.  Memoized per (node, position).  Before
+    playing, raises RwmsoError for an unlisted free variable or a
+    set-set equality anywhere in phi, and DepthBudgetError for a
+    quantifier whose move the tree was not built for.
     """
     if not isinstance(tree, RCTree):
         raise RwmsoError(f"the game needs an RCTree, got {type(tree).__name__}")
-    if not is_nnf(phi):
-        raise RwmsoError("the game is defined on negation normal form")
-    fv = free_variables(phi)
-    if set(fv.objects) - set(x_vars) or set(fv.sets) - set(X_vars):
-        raise RwmsoError("free variables of the formula must be listed")
     if len(set(x_vars)) != len(x_vars) or len(set(X_vars)) != len(X_vars):
         raise RwmsoError("duplicate variable names")
 
     forest = tree.forest
-    caps = tree.budget
     root = forest.node(tree.root)
     if root.m != len(x_vars) or root.p != len(X_vars):
         raise RwmsoError(
             f"tree was built for m={root.m}, p={root.p}; "
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
-
-    records, children = _index_positions(phi, tuple(x_vars), tuple(X_vars))
-    for psi, objs, sets in records:
-        if isinstance(psi, (ExistsObj, ForallObj)):
-            kind, m, p = "point", len(objs) + 1, len(sets)
-        elif isinstance(psi, (ExistsSet, ForallSet)):
-            kind, m, p = "set", len(objs), len(sets) + 1
-        else:
-            continue
-        if not in_budget(caps, m, p):
-            raise DepthBudgetError(
-                f"a {kind} move to m={m}, p={p} is outside the tree's move "
-                f"budget {list(caps)}: build the tree for the formula's budget")
+    table: list[tuple] = []
+    _compile(phi, True, tuple(x_vars), tuple(X_vars), tree.budget, table)
     memo: dict[tuple[int, int], bool] = {}
 
     def rec(nid: int, pos: int) -> bool:
@@ -202,24 +215,20 @@ def game_on_tree(tree: RCTree, phi: Formula,
             return hit
         if stats is not None:
             stats.evaluations += 1
-        psi, objs, sets = records[pos]
+        kind, a, b = table[pos]
         node = forest.node(nid)
-        if is_atomic(psi) or isinstance(psi, Not):
-            out = _atom_in_ordered(node.ord, psi, objs, sets)
-        elif isinstance(psi, (And, Or)):
-            l, r = children[pos]
-            if isinstance(psi, And):
-                out = rec(nid, l) and rec(nid, r)
-            else:
-                out = rec(nid, l) or rec(nid, r)
+        if kind == _ATOM:
+            out = a(node.ord) == b
+        elif kind == _AND:
+            out = rec(nid, a) and rec(nid, b)
+        elif kind == _OR:
+            out = rec(nid, a) or rec(nid, b)
         else:
-            point = isinstance(psi, (ExistsObj, ForallObj))
-            moves = node.point_children if point else node.set_children
-            (sub,) = children[pos]
-            if isinstance(psi, (ExistsObj, ExistsSet)):
-                out = any(rec(ch, sub) for ch in moves)
+            moves = node.point_children if b else node.set_children
+            if kind == _EXISTS:
+                out = any(rec(ch, a) for ch in moves)
             else:
-                out = all(rec(ch, sub) for ch in moves)
+                out = all(rec(ch, a) for ch in moves)
         memo[mk] = out
         return out
 
@@ -241,8 +250,7 @@ def model_check(tree: ParseTree, phi: Formula) -> bool:
     """
     if not is_sentence(phi):
         raise RwmsoError("model checking requires a sentence (no free variables)")
-    nnf = to_nnf(phi)
-    return game_on_tree(char_tree_from_parse_tree(tree, move_budget(nnf)), nnf)
+    return game_on_tree(char_tree_from_parse_tree(tree, move_budget(phi)), phi)
 
 
 # --- formula catalog (shared test fixture) --------------------------------

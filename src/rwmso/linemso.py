@@ -18,7 +18,7 @@ from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
                        tree_cross_product)
 from .errors import RwmsoError
 from .games import game_on_tree
-from .logic import Formula, free_variables, move_budget, to_nnf
+from .logic import Formula, free_variables, move_budget
 from .parsetree import ParseTree, fold
 from .structures import Structure
 
@@ -66,7 +66,6 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
     weights = problem.weights
     l = len(weights)
     budget = problem.budget
-    nnf = to_nnf(problem.phi)
     set_vars = problem.set_vars
     forest = RCForest()
     prefer_larger = problem.direction == "max"
@@ -80,7 +79,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
     leaf_states: dict[int, tuple[int, tuple[frozenset[int], ...]]] = {}
     for choice in range(1 << l):
         masks = tuple((choice >> i) & 1 for i in range(l))
-        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks)
+        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks,
+                                       force=True)
         value = sum(w for w, m in zip(weights, masks) if m)
         witness = tuple(frozenset({0} if m else ()) for m in masks)
         old = leaf_states.get(rid)
@@ -105,7 +105,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
     classes, _ = fold(tree, (leaf_states, 1), combine)
     best: tuple[int, tuple[frozenset[int], ...]] | None = None
     for rid, (value, witness) in classes.items():
-        if not game_on_tree(RCTree(forest, rid, budget), nnf, (), set_vars):
+        if not game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars):
             continue
         if best is None or better(value, best[0]):
             best = (value, witness)

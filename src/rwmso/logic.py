@@ -13,8 +13,9 @@ Grammar (whitespace-insensitive)::
 
 Object variables start lowercase, set variables uppercase.  ``Ex``,
 ``Ax``, ``EX``, ``AX``, ``adj`` and ``label<digits>`` are reserved.
-Bound variables are alpha-renamed at parse time so that every binder
-introduces a globally fresh name, disjoint from all free variables.
+A variable refers to its innermost binder, so names may be reused: in
+``x = x & (Ex x. Ax x. adj(x,x))`` the first two x are free and the
+last two are bound by ``Ax x``.  The parser keeps names as written.
 Nesting past MAX_NESTING levels is a FormulaSyntaxError.
 """
 
@@ -304,56 +305,11 @@ class _Parser:
 
 
 def parse_formula(text: str, t: int | None = 1) -> Formula:
-    """Parse the concrete syntax; bound variables are made unique.  Label
-    indices must lie in 1..t, or be any index >= 1 when t is None."""
+    """Parse the concrete syntax, keeping every variable name as written.
+    Label indices must lie in 1..t, or be any index >= 1 when t is None."""
     if t is not None and t < 0:
         raise RwmsoError("label width must be nonnegative")
-    tokens = _tokenize(text)
-    phi = _Parser(tokens, len(text), t).parse()
-    return _alpha_rename(phi)
-
-
-def _alpha_rename(phi: Formula) -> Formula:
-    fv = free_variables(phi)
-    claimed = set(fv.objects) | set(fv.sets)
-
-    def fresh(name: str) -> str:
-        if name not in claimed:
-            return name
-        k = 2
-        while f"{name}{k}" in claimed:
-            k += 1
-        return f"{name}{k}"
-
-    def walk(psi: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(psi, Equal):
-            return Equal(env.get(psi.left, psi.left), env.get(psi.right, psi.right))
-        if isinstance(psi, SetEqual):
-            return SetEqual(env.get(psi.left, psi.left), env.get(psi.right, psi.right))
-        if isinstance(psi, Adj):
-            return Adj(env.get(psi.left, psi.left), env.get(psi.right, psi.right))
-        if isinstance(psi, Label):
-            return Label(psi.index, env.get(psi.var, psi.var))
-        if isinstance(psi, In):
-            return In(env.get(psi.set_var, psi.set_var), env.get(psi.var, psi.var))
-        if isinstance(psi, Not):
-            return Not(walk(psi.sub, env))
-        if isinstance(psi, (And, Or)):
-            return type(psi)(walk(psi.left, env), walk(psi.right, env))
-        if isinstance(psi, (ExistsObj, ForallObj)):
-            new = fresh(psi.var)
-            claimed.add(new)
-            return type(psi)(new, walk(psi.sub, {**env, psi.var: new}))
-        if isinstance(psi, (ExistsSet, ForallSet)):
-            new = fresh(psi.set_var)
-            claimed.add(new)
-            return type(psi)(new, walk(psi.sub, {**env, psi.set_var: new}))
-        raise RwmsoError(f"unknown formula node {psi!r}")
-
-    try:
-        return walk(phi, {})
-    finally:
-        del walk  # walk reaches itself through its closure cell
+    return _Parser(_tokenize(text), len(text), t).parse()
 
 
 def pretty_print(phi: Formula) -> str:
@@ -430,7 +386,10 @@ def move_budget(phi: Formula, objects: int = 0, sets: int = 0) -> tuple[int, ...
 
 
 def to_nnf(phi: Formula) -> Formula:
-    """Push negations to the atoms; preserves quantifier rank."""
+    """Push negations to the atoms; preserves quantifier rank.
+
+    The tree game takes any formula; on an NNF formula, evaluate's
+    any/all recursion is the game played on the structure itself."""
     if is_atomic(phi):
         return phi
     if isinstance(phi, (And, Or)):

@@ -109,12 +109,6 @@ class Relabeling:
     def apply(self, label_row: int) -> int:
         return gf2.vec_times_matrix(label_row, self.rows)
 
-    def then(self, other: "Relabeling") -> "Relabeling":
-        """The map `self` followed by `other` (labels x T_self x T_other)."""
-        if other.t != self.t:
-            raise WidthMismatchError("relabeling widths differ")
-        return Relabeling(gf2.mat_mul(self.rows, other.rows))
-
     @staticmethod
     def identity(t: int) -> "Relabeling":
         return Relabeling(gf2.identity(t))

@@ -151,7 +151,8 @@ def full_tree_game(node, phi, objs=(), sets=()):
     """The model checking game on a full characteristic tree, memo-free.
 
     objs and sets name the variables bound to node.c and node.traces in
-    order; quantifiers extend them and descend to the move's child.
+    order; quantifiers extend them and descend to the move's child, and a
+    name refers to the last (innermost) entry that carries it.
     """
     if isinstance(phi, Not):
         return not full_tree_game(node, phi.sub, objs, sets)
@@ -169,8 +170,12 @@ def full_tree_game(node, phi, objs=(), sets=()):
                     for ch in node.set_children]
         return any(wins) if isinstance(phi, (ExistsObj, ExistsSet)) else all(wins)
 
+    def innermost(names, v):
+        # the last listed or bound variable named v binds it
+        return len(names) - 1 - names[::-1].index(v)
+
     def el(v):
-        return node.c[objs.index(v)]
+        return node.c[innermost(objs, v)]
 
     def vertex(v):
         return node.elems.index(el(v))
@@ -182,7 +187,7 @@ def full_tree_game(node, phi, objs=(), sets=()):
     if isinstance(phi, Label):
         return bool((node.struct.labels[vertex(phi.var)] >> (phi.index - 1)) & 1)
     if isinstance(phi, In):
-        return el(phi.var) in node.traces[sets.index(phi.set_var)]
+        return el(phi.var) in node.traces[innermost(sets, phi.set_var)]
     raise AssertionError(f"no full-tree atom for {phi!r}")
 
 

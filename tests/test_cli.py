@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rwmso import format_graph, format_parse_tree, family_tree, generate_graph
+from rwmso import cli
 from rwmso.cli import main
 
 
@@ -215,3 +216,35 @@ def test_bench_bad_n_list(capsys):
     assert main(["bench", "--family", "path", "--n-list", "a"]) == 2
     err = capsys.readouterr().err
     assert "--n-list" in err and "'a'" in err
+
+
+def test_optimize_force_lifts_the_leaf_tree_guard(tmp_path, capsys):
+    # nine point moves over a one-vertex leaf: ~3^9 direct moves, past
+    # the direct construction's guard, which --force must lift
+    p2 = tmp_path / "p2.pt"
+    p2.write_text(format_parse_tree(family_tree("path", 2)))
+    phi = "Ax a. " * 9 + "(!X(a) | a = a)"
+    assert main(["optimize", "--parse-tree", str(p2), "--formula", phi,
+                 "--weights", "1"]) == 2           # RWMSO_MAX_Q refuses
+    capsys.readouterr()
+    assert main(["optimize", "--parse-tree", str(p2), "--formula", phi,
+                 "--weights", "1", "--force"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["value 2", "X = {0, 1}"]
+    assert main(["check", "--parse-tree", str(p2), "--formula", "EX X. " + phi,
+                 "--force"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["true"]
+
+
+def test_bench_ratio_is_the_median_of_paired_ratios(monkeypatch, capsys):
+    # best-of times 0.01 and 0.06 give 6.0; within each repeat the
+    # ratios are 6, 2 and 2, so the median is 2
+    rows = [cli.BenchRow(8, 15, 1, 1, 0.01, (0.01, 0.03, 0.03)),
+            cli.BenchRow(16, 31, 1, 1, 0.06, (0.06, 0.06, 0.06))]
+    monkeypatch.setattr(cli, "run_bench", lambda *args: rows)
+    assert main(["bench", "--family", "path", "--n-list", "8,16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "# n 8 -> 16: time ratio 2.00"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()

@@ -8,10 +8,11 @@ import pytest
 from rwmso import (Assignment, GameStats, build_structure, evaluate,
                    family_tree, game_on_tree, generate_graph, model_check,
                    parse_formula, quantifier_rank, to_nnf)
-from rwmso.chartree import RCForest, RCTree, reduced_char_tree_direct
+from rwmso.chartree import (RCForest, RCTree, char_tree_from_parse_tree,
+                            reduced_char_tree_direct)
 from rwmso.errors import DepthBudgetError, RwmsoError
 from rwmso.games import CATALOG, catalog
-from rwmso.logic import free_variables
+from rwmso.logic import Not, free_variables, move_budget
 
 from common import (all_structures, full_char_tree, full_tree_game,
                     random_structure)
@@ -69,11 +70,76 @@ def test_evaluate_vacuous_and_atomic():
     assert evaluate(K2, phi, Assignment(objects={"x": 1}))
 
 
-def test_game_on_tree_requires_nnf():
+def _game(g, phi, xs=(), Xs=(), objs=(), sets=(), stats=None):
+    """game_on_tree on g's direct reduced tree for phi's move budget."""
     forest = RCForest()
-    rc = RCTree(forest, reduced_char_tree_direct(forest, K2, 1), 1)
-    with pytest.raises(RwmsoError, match="negation normal form"):
-        game_on_tree(rc, parse_formula("!(Ex x. adj(x,x))"))
+    budget = move_budget(phi, len(xs), len(Xs))
+    rid = reduced_char_tree_direct(forest, g, budget, objs, sets)
+    return game_on_tree(RCTree(forest, rid, budget), phi, xs, Xs, stats)
+
+
+def test_game_on_tree_takes_any_formula():
+    # a negation takes no position: phi is played as its NNF, with the
+    # same answer and the same (node, position) evaluations
+    texts = ["!(Ex x. adj(x,x))", "!!(Ex x. Ex y. adj(x,y))",
+             "!(Ax x. (label1(x) | !(Ex y. (adj(x,y) & !label1(y)))))",
+             "!(EX S. !(Ax x. !(S(x) & !label1(x))))"]
+    for g in itertools.chain(all_structures(2), all_structures(3)):
+        for text in texts:
+            phi = parse_formula(text)
+            got, nnf = GameStats(), GameStats()
+            assert _game(g, phi, stats=got) == evaluate(g, phi), (text, g)
+            assert _game(g, to_nnf(phi), stats=nnf) == evaluate(g, phi)
+            assert got.evaluations == nnf.evaluations
+    forest = RCForest()
+    for family, n in (("path", 4), ("cycle", 5)):
+        tree = family_tree(family, n, t=2)
+        g = generate_graph(tree)
+        for name, phi in catalog(t=2):
+            neg = Not(phi)
+            rc = char_tree_from_parse_tree(tree, move_budget(neg), forest)
+            got, nnf = GameStats(), GameStats()
+            assert game_on_tree(rc, neg, stats=got) == evaluate(g, neg), name
+            assert game_on_tree(rc, to_nnf(neg), stats=nnf) == evaluate(g, neg)
+            assert got.evaluations == nnf.evaluations
+
+
+def test_reused_names_resolve_to_innermost_binder():
+    texts = ["Ex x. Ax x. label1(x)",                               # nested
+             "Ex x. (label1(x) & (Ex x. !label1(x)))",
+             "Ex x. Ex y. (adj(x,y) & (Ax x. (x = y | adj(x,y))))",
+             "(Ex x. label1(x)) & (Ax x. Ex y. adj(x,y))",          # siblings
+             "(Ex x. label1(x)) & (Ex x. !label1(x))",
+             "EX S. ((Ex x. S(x)) & (EX S. Ax x. !S(x)))"]          # sets
+    for text in texts:
+        phi = parse_formula(text)
+        budget = move_budget(phi)
+        for g in itertools.chain(all_structures(2), all_structures(3)):
+            want = evaluate(g, phi)
+            assert _game(g, phi) == want, (text, g)
+            full = full_char_tree(g, len(budget) - 1 + budget[-1])
+            assert full_tree_game(full, phi) == want, (text, g)
+
+
+def test_binder_may_reuse_a_listed_free_name():
+    cases = [("label1(x) & (Ex x. !label1(x))", ("x",), ()),
+             ("Ex y. (adj(x,y) & (Ax x. (x = y | adj(x,y))))", ("x",), ()),
+             ("S(x) & (EX S. Ex y. (adj(x,y) & !S(y)))", ("x",), ("S",))]
+    for text, xs, Xs in cases:
+        phi = parse_formula(text)
+        for g in itertools.chain(all_structures(2), all_structures(3)):
+            for objs in itertools.product(range(g.n), repeat=len(xs)):
+                for masks in itertools.product(range(1 << g.n), repeat=len(Xs)):
+                    alpha = Assignment(dict(zip(xs, objs)), dict(
+                        (X, frozenset(v for v in range(g.n) if (m >> v) & 1))
+                        for X, m in zip(Xs, masks)))
+                    want = evaluate(g, phi, alpha)
+                    assert _game(g, phi, xs, Xs, objs, masks) == want, (text, g)
+
+
+def test_unlisted_free_variable_is_refused():
+    with pytest.raises(RwmsoError, match="'y' of the formula is not listed"):
+        _game(K2, parse_formula("Ex x. adj(x, y)"), ("x",), (), (0,))
 
 
 def test_game_on_tree_rejects_other_trees():
@@ -108,6 +174,14 @@ def test_game_on_tree_rejects_set_equality():
     rid = reduced_char_tree_direct(forest, K2, 2, (), ({0}, {0}))
     with pytest.raises(RwmsoError, match="set-set equality"):
         game_on_tree(RCTree(forest, rid, 2), phi, (), ("S", "T"))
+    # refused even where x = x decides the disjunction before the game
+    # could reach S = T
+    phi = parse_formula("Ex x. (x = x | (EX S. EX T. S = T))")
+    assert evaluate(K2, phi)
+    with pytest.raises(RwmsoError, match="set-set equality"):
+        _game(K2, phi)
+    with pytest.raises(RwmsoError, match="set-set equality"):
+        model_check(family_tree("path", 2), phi)
 
 
 def test_game_on_tree_depth_budget():
