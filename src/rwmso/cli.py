@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .chartree import RCForest, RCTree, char_tree_from_parse_tree, rc_dump
 from .errors import RwmsoError
 from .games import evaluate, game_on_tree
-from .linemso import LinEMSOProblem, solve_linemso
+from .linemso import DPStats, LinEMSOProblem, solve_linemso
 from .logic import (Formula, free_variables, is_sentence, move_budget,
                     parse_formula, quantifier_rank)
 from .parsetree import (FAMILIES, ParseTree, family_tree, format_parse_tree,
@@ -134,10 +134,13 @@ def cmd_optimize(args) -> int:
     q = quantifier_rank(phi) + len(weights)
     _guard(args, q > _max_q(),
            f"needs characteristic trees of depth {q} > RWMSO_MAX_Q={_max_q()}")
+    stats = DPStats()
     start = time.perf_counter()
-    result = solve_linemso(tree, problem)
+    result = solve_linemso(tree, problem, stats)
     elapsed = time.perf_counter() - start
-    budget_fields = {"q": q, "moveBudget": list(problem.budget)}
+    budget_fields = {"q": q, "moveBudget": list(problem.budget),
+                     "dpPeakStates": stats.peak_states,
+                     "dpStatesDropped": stats.states_dropped}
     if result is None:
         print("INFEASIBLE")
         _report(args, {"command": "optimize", "answer": None, **budget_fields,

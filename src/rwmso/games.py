@@ -11,6 +11,8 @@ node position, each set variable to its binder's trace.  Set-set
 equality atoms are supported by the direct evaluator only; a tree node
 keeps just the trace of each chosen set, which cannot decide equality
 of the full sets, so the tree game refuses a formula containing one.
+Verdicts reads the game's compiled table for three-valued verdicts that
+no composition context can change; LinEMSO prunes its states by them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .chartree import RCTree, char_tree_from_parse_tree, in_budget
+from .chartree import RCTree, as_budget, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
@@ -109,8 +111,10 @@ class GameStats:
 
 # kinds of the game's positions; a position is (kind, a, b): and/or
 # have children a and b, a quantifier has its child a and b = 1 for a
-# point move or 0 for a set move, an atom has its test a and polarity b
-_ATOM, _AND, _OR, _EXISTS, _FORALL = range(5)
+# point move or 0 for a set move, an atom has its test a and polarity b.
+# Label atoms have their own kind because a later relabeling can change
+# them (see Verdicts); the game plays both atom kinds alike.
+_LABEL, _ATOM, _AND, _OR, _EXISTS, _FORALL = range(6)
 
 
 def _binder(names: tuple[str, ...], v: str) -> int:
@@ -153,7 +157,8 @@ def _compile(psi: Formula, positive: bool, objs: tuple[str, ...],
         kind = _EXISTS if isinstance(psi, (ExistsObj, ExistsSet)) == positive else _FORALL
         table[pos] = (kind, _compile(psi.sub, positive, objs, sets, caps, table), int(point))
     else:
-        table[pos] = (_ATOM, _atom_test(psi, objs, sets), positive)
+        kind = _LABEL if isinstance(psi, Label) else _ATOM
+        table[pos] = (kind, _atom_test(psi, objs, sets), positive)
     return pos
 
 
@@ -217,7 +222,7 @@ def game_on_tree(tree: RCTree, phi: Formula,
             stats.evaluations += 1
         kind, a, b = table[pos]
         node = forest.node(nid)
-        if kind == _ATOM:
+        if kind <= _ATOM:
             out = a(node.ord) == b
         elif kind == _AND:
             out = rec(nid, a) and rec(nid, b)
@@ -239,6 +244,87 @@ def game_on_tree(tree: RCTree, phi: Formula,
         # frees it and the memo now instead of leaving a cycle to the
         # garbage collector
         del rec
+
+
+# --- stable verdicts ------------------------------------------------------
+
+# three-valued verdicts, ordered so that Kleene's and/or are min/max
+BOTTOM, UNKNOWN, TOP = range(3)
+
+
+class Verdicts:
+    """Three-valued verdicts of phi's positions on the nodes of a forest.
+
+    The verdict of a node of a subgraph's reduced tree is TOP (BOTTOM)
+    only if the position is won (lost) in every graph the subgraph is
+    composed into, whatever the placed sets contain outside it.
+    Compositions add edges only across their two sides, so atoms over
+    placed vertices are final, except label atoms, which later
+    relabelings change: those are UNKNOWN.  And/or follow Kleene logic.
+    An existential move is TOP if some child is, a universal one BOTTOM
+    if some child is (point and set moves alike); a witness or a
+    counterexample outside the subgraph may still come, so nothing else
+    is decided.
+
+    phi is compiled once into the game's position table; verdicts are
+    memoized per (node id, position).  can_fail is the static pass: it
+    is False when no verdict at position 0 can be BOTTOM, because every
+    path to a decided atom passes an existential move, a label atom or
+    a disjunct that cannot fail.
+    """
+
+    def __init__(self, forest, phi: Formula, x_vars: tuple[str, ...],
+                 X_vars: tuple[str, ...], budget):
+        self.table: list[tuple] = []
+        _compile(phi, True, tuple(x_vars), tuple(X_vars), as_budget(budget),
+                 self.table)
+        self.node = forest.node
+        self.memo: dict[int, int] = {}
+        self.can_fail = _can_fail(self.table)
+
+    def at(self, nid: int, pos: int = 0) -> int:
+        """The verdict of position pos at node nid."""
+        key = nid * len(self.table) + pos
+        out = self.memo.get(key)
+        if out is not None:
+            return out
+        kind, a, b = self.table[pos]
+        node = self.node(nid)
+        if kind == _ATOM:
+            out = TOP if a(node.ord) == b else BOTTOM
+        elif kind == _LABEL:
+            out = UNKNOWN
+        elif kind == _AND:
+            out = self.at(nid, a)
+            if out != BOTTOM:
+                out = min(out, self.at(nid, b))
+        elif kind == _OR:
+            out = self.at(nid, a)
+            if out != TOP:
+                out = max(out, self.at(nid, b))
+        else:
+            moves = node.point_children if b else node.set_children
+            decided = TOP if kind == _EXISTS else BOTTOM
+            out = decided if any(self.at(ch, a) == decided for ch in moves) else UNKNOWN
+        self.memo[key] = out
+        return out
+
+
+def _can_fail(table: list[tuple]) -> bool:
+    """Whether some verdict of position 0 can be BOTTOM.  Children follow
+    their parent in the pre-order table, so one backward scan does."""
+    fail = [False] * len(table)
+    for pos in range(len(table) - 1, -1, -1):
+        kind, a, b = table[pos]
+        if kind == _ATOM:
+            fail[pos] = True
+        elif kind == _AND:
+            fail[pos] = fail[a] or fail[b]
+        elif kind == _OR:
+            fail[pos] = fail[a] and fail[b]
+        elif kind == _FORALL:
+            fail[pos] = fail[a]
+    return fail[0]
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:

@@ -26,11 +26,6 @@ def vec_times_matrix(v: int, rows: Sequence[int]) -> int:
     return out
 
 
-def mat_mul(a_rows: Sequence[int], b_rows: Sequence[int]) -> tuple[int, ...]:
-    """Matrix product A x B, both given as row ints."""
-    return tuple(vec_times_matrix(r, b_rows) for r in a_rows)
-
-
 def identity(t: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(t))
 

@@ -8,6 +8,15 @@ to the best weight (plus one witness) reaching that tree.  The 2^l leaf
 states are built once per solve and combined pairwise with the tree
 cross product.  At the root, the game decides which states satisfy the
 formula.
+
+At every parse node the solver drops the states the formula has
+already lost: those whose three-valued verdict (games.Verdicts) at the
+tree's root is BOTTOM.  The verdict is BOTTOM only if the formula fails
+in every graph the subtree is composed into, for every extension of
+the chosen sets outside it, so every state built from a dropped one
+fails at the root too, and dropping it changes neither the optimum nor
+the first-found witness.  When the formula's static pass shows that no
+verdict can be BOTTOM, no verdict is computed.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
                        tree_cross_product)
 from .errors import RwmsoError
-from .games import game_on_tree
+from .games import BOTTOM, Verdicts, game_on_tree
 from .logic import Formula, free_variables, move_budget
 from .parsetree import ParseTree, fold
 from .structures import Structure
@@ -55,23 +64,51 @@ class LinEMSOResult:
     witness: tuple[frozenset[int], ...]
 
 
-def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | None:
+@dataclass
+class DPStats:
+    """The most states kept at any parse node, and the states dropped."""
+
+    peak_states: int = 0
+    states_dropped: int = 0
+
+
+def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
+                  stats: DPStats | None = None) -> LinEMSOResult | None:
     """Optimize sum a_i |U_i| over set tuples satisfying the formula.
 
     Returns None when no assignment satisfies it.  The characteristic
     trees are built for phi's move budget offset by the l preloaded
     sets, which occupy the first l set moves: every tree starts at
     (m, p) = (0, l) and has exactly the moves the game at the root takes.
+
+    Each parse node keeps only the states whose verdict is not BOTTOM,
+    memoized per (tree id, position) for the whole solve.  Composition
+    adds edges only across its two sides, so an atom over vertices of
+    the subtree is final, except a label atom, and a universal move
+    lost inside the subtree stays lost in any context.  stats, if
+    given, receives the peak and dropped state counts.
     """
     weights = problem.weights
     l = len(weights)
     budget = problem.budget
     set_vars = problem.set_vars
     forest = RCForest()
+    verdicts = Verdicts(forest, problem.phi, (), set_vars, budget)
+    if stats is None:
+        stats = DPStats()
     prefer_larger = problem.direction == "max"
 
     def better(a: int, b: int) -> bool:
         return a > b if prefer_larger else a < b
+
+    def survivors(states: dict) -> dict:
+        if verdicts.can_fail:
+            verdict = verdicts.at
+            kept = {rid: s for rid, s in states.items() if verdict(rid) != BOTTOM}
+            stats.states_dropped += len(states) - len(kept)
+            states = kept
+        stats.peak_states = max(stats.peak_states, len(states))
+        return states
 
     # states per subtree: interned tree id -> (weight, witness); ties keep
     # the first-found witness, so results are deterministic
@@ -86,20 +123,22 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem) -> LinEMSOResult | N
         old = leaf_states.get(rid)
         if old is None or better(value, old[0]):
             leaf_states[rid] = (value, witness)
+    leaf_states = survivors(leaf_states)
 
     def combine(left, right, op):
         (states1, n1), (states2, n2) = left, right
-        combined = {}
+        # the best pair per product; witnesses are built for survivors only
+        pairs = {}
         for id1, (v1, w1) in states1.items():
             for id2, (v2, w2) in states2.items():
                 rid = tree_cross_product(forest, id1, id2, budget, op)
                 value = v1 + v2
-                old = combined.get(rid)
+                old = pairs.get(rid)
                 if old is None or better(value, old[0]):
-                    witness = tuple(
-                        a | frozenset(x + n1 for x in b)
-                        for a, b in zip(w1, w2))
-                    combined[rid] = (value, witness)
+                    pairs[rid] = (value, w1, w2)
+        combined = {
+            rid: (value, tuple(a | frozenset(x + n1 for x in b) for a, b in zip(w1, w2)))
+            for rid, (value, w1, w2) in survivors(pairs).items()}
         return combined, n1 + n2
 
     classes, _ = fold(tree, (leaf_states, 1), combine)

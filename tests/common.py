@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the code paths it
 checks: ranks by list-of-list elimination, reduction by merging the
 full move tree, the game played on that unmerged tree, optima by
-subset enumeration.
+subset enumeration, and the LinEMSO dynamic program without state
+pruning.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from rwmso import (Assignment, ParseTree, Relabeling, Structure,
-                   build_structure, evaluate, ordered_induced)
+from rwmso import (Assignment, LinEMSOResult, ParseTree, RCForest, RCTree,
+                   Relabeling, Structure, build_structure, evaluate,
+                   game_on_tree, ordered_induced, reduced_char_tree_direct,
+                   tree_cross_product)
+from rwmso.parsetree import fold
 from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                          ForallSet, In, Label, Not, Or)
 
@@ -233,6 +237,20 @@ def naive_rank(rows):
     return rank
 
 
+def mat_mul(a_rows, b_rows):
+    """GF(2) matrix product A x B, both given as row ints (bit j of row i
+    is entry (i, j)): row i of the product XORs the rows of B that row i
+    of A selects."""
+    out = []
+    for row in a_rows:
+        acc = 0
+        for k, b in enumerate(b_rows):
+            if (row >> k) & 1:
+                acc ^= b
+        out.append(acc)
+    return tuple(out)
+
+
 def brute_force_linemso(g, phi, set_vars, weights, direction):
     """Optimal (value, witness) over all tuples of vertex subsets, or None."""
     best = None
@@ -246,3 +264,42 @@ def brute_force_linemso(g, phi, set_vars, weights, direction):
         if best is None or (value > best[0] if direction == "max" else value < best[0]):
             best = (value, choice)
     return best
+
+
+def unpruned_linemso(tree, problem):
+    """The LinEMSO dynamic program keeping every state: one state per
+    interned tree id at every parse node, the game at the root only.
+    Ties keep the first-found witness, as the solver does."""
+    weights, budget, set_vars = problem.weights, problem.budget, problem.set_vars
+    forest = RCForest()
+    sign = 1 if problem.direction == "max" else -1
+    leaf_struct = Structure(1, tree.t, (0,), (1,))
+    leaf_states = {}
+    for choice in range(1 << len(weights)):
+        masks = tuple((choice >> i) & 1 for i in range(len(weights)))
+        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks,
+                                       force=True)
+        value = sum(w for w, m in zip(weights, masks) if m)
+        old = leaf_states.get(rid)
+        if old is None or sign * value > sign * old[0]:
+            leaf_states[rid] = (value, tuple(frozenset({0} if m else ()) for m in masks))
+
+    def combine(left, right, op):
+        (states1, n1), (states2, n2) = left, right
+        combined = {}
+        for id1, (v1, w1) in states1.items():
+            for id2, (v2, w2) in states2.items():
+                rid = tree_cross_product(forest, id1, id2, budget, op)
+                old = combined.get(rid)
+                if old is None or sign * (v1 + v2) > sign * old[0]:
+                    combined[rid] = (v1 + v2, tuple(
+                        a | frozenset(x + n1 for x in b) for a, b in zip(w1, w2)))
+        return combined, n1 + n2
+
+    classes, _ = fold(tree, (leaf_states, 1), combine)
+    best = None
+    for rid, (value, witness) in classes.items():
+        if (game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars)
+                and (best is None or sign * value > sign * best[0])):
+            best = (value, witness)
+    return None if best is None else LinEMSOResult(*best)

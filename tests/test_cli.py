@@ -141,6 +141,42 @@ def test_optimize(p4_file, capsys):
     assert report["q"] == 3 and report["moveBudget"] == [2, 2]
 
 
+def _optimize_json(tmp_path, capsys, family, n, formula, weights, direction):
+    path = tmp_path / f"{family}{n}.pt"
+    path.write_text(format_parse_tree(family_tree(family, n)))
+    assert main(["optimize", "--parse-tree", str(path), "--formula", formula,
+                 "--weights", weights, "--direction", direction, "--json"]) == 0
+    return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+def test_optimize_reports_dp_states(tmp_path, capsys):
+    # the 36 states of max independent set on a path survive; the states
+    # that already hold an edge inside X are dropped.  Nothing can be
+    # dropped for dominating set, a universal over an existential.
+    report = _optimize_json(tmp_path, capsys, "path", 64,
+                            "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", "1", "max")
+    assert report["answer"] == 32
+    assert (report["dpPeakStates"], report["dpStatesDropped"]) == (36, 379)
+    report = _optimize_json(tmp_path, capsys, "path", 64,
+                            "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))", "1", "min")
+    assert report["answer"] == 22 and report["dpStatesDropped"] == 0
+
+
+def test_optimize_two_set_variables(tmp_path, capsys, monkeypatch):
+    # a 2-colouring of path n=64, maximizing |X| - |Y|; the trees are
+    # deeper than the default RWMSO_MAX_Q (rank 3 plus two sets)
+    monkeypatch.setenv("RWMSO_MAX_Q", "5")
+    formula = ("Ax x. ((X(x) | Y(x)) & !(X(x) & Y(x)))"
+               " & (Ax x. Ax y. (!adj(x,y) | !X(x) | !X(y)))"
+               " & (Ax x. Ax y. (!adj(x,y) | !Y(x) | !Y(y)))")
+    report = _optimize_json(tmp_path, capsys, "path", 64, formula, "1,-1", "max")
+    assert report["answer"] == 0
+    x, y = map(set, report["witness"])
+    assert x | y == set(range(64)) and not x & y
+    for u in range(63):
+        assert (u in x) != (u + 1 in x)
+
+
 def test_optimize_bad_weights(p4_file, capsys):
     assert main(["optimize", "--parse-tree", p4_file,
                  "--formula", "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))",

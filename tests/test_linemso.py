@@ -68,13 +68,31 @@ def test_negative_weights_select_empty_sets():
     assert result.value == 0 and result.witness == (frozenset(),)
 
 
+# partition into two independent sets covering everything (2-coloring)
+TWO_COLOURS = ("Ax x. ((X(x) | Y(x)) & !(X(x) & Y(x)))"
+               " & (Ax x. Ax y. (!adj(x,y) | !X(x) | !X(y)))"
+               " & (Ax x. Ax y. (!adj(x,y) | !Y(x) | !Y(y)))")
+
+
 def test_two_set_variables():
-    # partition into two independent sets covering everything (2-coloring)
-    text = ("Ax x. ((X(x) | Y(x)) & !(X(x) & Y(x)))"
-            " & (Ax x. Ax y. (!adj(x,y) | !X(x) | !X(y)))"
-            " & (Ax x. Ax y. (!adj(x,y) | !Y(x) | !Y(y)))")
-    _check_against_brute_force(family_tree("path", 4), text, "max", (1, -1))
-    _check_against_brute_force(family_tree("cycle", 4), text, "min", (2, 1))
+    _check_against_brute_force(family_tree("path", 4), TWO_COLOURS, "max", (1, -1))
+    _check_against_brute_force(family_tree("cycle", 4), TWO_COLOURS, "min", (2, 1))
+
+
+@pytest.mark.parametrize("family,n,value", [("path", 255, 1), ("path", 256, 0),
+                                            ("cycle", 64, 0)])
+def test_two_set_variables_at_scale(family, n, value):
+    # max |X| - |Y| over 2-colourings: the larger colour class wins
+    tree = family_tree(family, n)
+    result = solve_linemso(tree, LinEMSOProblem(parse_formula(TWO_COLOURS, tree.t),
+                                                (1, -1), "max"))
+    assert result.value == value
+    x, y = result.witness
+    assert x | y == frozenset(range(n)) and not x & y
+    edges = list(generate_graph(tree).edges())
+    assert len(edges) == (n if family == "cycle" else n - 1)
+    for u, v in edges:
+        assert (u in x) != (v in x) and (u in y) != (v in y)
 
 
 def test_infeasible():
@@ -126,3 +144,35 @@ def test_leaf_states_are_built_once_per_solve(monkeypatch):
         calls.clear()
         assert solve_linemso(family_tree("path", n), problem).value == (n + 1) // 2
         assert len(calls) == 2 ** len(problem.weights)
+
+
+def test_pair_products_per_vertex_are_constant(monkeypatch):
+    # the DP half of the linearity gate: tree_cross_product calls added
+    # by six more path vertices, past the point where the states repeat.
+    # Pruning drops the states of independent set and vertex cover that
+    # already hold an edge inside X (or outside it); dominating set has
+    # nothing to drop.
+    calls = []
+    cross = linemso.tree_cross_product
+
+    def counting(*args):
+        calls.append(None)
+        return cross(*args)
+
+    monkeypatch.setattr(linemso, "tree_cross_product", counting)
+    per_six, total = {}, {}
+    for name, text, direction in (("mis", INDEP, "max"), ("vc", VCOVER, "min"),
+                                  ("mds", DOMIN, "min")):
+        problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
+        added = set()
+        for n in (64, 128, 256):
+            for size in (n, n + 6):
+                calls.clear()
+                solve_linemso(family_tree("path", size, 2), problem)
+                total[name, size] = len(calls)
+            added.add(total[name, n + 6] - total[name, n])
+        assert len(added) == 1, name
+        per_six[name] = added.pop()
+    assert per_six == {"mis": 428, "vc": 428, "mds": 6 * 480}
+    for (name, size), count in total.items():
+        assert name == "mds" or count < total["mds", size]

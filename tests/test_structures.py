@@ -7,9 +7,9 @@ from rwmso import (Relabeling, Structure, build_structure, compose,
                    ordered_induced, parse_graph, relabel,
                    subspaces_orthogonal)
 from rwmso.errors import RwmsoError, WidthMismatchError
-from rwmso.gf2 import mat_mul, rank
+from rwmso.gf2 import rank
 
-from common import induced, naive_rank, permuted, random_structure
+from common import induced, mat_mul, naive_rank, permuted, random_structure
 
 
 def join(g1, g2):
