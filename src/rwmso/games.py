@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .chartree import RCTree, as_budget, char_tree_from_parse_tree, in_budget
+from .chartree import RCTree, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
@@ -266,18 +266,26 @@ class Verdicts:
     counterexample outside the subgraph may still come, so nothing else
     is decided.
 
-    phi is compiled once into the game's position table; verdicts are
-    memoized per (node id, position).  can_fail is the static pass: it
-    is False when no verdict at position 0 can be BOTTOM, because every
-    path to a decided atom passes an existential move, a label atom or
-    a disjunct that cannot fail.
+    That makes pruning by BOTTOM sound: a LinEMSO state whose verdict
+    at position 0 is BOTTOM fails phi at the root of every parse tree
+    it is composed into, and so does every product built from it.
+    Dropping it leaves the surviving states, the optimum and, since the
+    pairs are still visited in the same order, the first-found witness
+    unchanged.
+
+    phi, with free set variables X_vars and no free object variables,
+    is compiled once into the game's position table for budget, a caps
+    tuple; verdicts are memoized per (node id, position).  can_fail is
+    the static pass: it is False when no verdict at position 0 can be
+    BOTTOM, because every path to a decided atom passes an existential
+    move, a label atom or a disjunct that cannot fail.  Such formulas
+    (min dominating set's) skip the verdicts, which would cost them
+    time and drop nothing.
     """
 
-    def __init__(self, forest, phi: Formula, x_vars: tuple[str, ...],
-                 X_vars: tuple[str, ...], budget):
+    def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...], budget):
         self.table: list[tuple] = []
-        _compile(phi, True, tuple(x_vars), tuple(X_vars), as_budget(budget),
-                 self.table)
+        _compile(phi, True, (), X_vars, budget, self.table)
         self.node = forest.node
         self.memo: dict[int, int] = {}
         self.can_fail = _can_fail(self.table)

@@ -9,14 +9,8 @@ states are built once per solve and combined pairwise with the tree
 cross product.  At the root, the game decides which states satisfy the
 formula.
 
-At every parse node the solver drops the states the formula has
-already lost: those whose three-valued verdict (games.Verdicts) at the
-tree's root is BOTTOM.  The verdict is BOTTOM only if the formula fails
-in every graph the subtree is composed into, for every extension of
-the chosen sets outside it, so every state built from a dropped one
-fails at the root too, and dropping it changes neither the optimum nor
-the first-found witness.  When the formula's static pass shows that no
-verdict can be BOTTOM, no verdict is computed.
+Each parse node drops the states whose games.Verdicts verdict is
+BOTTOM; see there for why this is sound.
 """
 
 from __future__ import annotations
@@ -81,19 +75,16 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     sets, which occupy the first l set moves: every tree starts at
     (m, p) = (0, l) and has exactly the moves the game at the root takes.
 
-    Each parse node keeps only the states whose verdict is not BOTTOM,
-    memoized per (tree id, position) for the whole solve.  Composition
-    adds edges only across its two sides, so an atom over vertices of
-    the subtree is final, except a label atom, and a universal move
-    lost inside the subtree stays lost in any context.  stats, if
-    given, receives the peak and dropped state counts.
+    Each parse node drops the states whose games.Verdicts verdict is
+    BOTTOM; see there for why this is sound.  stats, if given, receives
+    the peak and dropped state counts.
     """
     weights = problem.weights
     l = len(weights)
     budget = problem.budget
     set_vars = problem.set_vars
     forest = RCForest()
-    verdicts = Verdicts(forest, problem.phi, (), set_vars, budget)
+    verdicts = Verdicts(forest, problem.phi, set_vars, budget)
     if stats is None:
         stats = DPStats()
     prefer_larger = problem.direction == "max"

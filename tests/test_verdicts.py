@@ -55,7 +55,7 @@ PROBLEMS = {
 
 def _verdicts(forest, phi):
     sets = free_variables(phi).sets
-    return Verdicts(forest, phi, (), sets, move_budget(phi, sets=len(sets)))
+    return Verdicts(forest, phi, sets, move_budget(phi, sets=len(sets)))
 
 
 def _trees(seed, count, max_leaves):
