@@ -2,9 +2,9 @@
 given as t-labeled parse trees."""
 
 from .chartree import (RCForest, RCTree, SizeBound, char_tree_from_parse_tree,
-                       exp_tower, indicator_vector, leaf_char_tree,
-                       rename_combine, reduced_char_tree_direct, size_bound,
-                       tower_at_least, tree_cross_product)
+                       exp_tower, leaf_char_tree, rename_combine,
+                       reduced_char_tree_direct, size_bound, tower_at_least,
+                       tree_cross_product)
 from .errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
                      WidthMismatchError)
 from .games import (Assignment, CATALOG, GameStats, catalog, evaluate,

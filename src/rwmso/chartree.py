@@ -77,12 +77,15 @@ class RCNode:
     """Interned node: ordered structure plus sorted child id sets.
 
     Children are partitioned by move kind; a point extension has one
-    more position than its parent, a set extension one more trace.
+    more position than its parent, a set extension one more trace.  ord
+    is the forest's one shared copy of the label, and label its id in
+    the forest's label table.
     """
 
     ord: OrderedStructure
     point_children: tuple[int, ...]
     set_children: tuple[int, ...]
+    label: int
 
     @property
     def m(self) -> int:
@@ -102,34 +105,61 @@ class RCForest:
     """Intern table for reduced characteristic trees.
 
     Ids are stable and identify subtrees up to deep structural equality.
-    Nodes go in through intern() and are immutable.  cross_memo holds
-    tree_cross_product's results: it maps (caps, g.rows, f1.rows,
-    f2.rows), one key per move budget and operator, to a dict from
-    (id1, id2, d) to the product's id.  The operator is keyed by its
-    matrix rows, so equal operators parsed from text share entries, and
-    the inner keys are ints and the indicator vector only.  It lives
-    here because ids mean nothing outside their forest.  Not
-    thread-safe: confine construction to one thread.
+    Labels go in through label_id(), which numbers each distinct ordered
+    structure once; nodes go in through intern(), keyed by a label id and
+    the child ids, and are immutable.  The labels come from a finite set
+    fixed by the move budget and t, so both tables stop growing once a
+    fold has stabilised.
+
+    cross_memo holds tree_cross_product's results: it maps (caps, g.rows,
+    f1.rows, f2.rows), one key per move budget and operator, to a dict
+    from (id1, id2, d) to the product's id.  label_memo maps (g.rows,
+    f1.rows, f2.rows) to a dict from (label1, label2, d) to the id of the
+    product label, so rename_combine runs once per distinct label
+    product: a label product depends on neither the budget nor the
+    children.  Operators are keyed by their matrix rows, so equal
+    operators parsed from text share entries, and the inner keys are
+    ints and the indicator vector only.  The memos live here because ids
+    mean nothing outside their forest.  Not thread-safe: confine
+    construction to one thread.
     """
 
     def __init__(self):
-        self._ids: dict[tuple, int] = {}
+        self._label_ids: dict[OrderedStructure, int] = {}
+        self._labels: list[OrderedStructure] = []
+        self._ids: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
         self._nodes: list[RCNode] = []
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
+        self.label_memo: dict[tuple, dict[tuple, int]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def intern(self, ord_struct: OrderedStructure, point_children: Iterable[int],
+    def label_id(self, ord_struct: OrderedStructure) -> int:
+        """The id of an ordered structure in the label table, equal
+        structures sharing one id."""
+        lid = self._label_ids.get(ord_struct)
+        if lid is None:
+            lid = self._label_ids[ord_struct] = len(self._labels)
+            self._labels.append(ord_struct)
+        return lid
+
+    def label(self, lid: int) -> OrderedStructure:
+        return self._labels[lid]
+
+    def num_labels(self) -> int:
+        return len(self._labels)
+
+    def intern(self, label: int, point_children: Iterable[int],
                set_children: Iterable[int]) -> int:
         point = tuple(sorted(set(point_children)))
         set_kids = tuple(sorted(set(set_children)))
-        key = (ord_struct, point, set_kids)
+        key = (label, point, set_kids)
         nid = self._ids.get(key)
         if nid is None:
             nid = len(self._nodes)
             self._ids[key] = nid
-            self._nodes.append(RCNode(ord_struct, point, set_kids))
+            self._nodes.append(RCNode(self._labels[label], point, set_kids, label))
         return nid
 
     def node(self, nid: int) -> RCNode:
@@ -198,7 +228,7 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budge
             point = {rec(c + (d,), masks) for d in range(a.n)}
         if in_budget(caps, m, p + 1):
             set_kids = {rec(c, masks + (x,)) for x in range(1 << a.n)}
-        return forest.intern(label, point, set_kids)
+        return forest.intern(forest.label_id(label), point, set_kids)
 
     try:
         return rec(c, tuple(masks))
@@ -217,26 +247,6 @@ def leaf_char_tree(forest: RCForest, budget: int | Budget, t: int) -> int:
 # --- combining reduced trees --------------------------------------------
 
 IndicatorVector = tuple[tuple[int, int], ...]
-
-
-def indicator_vector(a1: Iterable[int], a2: Iterable[int],
-                     c: Sequence[int]) -> IndicatorVector:
-    """Record, per entry of c, its side and its index within that side."""
-    s1, s2 = set(a1), set(a2)
-    if s1 & s2:
-        raise RwmsoError(f"sides overlap: {sorted(s1 & s2)}")
-    counts = [0, 0]
-    out = []
-    for e in c:
-        if e in s1:
-            counts[0] += 1
-            out.append((1, counts[0]))
-        elif e in s2:
-            counts[1] += 1
-            out.append((2, counts[1]))
-        else:
-            raise RwmsoError(f"element {e} is on neither side")
-    return tuple(out)
 
 
 def _check_indicator(d: IndicatorVector, m1: int, m2: int):
@@ -324,7 +334,8 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     A factor's own (m_i, p) never exceeds the product's (m, p) and the
     budget is down-closed, so factors built for the same budget have
     every move the product needs.  Results are memoized in the forest,
-    across calls.
+    across calls, and so are product labels: a miss looks its label up
+    by (label1, label2, d) and runs rename_combine only if that is new.
     """
     # the fold calls this once per parse node (LinEMSO once per state
     # pair) with caps already normalised at its entry
@@ -340,6 +351,9 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     hit = get((id1, id2, d))
     if hit is not None:
         return hit
+    labels = forest.label_memo.get(opkey[1:])
+    if labels is None:
+        labels = forest.label_memo[opkey[1:]] = {}
     nodes = forest._nodes
     ncaps = len(caps)
 
@@ -348,7 +362,10 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         # no call
         n1, n2 = nodes[i1], nodes[i2]
         o1, o2 = n1.ord, n2.ord
-        root = rename_combine(o1, o2, d, op)
+        lkey = (n1.label, n2.label, d)
+        root = labels.get(lkey)
+        if root is None:
+            root = labels[lkey] = forest.label_id(rename_combine(o1, o2, d, op))
         m, p = len(d), o1.p
         point = set_kids = ()
         # in_budget(caps, m + 1, p) and in_budget(caps, m, p + 1), inlined

@@ -80,7 +80,7 @@ def _tree_report(q: int, tree: ParseTree, rc: RCTree, elapsed: float) -> dict:
     return {"q": q, "moveBudget": list(rc.budget), "t": tree.t,
             "parseTreeNodes": tree.size(),
             "charTreeNodes": rc.size(), "peakInterned": len(rc.forest),
-            "wallTimeSec": elapsed}
+            "internedLabels": rc.forest.num_labels(), "wallTimeSec": elapsed}
 
 
 def cmd_check(args) -> int:
@@ -354,6 +354,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RwmsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller input, formula or depth",
+              file=sys.stderr)
         return 2
 
 

@@ -17,6 +17,7 @@ from rwmso import (Assignment, LinEMSOResult, ParseTree, RCForest, RCTree,
                    Relabeling, Structure, build_structure, evaluate,
                    game_on_tree, ordered_induced, reduced_char_tree_direct,
                    tree_cross_product)
+from rwmso.errors import RwmsoError
 from rwmso.parsetree import fold
 from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                          ForallSet, In, Label, Not, Or)
@@ -81,6 +82,30 @@ def small_parse_trees():
             trees.append(tree_of(1, (op1, inner, None)))
             trees.append(tree_of(1, (op1, None, inner)))
     return trees
+
+
+def indicator_vector(a1, a2, c):
+    """Record, per entry of c, its side and its index within that side."""
+    s1, s2 = set(a1), set(a2)
+    if s1 & s2:
+        raise RwmsoError(f"sides overlap: {sorted(s1 & s2)}")
+    counts = [0, 0]
+    out = []
+    for e in c:
+        if e in s1:
+            counts[0] += 1
+            out.append((1, counts[0]))
+        elif e in s2:
+            counts[1] += 1
+            out.append((2, counts[1]))
+        else:
+            raise RwmsoError(f"element {e} is on neither side")
+    return tuple(out)
+
+
+def cross_misses(forest):
+    """Cross-product memo misses so far: a miss adds one cross_memo entry."""
+    return sum(map(len, forest.cross_memo.values()))
 
 
 def are_isomorphic(g, h) -> bool:

@@ -13,7 +13,7 @@ from rwmso.chartree import RCForest, RCTree, as_budget
 from rwmso.errors import DepthBudgetError, RwmsoError
 from rwmso.logic import move_budget
 
-from common import small_parse_trees
+from common import cross_misses, small_parse_trees
 
 
 @pytest.mark.parametrize("text, objects, sets, want", [
@@ -76,38 +76,45 @@ def test_small_parse_trees_match_full_depth_and_evaluate():
             assert game_on_tree(full, nnf) == want, (name, tree)
 
 
-def test_has_triangle_folds_a_quarter_of_the_full_depth_work(monkeypatch):
+def test_has_triangle_folds_a_quarter_of_the_full_depth_work():
     # deterministic count gate: has-triangle (moves PPP) on a long path
     # needs no set child, so it folds far fewer nodes than full depth 3
-    calls = []
-    rename = chartree.rename_combine
-
-    def counting(*args):
-        calls.append(1)
-        return rename(*args)
-
-    monkeypatch.setattr(chartree, "rename_combine", counting)
     tree = family_tree("path", 128, t=2)
     phi = dict(catalog(t=2))["has-triangle"]
     nnf = to_nnf(phi)
-    rc = char_tree_from_parse_tree(tree, move_budget(nnf))
-    budget_calls = len(calls)
-    calls.clear()
-    full = char_tree_from_parse_tree(tree, quantifier_rank(phi))
-    full_calls = len(calls)
+    rc = char_tree_from_parse_tree(tree, move_budget(nnf), RCForest())
+    full = char_tree_from_parse_tree(tree, quantifier_rank(phi), RCForest())
+    budget_misses, full_misses = cross_misses(rc.forest), cross_misses(full.forest)
     assert rc.budget == (3,) and full.budget == (3, 2, 1, 0)
     assert not game_on_tree(rc, nnf) and not game_on_tree(full, nnf)
-    assert 4 * budget_calls <= full_calls, (budget_calls, full_calls)
+    assert 4 * budget_misses <= full_misses, (budget_misses, full_misses)
     assert rc.size() < full.size()
 
 
 @pytest.mark.parametrize("name", ["two-colorable", "has-triangle"])
-def test_memo_misses_are_constant_past_stabilisation(monkeypatch, name):
+def test_memo_misses_are_constant_past_stabilisation(name):
     # deterministic work-count gate: once the class count has stabilised,
     # every further parse node is a memo hit, so a fresh fold makes the same
-    # number of rename_combine calls at n = 64, 128 and 256 (2797 for
+    # number of cross-product misses at n = 64, 128 and 256 (2797 for
     # two-colorable, 479 for has-triangle).  A tree read back from text has
     # distinct but equal operator objects, and must share memo entries too.
+    budget = move_budget(to_nnf(dict(catalog(t=2))[name]))
+    counts = []
+    for n in (64, 128, 256):
+        tree = family_tree("path", n, t=2)
+        for source in (tree, parse_tree_from_text(format_parse_tree(tree))):
+            counts.append(cross_misses(
+                char_tree_from_parse_tree(source, budget, RCForest()).forest))
+    assert len(set(counts)) == 1 and counts[0] > 0, counts
+
+
+@pytest.mark.parametrize("name", ["two-colorable", "has-triangle"])
+def test_label_products_are_computed_once(monkeypatch, name):
+    # deterministic work-count gate: rename_combine runs once per distinct
+    # (label1, label2, d) product of an operator, so a fresh fold makes the
+    # same few calls at n = 64, 128 and 256 (70 for two-colorable, 93 for
+    # has-triangle), one per label-memo entry and far fewer than its
+    # cross-product misses
     calls = []
     rename = chartree.rename_combine
 
@@ -119,11 +126,12 @@ def test_memo_misses_are_constant_past_stabilisation(monkeypatch, name):
     budget = move_budget(to_nnf(dict(catalog(t=2))[name]))
     counts = []
     for n in (64, 128, 256):
-        tree = family_tree("path", n, t=2)
-        for source in (tree, parse_tree_from_text(format_parse_tree(tree))):
-            calls.clear()
-            char_tree_from_parse_tree(source, budget)
-            counts.append(len(calls))
+        calls.clear()
+        forest = char_tree_from_parse_tree(family_tree("path", n, t=2), budget,
+                                           RCForest()).forest
+        counts.append(len(calls))
+        assert len(calls) == sum(map(len, forest.label_memo.values()))
+        assert 4 * len(calls) <= cross_misses(forest), (len(calls), cross_misses(forest))
     assert len(set(counts)) == 1 and counts[0] > 0, counts
 
 

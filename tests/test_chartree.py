@@ -5,16 +5,14 @@ import pytest
 
 from rwmso import (ParseTree, Relabeling, Structure, build_structure,
                    char_tree_from_parse_tree, compose, exp_tower, family_tree,
-                   generate_graph, indicator_vector,
-                   leaf_char_tree, ordered_induced, rename_combine,
-                   reduced_char_tree_direct, size_bound, tower_at_least,
-                   tree_cross_product)
-from rwmso import chartree
+                   generate_graph, leaf_char_tree, ordered_induced,
+                   rename_combine, reduced_char_tree_direct, size_bound,
+                   tower_at_least, tree_cross_product)
 from rwmso.chartree import RCForest, RCTree, in_budget, rc_dump
 from rwmso.errors import DepthBudgetError, RwmsoError, ScaleGuardError
 
-from common import (all_structures, full_char_tree, full_tree_size,
-                    merge_full_tree, permuted, random_parse_tree,
+from common import (all_structures, cross_misses, full_char_tree, full_tree_size,
+                    indicator_vector, merge_full_tree, permuted, random_parse_tree,
                     random_relabeling, random_structure, small_parse_trees,
                     unfold_rc)
 
@@ -333,20 +331,44 @@ def test_char_tree_stabilizes_on_paths():
     assert len(set(ids[-20:])) == 1
 
 
-def test_cross_products_are_memoized_in_the_forest(monkeypatch):
+def test_cross_products_are_memoized_in_the_forest():
+    # a second fold on the same forest is all hits: it adds no cross-product
+    # memo entry, so it makes no miss
     forest = RCForest()
     tree = family_tree("cycle", 6)
     first = char_tree_from_parse_tree(tree, 2, forest).root
-    calls = []
-    rename = chartree.rename_combine
-
-    def counting(*args):
-        calls.append(args)
-        return rename(*args)
-
-    monkeypatch.setattr(chartree, "rename_combine", counting)
+    misses = cross_misses(forest)
     assert char_tree_from_parse_tree(tree, 2, forest).root == first
-    assert calls == []
+    assert cross_misses(forest) == misses > 0
+
+
+def test_label_memo_entries_are_rename_combine():
+    # every stored label product is rename_combine of the stored labels
+    # under the operator its memo is keyed by
+    forest = RCForest()
+    for budget in (2, (3,), (2, 2)):
+        for tree in small_parse_trees():
+            char_tree_from_parse_tree(tree, budget, forest)
+    assert forest.label_memo
+    for (g, f1, f2), memo in forest.label_memo.items():
+        op = (Relabeling(g), Relabeling(f1), Relabeling(f2))
+        for (l1, l2, d), lid in memo.items():
+            assert forest.label(lid) == rename_combine(forest.label(l1),
+                                                       forest.label(l2), d, op)
+    labels = [forest.label(lid) for lid in range(forest.num_labels())]
+    assert len(set(labels)) == len(labels)
+
+
+def test_intern_keys_on_label_values():
+    # an equal but distinct ordered structure gets the same label id, so
+    # interning it gives the same node, which keeps the first label object
+    forest = RCForest()
+    a = ordered_induced(build_structure(2, [(0, 1)]), [1, 0])
+    b = ordered_induced(build_structure(2, [(0, 1)]), [1, 0])
+    assert a == b and a is not b
+    nid = forest.intern(forest.label_id(a), (), ())
+    assert forest.intern(forest.label_id(b), (), ()) == nid
+    assert forest.num_labels() == 1 and forest.node(nid).ord is a
 
 
 def test_rc_dump_format():

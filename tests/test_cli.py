@@ -33,6 +33,8 @@ def test_check_true_false_and_json(p4_file, capsys):
     assert report["parseTreeNodes"] == 7
     assert report["charTreeNodes"] > 0
     assert report["peakInterned"] >= report["charTreeNodes"]
+    # every label is some interned node's
+    assert 0 < report["internedLabels"] <= report["peakInterned"]
     assert report["wallTimeSec"] >= 0
 
     assert main(["check", "--parse-tree", p4_file,
@@ -48,6 +50,18 @@ def test_check_errors(p4_file, capsys):
     assert main(["check", "--parse-tree", p4_file, "--formula", "adj(x,"]) == 2
     # missing file
     assert main(["check", "--parse-tree", "/nonexistent", "--formula", "x = x"]) == 2
+
+
+def test_out_of_memory_is_one_error_line(p4_file, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "char_tree_from_parse_tree", exhausted)
+    assert main(["check", "--parse-tree", p4_file, "--formula", "Ex x. x = x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_check_q_cap(p4_file, monkeypatch, capsys):
@@ -214,6 +228,7 @@ def test_chartree_builds_the_full_depth_tree(p4_file, capsys):
     assert main(["chartree", "--parse-tree", p4_file, "--q", "3", "--json"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["q"] == 3 and report["moveBudget"] == [3, 2, 1, 0]
+    assert 0 < report["internedLabels"] <= report["peakInterned"]
 
 
 def test_gen_roundtrip(tmp_path, capsys):
