@@ -25,13 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DepthBudgetError, RwmsoError, ScaleGuardError, WidthMismatchError
+from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold
-# compose is no longer called here.  With ordered_induced it is
-# rename_combine's slow route, and perfbench's tracer wraps both at this
-# module, so both stay importable from it.
-from .structures import (OrderedStructure, Structure, _as_masks, _unchecked,
-                         compose, ordered_induced)  # noqa: F401
+from .structures import OrderedStructure, Structure, _as_masks, compose, ordered_induced
 
 # covers the documented envelope |A| <= 4, q <= 3 for direct construction
 MAX_DIRECT_WORK = 10_000
@@ -152,8 +148,13 @@ class RCForest:
 
     def intern(self, label: int, point_children: Iterable[int],
                set_children: Iterable[int]) -> int:
-        point = tuple(sorted(set(point_children)))
-        set_kids = tuple(sorted(set(set_children)))
+        """The id of the node with this label id and these children.
+
+        Each collection of children must hold distinct ids (a set, or
+        ()): it is sorted, not deduplicated, into the key.
+        """
+        point = tuple(sorted(point_children))
+        set_kids = tuple(sorted(set_children))
         key = (label, point, set_kids)
         nid = self._ids.get(key)
         if nid is None:
@@ -267,75 +268,34 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
     """Ordered structure of the composition, renamed via the indicator.
 
     Equals Ord(A1 (x) A2, c, C) whenever o_i = Ord(A_i, c[A_i], C n A_i)
-    and d is the indicator vector of c.  It is built straight from the
-    operands: classes in order of first occurrence in d, adjacency within
-    a side from that side's rows and across sides from label parity under
-    g, labels through f1 and f2, traces merged per class.  No joined
-    structure is built and nothing is re-validated;
-    ordered_induced(compose(A1, A2, *op), c, C) is the slow route the
-    tests compare it against.
+    and d is the indicator vector of c.  Each label holds only the
+    elements its side's part of c reaches, so composing the two labels
+    and inducing on c, read off d, gives the same result as composing
+    the whole factors.  The fold runs it once per distinct label product.
     """
     if o1.p != o2.p:
         raise RwmsoError(f"trace counts differ: {o1.p} vs {o2.p}")
     _check_indicator(d, o1.m, o2.m)
-    g, f1, f2 = op
-    s1, s2 = o1.structure, o2.structure
-    t = s1.t
-    if not t == s2.t == g.t == f1.t == f2.t:
-        raise WidthMismatchError(
-            f"label widths differ: {(s1.t, s2.t, g.t, f1.t, f2.t)}")
-    # element e < k1 is class e of side 1, e >= k1 class e - k1 of side 2,
-    # as in the joined structure of the slow route
-    k1 = s1.n
+    # element e < k1 is class e of side 1, e >= k1 class e - k1 of side 2
+    k1 = o1.structure.n
     pos1, pos2 = o1.positions, o2.positions
-    first: dict[int, int] = {}
-    elems: list[int] = []
-    positions = []
-    for side, k in d:
-        e = pos1[k - 1] if side == 1 else k1 + pos2[k - 1]
-        cls = first.get(e)
-        if cls is None:
-            cls = first[e] = len(elems)
-            elems.append(e)
-        positions.append(cls)
-    # per class: side, index on its side, adjacency row on its side, and
-    # the label that decides cross edges (side 2 labels pass through g)
-    info = [(True, e, s1.adj[e], s1.labels[e]) if e < k1 else
-            (False, e - k1, s2.adj[e - k1], g.apply(s2.labels[e - k1]))
-            for e in elems]
-    adj = []
-    for side, _, row_a, lab_a in info:
-        row = 0
-        for b, (side_b, v, _, lab_b) in enumerate(info):
-            if ((row_a >> v) & 1 if side == side_b
-                    else (lab_a & lab_b).bit_count() & 1):
-                row |= 1 << b
-        adj.append(row)
-    labels = tuple(f1.apply(s1.labels[e]) if e < k1 else f2.apply(s2.labels[e - k1])
-                   for e in elems)
-    traces = []
-    for tr1, tr2 in zip(o1.set_traces, o2.set_traces):
-        merged = tr1 | (tr2 << k1)
-        tr = 0
-        for a, e in enumerate(elems):
-            if (merged >> e) & 1:
-                tr |= 1 << a
-        traces.append(tr)
-    return OrderedStructure(_unchecked(len(elems), t, tuple(adj), labels),
-                            tuple(positions), tuple(traces))
+    c = [pos1[k - 1] if side == 1 else k1 + pos2[k - 1] for side, k in d]
+    traces = [tr1 | tr2 << k1 for tr1, tr2 in zip(o1.set_traces, o2.set_traces)]
+    return ordered_induced(compose(o1.structure, o2.structure, *op), c, traces)
 
 
 def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budget,
-                       op: CompositionOp, d: IndicatorVector = ()) -> int:
+                       op: CompositionOp) -> int:
     """Reduced tree of the composition from the factors' reduced trees.
 
     Point moves pair a point child of one side with the other side's
-    whole tree (extending d); set moves pair set children of both sides.
-    A factor's own (m_i, p) never exceeds the product's (m, p) and the
-    budget is down-closed, so factors built for the same budget have
-    every move the product needs.  Results are memoized in the forest,
-    across calls, and so are product labels: a miss looks its label up
-    by (label1, label2, d) and runs rename_combine only if that is new.
+    whole tree (extending the indicator vector d, empty at the roots);
+    set moves pair set children of both sides.  A factor's own (m_i, p)
+    never exceeds the product's (m, p) and the budget is down-closed, so
+    factors built for the same budget have every move the product needs.
+    Results are memoized in the forest, across calls, and so are product
+    labels: a miss looks its label up by (label1, label2, d) and runs
+    rename_combine only if that is new.
     """
     # the fold calls this once per parse node (LinEMSO once per state
     # pair) with caps already normalised at its entry
@@ -345,10 +305,9 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     memo = forest.cross_memo.get(opkey)
     if memo is None:
         memo = forest.cross_memo[opkey] = {}
-    d = tuple(d)
     get = memo.get
     # most of LinEMSO's pair calls are hits: answer them before building rec
-    hit = get((id1, id2, d))
+    hit = get((id1, id2, ()))
     if hit is not None:
         return hit
     labels = forest.label_memo.get(opkey[1:])
@@ -385,7 +344,7 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         return out
 
     try:
-        return rec(id1, id2, d)
+        return rec(id1, id2, ())
     finally:
         # rec reaches itself through its closure cell; clearing the cell
         # frees it now instead of leaving a cycle to the garbage collector

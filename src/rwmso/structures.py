@@ -62,9 +62,9 @@ def _unchecked(n: int, t: int, adj: tuple[int, ...], labels: tuple[int, ...]) ->
     """A Structure built from rows already known to be valid.
 
     Library code that derives a structure from validated structures (the
-    composition, induced substructures, the fold's miss kernel) builds it
-    here and skips ``__post_init__``; structures from user input go
-    through ``Structure(...)``, which validates.
+    composition and induced substructures) builds it here and skips
+    ``__post_init__``; structures from user input go through
+    ``Structure(...)``, which validates.
     """
     s = object.__new__(Structure)
     # set the fields as the generated __init__ does, so the instance keeps
@@ -191,13 +191,6 @@ class OrderedStructure:
     @property
     def p(self) -> int:
         return len(self.set_traces)
-
-    def class_names(self) -> tuple[int, ...]:
-        """1-based minimum position index of each class, in class order."""
-        first = {}
-        for j, cls in enumerate(self.positions):
-            first.setdefault(cls, j + 1)
-        return tuple(first[i] for i in range(self.structure.n))
 
     def encode(self) -> str:
         s = self.structure

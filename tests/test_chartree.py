@@ -1,15 +1,18 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from rwmso import (ParseTree, Relabeling, Structure, build_structure,
+from rwmso import (ParseTree, Relabeling, Structure, build_structure, catalog,
                    char_tree_from_parse_tree, compose, exp_tower, family_tree,
                    generate_graph, leaf_char_tree, ordered_induced,
                    rename_combine, reduced_char_tree_direct, size_bound,
                    tower_at_least, tree_cross_product)
 from rwmso.chartree import RCForest, RCTree, in_budget, rc_dump
-from rwmso.errors import DepthBudgetError, RwmsoError, ScaleGuardError
+from rwmso.errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
+                          WidthMismatchError)
+from rwmso.logic import move_budget
 
 from common import (all_structures, cross_misses, full_char_tree, full_tree_size,
                     indicator_vector, merge_full_tree, permuted, random_parse_tree,
@@ -194,9 +197,10 @@ def _split_vector(rng, n1, n2, m):
 
 
 def test_rename_combine_matches_composition():
-    # rename_combine builds Ord(A1 (x) A2, c, C) straight from the operands;
-    # compose then ordered_induced is the independent slow route.  c mixes
-    # both sides or takes one side only, and either side may be empty.
+    # rename_combine composes only the two labels; composing the whole
+    # factors, then inducing on c, must give the same ordered structure.
+    # c mixes both sides or takes one side only, and either side may be
+    # empty.
     rng = random.Random(23)
     for mode in ("interleaved", "left", "right"):
         for _ in range(200):
@@ -265,6 +269,9 @@ def test_rename_combine_validation():
     o2 = ordered_induced(VERTEX, [], [set()])
     with pytest.raises(RwmsoError):
         rename_combine(o1, o2, ((1, 2),), op)  # bad indicator index
+    wide = ordered_induced(Structure(1, 2, (0,), (1,)), [], [set()])
+    with pytest.raises(WidthMismatchError):
+        rename_combine(o1, wide, ((1, 1),), op)  # label widths differ
 
 
 # --- tree cross product ---------------------------------------------------
@@ -379,6 +386,29 @@ def test_rc_dump_format():
     root_line = next(l for l in lines if " root " in l)
     parts = root_line.split(" | ")
     assert parts[0].split()[1:4] == ["root", "0", "0"]
+
+
+# sha256 of the rc_dump texts below; a change to node ids, child order or
+# labels changes it
+RC_DUMP_SHA256 = "27ce9a27cd0506b890dac1451597b1fa69f3a8b2c461580135786af786a9b844"
+
+
+def test_rc_dump_is_byte_identical():
+    # every catalog sentence at t=2, folded for its move budget into one
+    # forest per (family, n), so later sentences reuse earlier nodes
+    digest = hashlib.sha256()
+    lines = 0
+    for family in ("path", "cycle", "star", "cograph-join"):
+        for n in (5, 17):
+            forest = RCForest()
+            tree = family_tree(family, n, 2)
+            for _, phi in catalog(t=2):
+                rc = char_tree_from_parse_tree(tree, move_budget(phi), forest)
+                text = rc_dump(forest, rc.root)
+                lines += text.count("\n")
+                digest.update(text.encode())
+    assert lines == 2306
+    assert digest.hexdigest() == RC_DUMP_SHA256
 
 
 # --- size bounds -----------------------------------------------------------
