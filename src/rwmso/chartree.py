@@ -107,12 +107,12 @@ class RCForest:
     fixed by the move budget and t, so both tables stop growing once a
     fold has stabilised.
 
-    cross_memo holds tree_cross_product's results: it maps (caps, g.rows,
-    f1.rows, f2.rows), one key per move budget and operator, to a dict
-    from (id1, id2, d) to the product's id.  label_memo maps (g.rows,
-    f1.rows, f2.rows) to a dict from (label1, label2, d) to the id of the
-    product label, so rename_combine runs once per distinct label
-    product: a label product depends on neither the budget nor the
+    cross_memo holds tree_cross_product's results, one dict per move
+    budget and operator, which cross_memo_for gives, from (id1, id2, d)
+    to the product's id: a fold answers its hits from it.  label_memo
+    maps (g.rows, f1.rows, f2.rows) to a dict from (label1, label2, d) to
+    the id of the product label, so rename_combine runs once per distinct
+    label product: a label product depends on neither the budget nor the
     children.  Operators are keyed by their matrix rows, so equal
     operators parsed from text share entries, and the inner keys are
     ints and the indicator vector only.  The memos live here because ids
@@ -130,6 +130,10 @@ class RCForest:
 
     def __len__(self) -> int:
         return len(self._nodes)
+
+    def cross_memo_for(self, caps: Budget, op: CompositionOp) -> dict[tuple, int]:
+        g, f1, f2 = op
+        return self.cross_memo.setdefault((caps, g.rows, f1.rows, f2.rows), {})
 
     def label_id(self, ord_struct: OrderedStructure) -> int:
         """The id of an ordered structure in the label table, equal
@@ -297,22 +301,16 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     labels: a miss looks its label up by (label1, label2, d) and runs
     rename_combine only if that is new.
     """
-    # the fold calls this once per parse node (LinEMSO once per state
-    # pair) with caps already normalised at its entry
+    # both folds answer their hits from cross_memo_for themselves and
+    # call this on a miss only, with caps already normalised
     caps = budget if type(budget) is tuple else as_budget(budget)
-    g, f1, f2 = op
-    opkey = (caps, g.rows, f1.rows, f2.rows)
-    memo = forest.cross_memo.get(opkey)
-    if memo is None:
-        memo = forest.cross_memo[opkey] = {}
+    memo = forest.cross_memo_for(caps, op)
     get = memo.get
-    # most of LinEMSO's pair calls are hits: answer them before building rec
     hit = get((id1, id2, ()))
     if hit is not None:
         return hit
-    labels = forest.label_memo.get(opkey[1:])
-    if labels is None:
-        labels = forest.label_memo[opkey[1:]] = {}
+    g, f1, f2 = op
+    labels = forest.label_memo.setdefault((g.rows, f1.rows, f2.rows), {})
     nodes = forest._nodes
     ncaps = len(caps)
 
@@ -373,8 +371,13 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
-    root = fold(tree, leaf_char_tree(forest, caps, tree.t),
-                lambda left, right, op: tree_cross_product(forest, left, right, caps, op))
+
+    def combine_for(op: CompositionOp):
+        get = forest.cross_memo_for(caps, op).get
+        return lambda left, right: (hit if (hit := get((left, right, ()))) is not None
+                                    else tree_cross_product(forest, left, right, caps, op))
+
+    root = fold(tree, leaf_char_tree(forest, caps, tree.t), combine_for)
     return RCTree(forest, root, caps)
 
 

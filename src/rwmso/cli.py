@@ -42,23 +42,27 @@ def _max_q() -> int:
         raise RwmsoError(f"RWMSO_MAX_Q={raw!r} is not an integer") from None
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise RwmsoError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_formula(args, t: int | None) -> Formula:
-    if args.formula_file:
-        with open(args.formula_file) as fh:
-            text = fh.read()
-    else:
-        text = args.formula
+    text = _read_text(args.formula_file) if args.formula_file else args.formula
     return parse_formula(text, t)
 
 
-def _read_parse_tree(path: str) -> ParseTree:
-    with open(path) as fh:
-        return parse_tree_from_text(fh.read())
+def _read_parse_tree(path: str) -> tuple[ParseTree, float]:
+    start = time.perf_counter()
+    tree = parse_tree_from_text(_read_text(path))
+    return tree, time.perf_counter() - start
 
 
 def _read_graph(path: str):
-    with open(path) as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def _report(args, payload: dict) -> None:
@@ -84,7 +88,7 @@ def _tree_report(q: int, tree: ParseTree, rc: RCTree, elapsed: float) -> dict:
 
 
 def cmd_check(args) -> int:
-    tree = _read_parse_tree(args.parse_tree)
+    tree, parse_s = _read_parse_tree(args.parse_tree)
     phi = _read_formula(args, tree.t)
     if not is_sentence(phi):
         fv = free_variables(phi)
@@ -99,7 +103,7 @@ def cmd_check(args) -> int:
     answer = game_on_tree(rc, phi)
     elapsed = time.perf_counter() - start
     print("true" if answer else "false")
-    _report(args, {"command": "check", "answer": answer,
+    _report(args, {"command": "check", "answer": answer, "parseSec": parse_s,
                    **_tree_report(q, tree, rc, elapsed)})
     return 0 if answer else 1
 
@@ -123,7 +127,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    tree = _read_parse_tree(args.parse_tree)
+    tree, parse_s = _read_parse_tree(args.parse_tree)
     phi = _read_formula(args, tree.t)
     try:
         weights = tuple(int(w) for w in args.weights.split(","))
@@ -140,7 +144,8 @@ def cmd_optimize(args) -> int:
     elapsed = time.perf_counter() - start
     budget_fields = {"q": q, "moveBudget": list(problem.budget),
                      "dpPeakStates": stats.peak_states,
-                     "dpStatesDropped": stats.states_dropped}
+                     "dpStatesDropped": stats.states_dropped,
+                     "dpPairProducts": stats.pair_products, "parseSec": parse_s}
     if result is None:
         print("INFEASIBLE")
         _report(args, {"command": "optimize", "answer": None, **budget_fields,
@@ -173,7 +178,7 @@ def cmd_rankwidth(args) -> int:
 
 
 def cmd_chartree(args) -> int:
-    tree = _read_parse_tree(args.parse_tree)
+    tree, _ = _read_parse_tree(args.parse_tree)
     _guard(args, args.q > _max_q(), f"q {args.q} exceeds RWMSO_MAX_Q={_max_q()}")
     start = time.perf_counter()
     rc = char_tree_from_parse_tree(tree, args.q)

@@ -60,10 +60,11 @@ class LinEMSOResult:
 
 @dataclass
 class DPStats:
-    """The most states kept at any parse node, and the states dropped."""
+    """Peak states at any parse node, states dropped, state pairs combined."""
 
     peak_states: int = 0
     states_dropped: int = 0
+    pair_products: int = 0
 
 
 def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
@@ -77,7 +78,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     Each parse node drops the states whose games.Verdicts verdict is
     BOTTOM; see there for why this is sound.  stats, if given, receives
-    the peak and dropped state counts.
+    the peak and dropped state counts and the state pairs.
     """
     weights = problem.weights
     l = len(weights)
@@ -118,11 +119,15 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     def combine(left, right, op):
         (states1, n1), (states2, n2) = left, right
+        stats.pair_products += len(states1) * len(states2)
         # the best pair per product; witnesses are built for survivors only
+        get = forest.cross_memo_for(budget, op).get
         pairs = {}
         for id1, (v1, w1) in states1.items():
             for id2, (v2, w2) in states2.items():
-                rid = tree_cross_product(forest, id1, id2, budget, op)
+                rid = get((id1, id2, ()))
+                if rid is None:
+                    rid = tree_cross_product(forest, id1, id2, budget, op)
                 value = v1 + v2
                 old = pairs.get(rid)
                 if old is None or better(value, old[0]):
@@ -132,7 +137,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
             for rid, (value, w1, w2) in survivors(pairs).items()}
         return combined, n1 + n2
 
-    classes, _ = fold(tree, (leaf_states, 1), combine)
+    classes, _ = fold(tree, (leaf_states, 1),
+                      lambda op: lambda left, right: combine(left, right, op))
     best: tuple[int, tuple[frozenset[int], ...]] | None = None
     for rid, (value, witness) in classes.items():
         if not game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars):

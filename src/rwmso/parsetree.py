@@ -60,24 +60,26 @@ class ParseTree:
         return len(self.code)
 
 
-def fold(tree: ParseTree, leaf: T, combine: Callable[[T, T, CompositionOp], T]) -> T:
-    """Evaluate the tree leaves-to-root, in post-order: every leaf is ``leaf``,
-    every inner node ``combine(left, right, (g, f1, f2))`` of its operands."""
-    ops = tree.ops
+def fold(tree: ParseTree, leaf: T,
+         combine_for: Callable[[CompositionOp], Callable[[T, T], T]]) -> T:
+    """Evaluate the tree leaves-to-root, in post-order: every leaf is
+    ``leaf``, every inner node ``step(left, right)`` of its operands, where
+    ``step = combine_for(op)`` is made once per operator of the table."""
+    steps = [combine_for(op) for op in tree.ops]
     results: list[T] = []
     for c in tree.code:
         if c == LEAF:
             results.append(leaf)
         else:
             right = results.pop()
-            results[-1] = combine(results[-1], right, ops[c])
+            results[-1] = steps[c](results[-1], right)
     return results[0]
 
 
 def generate_graph(tree: ParseTree) -> Structure:
     """Apply the operators leaves-to-root and return the generated graph."""
     leaf = Structure(1, tree.t, (0,), (1,) if tree.t else (0,))
-    return fold(tree, leaf, lambda left, right, op: compose(left, right, *op))
+    return fold(tree, leaf, lambda op: lambda left, right: compose(left, right, *op))
 
 
 # --- text format --------------------------------------------------------
@@ -124,9 +126,18 @@ def _parse_matrix(token: str, t: int) -> Relabeling:
         sum(1 << j for j, ch in enumerate(row) if ch == "1") for row in rows))
 
 
-def _expect(tokens: list, i: int, want: str):
-    if tokens[i] != want:
-        raise RwmsoError(f"expected {want!r}, got {tokens[i]!r}")
+def _read_chunk(chunk: str, t: int, heads: dict[CompositionOp, int]) -> int:
+    """What a chunk of text between two "(" is: an inner node's head, as
+    the number of its operator in ``heads`` (added if new), or -k for a
+    leaf "v" followed by k ")"s: its own, then one per subtree it ends."""
+    words = chunk.replace(")", " ) ").split()
+    if words[:1] == ["o"] and ")" not in words:
+        if len(words) != 4:
+            raise RwmsoError(f"expected three matrices, got {len(words) - 1}")
+        return heads.setdefault(tuple(_parse_matrix(m, t) for m in words[1:]), len(heads))
+    if words[:2] != ["v", ")"] or words.count(")") != len(words) - 1:
+        raise RwmsoError(f"expected '(v)' or '(o M M M', got {'(' + chunk.strip()!r}")
+    return 1 - len(words)
 
 
 def parse_tree_from_text(text: str) -> ParseTree:
@@ -139,48 +150,43 @@ def parse_tree_from_text(text: str) -> ParseTree:
         raise RwmsoError("bad width in header") from None
     if t < 1:
         raise RwmsoError("width must be at least 1")
-    # the None at the end keeps every lookahead below in range
-    tokens = " ".join(lines[1:]).replace("(", " ( ").replace(")", " ) ").split() + [None]
-    # One scan appends each node to the code where it ends; a matrix
-    # triple is parsed once, keyed by its text, where it first ends a node.
-    index: dict[tuple[str, ...], int] = {}
-    ops: list[CompositionOp] = []
+    # Split at "(", each chunk is one node, read once per distinct text.
+    # The scan then appends each node to the code where it ends, keeping
+    # ints only: the open inner nodes as 2 * head + (left child done).
+    chunks = iter(" ".join(lines[1:]).split("("))
+    first = next(chunks)
+    if first.strip():
+        raise RwmsoError(f"expected '(', got {first.split()[0]!r}")
+    kinds: dict[str, int] = {}
+    heads: dict[CompositionOp, int] = {}
+    index: dict[int, int] = {}   # head -> its operator's index, from its first close
     code: list[int] = []
-    open_mats: list[tuple[str, ...]] = []   # matrix texts of the open nodes
-    has_left: list[bool] = []               # whether each has its left child
-    i = 0
-    while True:
-        _expect(tokens, i, "(")
-        if tokens[i + 1] == "o":
-            j = i + 2
-            while tokens[j] not in ("(", None):
-                j += 1
-            if j - i - 2 != 3:
-                raise RwmsoError(f"expected three matrices, got {j - i - 2}")
-            open_mats.append(tuple(tokens[i + 2:j]))
-            has_left.append(False)
-            i = j
+    stack: list[int] = []
+    for chunk in chunks:
+        kind = kinds.get(chunk)
+        if kind is None:
+            kind = kinds[chunk] = _read_chunk(chunk, t, heads)
+        if kind >= 0:
+            stack.append(kind << 1)
             continue
-        if tokens[i + 1] != "v":
-            raise RwmsoError(f"expected 'v' or 'o', got {tokens[i + 1]!r}")
-        _expect(tokens, i + 2, ")")
-        i += 3
         code.append(LEAF)
-        while has_left and has_left[-1]:   # a right child ends its parent
-            _expect(tokens, i, ")")
-            i += 1
-            has_left.pop()
-            mats = open_mats.pop()
-            if mats not in index:
-                index[mats] = len(ops)
-                ops.append(tuple(_parse_matrix(m, t) for m in mats))
-            code.append(index[mats])
-        if not has_left:
+        closes = -1 - kind
+        while stack and stack[-1] & 1:   # a right child ends its parent
+            if not closes:
+                raise RwmsoError("expected ')'")
+            closes -= 1
+            code.append(index.setdefault(stack.pop() >> 1, len(index)))
+        if closes:
+            raise RwmsoError("unexpected ')'")
+        if not stack:
             break
-        has_left[-1] = True
-    if tokens[i] is not None:
-        raise RwmsoError(f"trailing input after tree: {tokens[i]!r}")
-    return ParseTree(t, tuple(ops), tuple(code))
+        stack[-1] |= 1
+    else:
+        raise RwmsoError("unexpected end of tree")
+    if next(chunks, None) is not None:
+        raise RwmsoError("trailing input after tree")
+    ops = list(heads)
+    return ParseTree(t, tuple(ops[h] for h in index), tuple(code))
 
 
 # --- standard families --------------------------------------------------

@@ -3,8 +3,8 @@
 Everything here is deliberately independent of the code paths it
 checks: ranks by list-of-list elimination, reduction by merging the
 full move tree, the game played on that unmerged tree, optima by
-subset enumeration, and the LinEMSO dynamic program without state
-pruning.
+subset enumeration, the LinEMSO dynamic program without state
+pruning, and the parse-tree text read one token at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from rwmso import (Assignment, LinEMSOResult, ParseTree, RCForest, RCTree,
                    game_on_tree, ordered_induced, reduced_char_tree_direct,
                    tree_cross_product)
 from rwmso.errors import RwmsoError
-from rwmso.parsetree import fold
+from rwmso.parsetree import LEAF, CompositionOp, _parse_matrix, fold
 from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                          ForallSet, In, Label, Not, Or)
 
@@ -321,10 +321,73 @@ def unpruned_linemso(tree, problem):
                         a | frozenset(x + n1 for x in b) for a, b in zip(w1, w2)))
         return combined, n1 + n2
 
-    classes, _ = fold(tree, (leaf_states, 1), combine)
+    classes, _ = fold(tree, (leaf_states, 1),
+                      lambda op: lambda left, right: combine(left, right, op))
     best = None
     for rid, (value, witness) in classes.items():
         if (game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars)
                 and (best is None or sign * value > sign * best[0])):
             best = (value, witness)
     return None if best is None else LinEMSOResult(*best)
+
+
+# --- the token reader ----------------------------------------------------
+
+def _expect(tokens: list, i: int, want: str):
+    if tokens[i] != want:
+        raise RwmsoError(f"expected {want!r}, got {tokens[i]!r}")
+
+
+def reference_parse_tree_from_text(text: str) -> ParseTree:
+    """The token-at-a-time reader, kept as the oracle of the chunk reader."""
+    lines = text.strip().splitlines()
+    if not lines or not lines[0].strip().startswith("t="):
+        raise RwmsoError("missing 't=<width>' header line")
+    try:
+        t = int(lines[0].strip()[2:])
+    except ValueError:
+        raise RwmsoError("bad width in header") from None
+    if t < 1:
+        raise RwmsoError("width must be at least 1")
+    # the None at the end keeps every lookahead below in range
+    tokens = " ".join(lines[1:]).replace("(", " ( ").replace(")", " ) ").split() + [None]
+    # One scan appends each node to the code where it ends; a matrix
+    # triple is parsed once, keyed by its text, where it first ends a node.
+    index: dict[tuple[str, ...], int] = {}
+    ops: list[CompositionOp] = []
+    code: list[int] = []
+    open_mats: list[tuple[str, ...]] = []   # matrix texts of the open nodes
+    has_left: list[bool] = []               # whether each has its left child
+    i = 0
+    while True:
+        _expect(tokens, i, "(")
+        if tokens[i + 1] == "o":
+            j = i + 2
+            while tokens[j] not in ("(", None):
+                j += 1
+            if j - i - 2 != 3:
+                raise RwmsoError(f"expected three matrices, got {j - i - 2}")
+            open_mats.append(tuple(tokens[i + 2:j]))
+            has_left.append(False)
+            i = j
+            continue
+        if tokens[i + 1] != "v":
+            raise RwmsoError(f"expected 'v' or 'o', got {tokens[i + 1]!r}")
+        _expect(tokens, i + 2, ")")
+        i += 3
+        code.append(LEAF)
+        while has_left and has_left[-1]:   # a right child ends its parent
+            _expect(tokens, i, ")")
+            i += 1
+            has_left.pop()
+            mats = open_mats.pop()
+            if mats not in index:
+                index[mats] = len(ops)
+                ops.append(tuple(_parse_matrix(m, t) for m in mats))
+            code.append(index[mats])
+        if not has_left:
+            break
+        has_left[-1] = True
+    if tokens[i] is not None:
+        raise RwmsoError(f"trailing input after tree: {tokens[i]!r}")
+    return ParseTree(t, tuple(ops), tuple(code))

@@ -108,6 +108,26 @@ def test_memo_misses_are_constant_past_stabilisation(name):
     assert len(set(counts)) == 1 and counts[0] > 0, counts
 
 
+def test_fold_calls_cross_product_on_memo_misses_only(monkeypatch):
+    # the fold answers a memo hit itself: past stabilisation six more path
+    # vertices add no tree_cross_product call
+    calls = []
+    cross = chartree.tree_cross_product
+
+    def counting(*args):
+        calls.append(None)
+        return cross(*args)
+
+    monkeypatch.setattr(chartree, "tree_cross_product", counting)
+    budget = move_budget(to_nnf(dict(catalog(t=2))["complete"]))
+    counts = []
+    for n in (4096, 4102):
+        calls.clear()
+        char_tree_from_parse_tree(family_tree("path", n, t=2), budget, RCForest())
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts
+
+
 @pytest.mark.parametrize("name", ["two-colorable", "has-triangle"])
 def test_label_products_are_computed_once(monkeypatch, name):
     # deterministic work-count gate: rename_combine runs once per distinct

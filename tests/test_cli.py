@@ -35,7 +35,7 @@ def test_check_true_false_and_json(p4_file, capsys):
     assert report["peakInterned"] >= report["charTreeNodes"]
     # every label is some interned node's
     assert 0 < report["internedLabels"] <= report["peakInterned"]
-    assert report["wallTimeSec"] >= 0
+    assert report["wallTimeSec"] >= 0 and report["parseSec"] >= 0
 
     assert main(["check", "--parse-tree", p4_file,
                  "--formula", "Ax x. Ax y. adj(x,y)"]) == 1
@@ -171,6 +171,7 @@ def test_optimize_reports_dp_states(tmp_path, capsys):
                             "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", "1", "max")
     assert report["answer"] == 32
     assert (report["dpPeakStates"], report["dpStatesDropped"]) == (36, 379)
+    assert report["dpPairProducts"] == 4146 and report["parseSec"] >= 0
     report = _optimize_json(tmp_path, capsys, "path", 64,
                             "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))", "1", "min")
     assert report["answer"] == 22 and report["dpStatesDropped"] == 0
@@ -203,6 +204,23 @@ def test_graph_with_malformed_number_exits_2(tmp_path, capsys):
     bad.write_text("p graph 2 1 1\ne 0 x\n")
     assert main(["oracle", "--graph", str(bad), "--formula", "Ex x. x = x"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--parse-tree", "--formula-file", "--graph"])
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, flag, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"t=1\n(v\xff)")
+    command = "oracle" if flag == "--graph" else "check"
+    good = tmp_path / "good.pt"
+    good.write_text(format_parse_tree(family_tree("path", 2)))
+    argv = [command, flag, str(bad)]
+    if flag == "--formula-file":
+        argv += ["--parse-tree", str(good)]
+    else:
+        argv += ["--formula", "Ex x. x = x"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(bad) in err[0] and "UTF-8" in err[0], err
 
 
 def test_optimize_infeasible(p4_file, capsys):

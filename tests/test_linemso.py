@@ -7,6 +7,7 @@ from rwmso import linemso
 from rwmso.chartree import (RCForest, reduced_char_tree_direct, size_bound,
                             tree_cross_product)
 from rwmso.errors import RwmsoError
+from rwmso.linemso import DPStats
 from rwmso.parsetree import fold
 from rwmso.structures import Structure
 
@@ -15,6 +16,7 @@ from common import brute_force_linemso
 INDEP = "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))"
 DOMIN = "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))"
 VCOVER = "Ax x. Ax y. (!adj(x,y) | X(x) | X(y))"
+PROBLEMS = (("mis", INDEP, "max"), ("vc", VCOVER, "min"), ("mds", DOMIN, "min"))
 
 
 def _check_against_brute_force(tree, text, direction, weights=(1,)):
@@ -123,7 +125,7 @@ def test_class_count_bounded_and_stabilizes():
         leaf_struct = Structure(1, tree.t, (0,), (1,))
         leaf_ids = {reduced_char_tree_direct(forest, leaf_struct, q, (), (m,))
                     for m in (0, 1)}
-        root_ids = fold(tree, leaf_ids, lambda left, right, op: {
+        root_ids = fold(tree, leaf_ids, lambda op: lambda left, right: {
             tree_cross_product(forest, i1, i2, q, op) for i1 in left for i2 in right})
         counts.append(len(root_ids))
         assert tower_at_least(q + 1, f, counts[-1])
@@ -146,12 +148,32 @@ def test_leaf_states_are_built_once_per_solve(monkeypatch):
         assert len(calls) == 2 ** len(problem.weights)
 
 
-def test_pair_products_per_vertex_are_constant(monkeypatch):
-    # the DP half of the linearity gate: tree_cross_product calls added
-    # by six more path vertices, past the point where the states repeat.
-    # Pruning drops the states of independent set and vertex cover that
-    # already hold an edge inside X (or outside it); dominating set has
-    # nothing to drop.
+def test_pair_products_per_vertex_are_constant():
+    # the DP half of the linearity gate: state pairs combined for six more
+    # path vertices, past the point where the states repeat.  Pruning
+    # drops the states of independent set and vertex cover that already
+    # hold an edge inside X (or outside it); dominating set has nothing to
+    # drop.
+    per_six, total = {}, {}
+    for name, text, direction in PROBLEMS:
+        problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
+        added = set()
+        for n in (64, 128, 256):
+            for size in (n, n + 6):
+                stats = DPStats()
+                solve_linemso(family_tree("path", size, 2), problem, stats)
+                total[name, size] = stats.pair_products
+            added.add(total[name, n + 6] - total[name, n])
+        assert len(added) == 1, name
+        per_six[name] = added.pop()
+    assert per_six == {"mis": 428, "vc": 428, "mds": 6 * 480}
+    for (name, size), count in total.items():
+        assert name == "mds" or count < total["mds", size]
+
+
+def test_pairs_past_stabilisation_are_memo_hits(monkeypatch):
+    # once the states repeat, every further state pair is answered from
+    # the cross-product memo: six more path vertices add no call
     calls = []
     cross = linemso.tree_cross_product
 
@@ -160,19 +182,11 @@ def test_pair_products_per_vertex_are_constant(monkeypatch):
         return cross(*args)
 
     monkeypatch.setattr(linemso, "tree_cross_product", counting)
-    per_six, total = {}, {}
-    for name, text, direction in (("mis", INDEP, "max"), ("vc", VCOVER, "min"),
-                                  ("mds", DOMIN, "min")):
+    for name, text, direction in PROBLEMS:
         problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
-        added = set()
-        for n in (64, 128, 256):
-            for size in (n, n + 6):
-                calls.clear()
-                solve_linemso(family_tree("path", size, 2), problem)
-                total[name, size] = len(calls)
-            added.add(total[name, n + 6] - total[name, n])
-        assert len(added) == 1, name
-        per_six[name] = added.pop()
-    assert per_six == {"mis": 428, "vc": 428, "mds": 6 * 480}
-    for (name, size), count in total.items():
-        assert name == "mds" or count < total["mds", size]
+        made = []
+        for size in (64, 70):
+            calls.clear()
+            solve_linemso(family_tree("path", size, 2), problem)
+            made.append(len(calls))
+        assert made[0] == made[1] > 0, (name, made)

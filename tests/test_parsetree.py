@@ -9,7 +9,7 @@ from rwmso import (ParseTree, Relabeling, build_structure, family_tree,
 from rwmso.errors import RwmsoError
 from rwmso.parsetree import FAMILIES, fold
 
-from common import are_isomorphic, random_parse_tree
+from common import are_isomorphic, random_parse_tree, reference_parse_tree_from_text
 
 
 def test_parse_leaf():
@@ -51,6 +51,7 @@ def test_parse_errors():
     "(o 1 1 1 (v))",                  # missing child
     "(o 1 1 1 (v) (v) (v))",          # extra child
     "(o 1 1 1 (v) (v)) x",            # trailing token
+    "(o 1 1 1 (v) (v) x",             # a token in place of the last ')'
     "(o 1 1 1 (v) (v)))",             # trailing close
     "(o 1 1 1 (v) (v)",               # unclosed node
     "(o 1 1 1 (o 1 1 1 (v) (v) (v)))",  # child counts off on both nodes
@@ -182,8 +183,8 @@ def test_deep_tree_no_recursion_limit():
         again = parse_tree_from_text(text)
         assert again == tree and hash(again) == hash(tree) and repr(again) == repr(tree)
         assert format_parse_tree(again) == text
-        assert fold(tree, 1, lambda left, right, op: left + right) == n
-        assert fold(tree, 0, lambda left, right, op: max(left, right) + 1) == n - 1
+        assert fold(tree, 1, lambda op: lambda left, right: left + right) == n
+        assert fold(tree, 0, lambda op: lambda left, right: max(left, right) + 1) == n - 1
         assert model_check(tree, parse_formula("Ex x. Ex y. adj(x,y)"))
 
 
@@ -193,11 +194,7 @@ def test_leaf_order_is_vertex_order():
     assert g.adj[0].bit_count() == 5
 
 
-def test_postorder_walk_leaves_nothing_for_the_collector():
-    # the fold keeps one stack of results and reads the code as ints, so
-    # on a caterpillar with int results it allocates nothing the garbage
-    # collector tracks and no collection starts
-    tree = family_tree("path", 2 ** 14)
+def _collections_started(run):
     started = []
 
     def hook(phase, info):
@@ -207,8 +204,61 @@ def test_postorder_walk_leaves_nothing_for_the_collector():
     gc.collect()
     gc.callbacks.append(hook)
     try:
-        leaves = fold(tree, 1, lambda left, right, op: left + right)
+        run()
     finally:
         gc.callbacks.remove(hook)
-    assert leaves == 2 ** 14
-    assert started == []
+    return started
+
+
+def test_postorder_walk_leaves_nothing_for_the_collector():
+    # the fold keeps one stack of results and reads the code as ints, so
+    # on a caterpillar with int results it allocates nothing the garbage
+    # collector tracks and no collection starts; the reader keeps ints
+    # only per node, so neither does it
+    tree = family_tree("path", 2 ** 14)
+    leaves = []
+    assert _collections_started(lambda: leaves.append(
+        fold(tree, 1, lambda op: lambda left, right: left + right))) == []
+    assert leaves == [2 ** 14]
+    for family in ("path", "cycle"):
+        text = format_parse_tree(family_tree(family, 2 ** 14))
+        assert _collections_started(lambda: parse_tree_from_text(text)) == [], family
+
+
+def _read_both(text):
+    """Each reader's tree, or RwmsoError; any other exception escapes."""
+    out = []
+    for read in (parse_tree_from_text, reference_parse_tree_from_text):
+        try:
+            out.append(read(text))
+        except RwmsoError:
+            out.append(RwmsoError)
+    return out
+
+
+def test_chunk_reader_agrees_with_the_token_reader():
+    rng = random.Random(11)
+    trees = [family_tree(f, n, t) for f in FAMILIES for n in (3, 5, 8) for t in (2, 3)]
+    trees += [random_parse_tree(rng, rng.randint(1, 7), rng.choice((1, 2, 3)))
+              for _ in range(40)]
+    texts = [format_parse_tree(tree) for tree in trees]
+    texts += [variant for text in texts for variant in (
+        text.replace("(", "( ").replace(")", " )"), text.replace(" ", "\t"),
+        text.replace(" ", "\n"), text.replace(" ", "   "))]
+    # single edits: delete, insert or duplicate one character
+    alphabet = "()vo;0123456789 "
+    edits = []
+    for _ in range(2000):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text))
+        edits.append(rng.choice((text[:i] + text[i + 1:],
+                                 text[:i] + rng.choice(alphabet) + text[i:],
+                                 text[:i] + text[i] + text[i:])))
+    texts += edits
+    read = failed = 0
+    for text in texts:
+        new, old = _read_both(text)
+        assert new == old, text
+        read += new is not RwmsoError
+        failed += new is RwmsoError
+    assert read > len(trees) * 5 and failed > 1000, (read, failed)

@@ -111,7 +111,8 @@ def _subtree_states(forest, tree, budget, l):
         shifted = [(first + n1, k, s) for first, k, s in subtrees2]
         return subtrees1 + shifted + [(0, n1 + n2, states)], n1 + n2, states
 
-    subtrees, _, _ = fold(tree, ([(0, 1, states)], 1, states), combine)
+    subtrees, _, _ = fold(tree, ([(0, 1, states)], 1, states),
+                            lambda op: lambda left, right: combine(left, right, op))
     return subtrees
 
 
