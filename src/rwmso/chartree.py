@@ -31,6 +31,8 @@ from .structures import OrderedStructure, Structure, _as_masks, compose, ordered
 
 # covers the documented envelope |A| <= 4, q <= 3 for direct construction
 MAX_DIRECT_WORK = 10_000
+# the most nodes one forest interns: ~1.3-2.1 KB each, ~0.7-1.1 GB at the cap
+MAX_NODES = 500_000
 
 
 # --- interned reduced characteristic trees ------------------------------
@@ -107,6 +109,10 @@ class RCForest:
     fixed by the move budget and t, so both tables stop growing once a
     fold has stabilised.
 
+    That set's size is a tower in the budget, so the node count, not the
+    depth, is what a run costs: intern() refuses a new node past MAX_NODES
+    with ScaleGuardError, and every construction goes through it.
+
     cross_memo holds tree_cross_product's results, one dict per move
     budget and operator, which cross_memo_for gives, from (id1, id2, d)
     to the product's id: a fold answers its hits from it.  label_memo
@@ -163,6 +169,10 @@ class RCForest:
         nid = self._ids.get(key)
         if nid is None:
             nid = len(self._nodes)
+            if nid >= MAX_NODES:
+                raise ScaleGuardError(
+                    f"the forest reached {nid} interned nodes, the ceiling "
+                    f"chartree.MAX_NODES={MAX_NODES}; use a smaller formula or depth")
             self._ids[key] = nid
             self._nodes.append(RCNode(self._labels[label], point, set_kids, label))
         return nid

@@ -2,8 +2,9 @@
 computation, generators, and the linearity benchmark.
 
 Exit codes: 0 = true/feasible/ok, 1 = false/infeasible, 2 = error.
-Scale guards can be lifted with --force.  The environment variable
-RWMSO_MAX_Q (default 4) caps the characteristic-tree depth.
+oracle and rankwidth guard their brute-force input size, and --force
+lifts that guard.  Every command that builds characteristic trees stops
+with exit 2 once its forest passes chartree.MAX_NODES interned nodes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import statistics
 import sys
 import time
@@ -29,17 +29,8 @@ from .rankdec import MAX_EXACT_N, exact_rankwidth
 from .structures import parse_graph
 
 SCHEMA = "rwmso-report/1"
-DEFAULT_MAX_Q = 4
 ORACLE_MAX_N = 12
 ORACLE_MAX_SET_QUANTIFIERS = 2
-
-
-def _max_q() -> int:
-    raw = os.environ.get("RWMSO_MAX_Q", DEFAULT_MAX_Q)
-    try:
-        return int(raw)
-    except ValueError:
-        raise RwmsoError(f"RWMSO_MAX_Q={raw!r} is not an integer") from None
 
 
 def _read_text(path: str) -> str:
@@ -96,7 +87,6 @@ def cmd_check(args) -> int:
             f"formula has free variables {fv.objects + fv.sets}; "
             "use 'optimize' for formulas with free set variables")
     q = quantifier_rank(phi)
-    _guard(args, q > _max_q(), f"quantifier rank {q} exceeds RWMSO_MAX_Q={_max_q()}")
     start = time.perf_counter()
     # games.model_check, with the tree kept for the report
     rc = char_tree_from_parse_tree(tree, move_budget(phi))
@@ -136,8 +126,6 @@ def cmd_optimize(args) -> int:
             f"--weights must be comma-separated integers, got {args.weights!r}") from None
     problem = LinEMSOProblem(phi, weights, args.direction)
     q = quantifier_rank(phi) + len(weights)
-    _guard(args, q > _max_q(),
-           f"needs characteristic trees of depth {q} > RWMSO_MAX_Q={_max_q()}")
     stats = DPStats()
     start = time.perf_counter()
     result = solve_linemso(tree, problem, stats)
@@ -145,7 +133,8 @@ def cmd_optimize(args) -> int:
     budget_fields = {"q": q, "moveBudget": list(problem.budget),
                      "dpPeakStates": stats.peak_states,
                      "dpStatesDropped": stats.states_dropped,
-                     "dpPairProducts": stats.pair_products, "parseSec": parse_s}
+                     "dpPairProducts": stats.pair_products,
+                     "peakInterned": stats.peak_interned, "parseSec": parse_s}
     if result is None:
         print("INFEASIBLE")
         _report(args, {"command": "optimize", "answer": None, **budget_fields,
@@ -179,7 +168,6 @@ def cmd_rankwidth(args) -> int:
 
 def cmd_chartree(args) -> int:
     tree, _ = _read_parse_tree(args.parse_tree)
-    _guard(args, args.q > _max_q(), f"q {args.q} exceeds RWMSO_MAX_Q={_max_q()}")
     start = time.perf_counter()
     rc = char_tree_from_parse_tree(tree, args.q)
     elapsed = time.perf_counter() - start
@@ -229,10 +217,12 @@ def run_bench(family: str, n_list: list[int], q: int, t: int,
     trees.  Each repeat times every size in turn; a row has the best time
     and every repeat's, and peak_interned counts the warm-up's nodes too.
     """
+    if repeats < 1:
+        raise RwmsoError(f"--repeats must be at least 1, got {repeats}")
     trees = [family_tree(family, n, t) for n in n_list]
     warm_up = family_tree("path", 16, t)
     samples: list[list[float]] = [[] for _ in trees]
-    for _ in range(max(repeats, 1)):
+    for _ in range(repeats):
         rcs = []
         for tree, times in zip(trees, samples):
             forest = RCForest()
@@ -298,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parse-tree", required=True)
     _add_formula_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="decide G |= phi by brute force")
@@ -314,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="comma-separated integers")
     p.add_argument("--direction", choices=("max", "min"), default="max")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("rankwidth", help="exact rankwidth (exhaustive, tiny graphs)")
@@ -328,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--dump", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_chartree)
 
     p = sub.add_parser("gen", help="write a parse tree for a graph family")

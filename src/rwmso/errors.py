@@ -10,7 +10,7 @@ class WidthMismatchError(RwmsoError):
 
 
 class ScaleGuardError(RwmsoError):
-    """Input exceeds the size envelope of a brute-force routine."""
+    """A brute-force input is too big, or a forest passes chartree.MAX_NODES."""
 
 
 class DepthBudgetError(RwmsoError):

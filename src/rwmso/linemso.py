@@ -60,11 +60,12 @@ class LinEMSOResult:
 
 @dataclass
 class DPStats:
-    """Peak states at any parse node, states dropped, state pairs combined."""
+    """Peak states at any parse node, states dropped, pairs combined, nodes interned."""
 
     peak_states: int = 0
     states_dropped: int = 0
     pair_products: int = 0
+    peak_interned: int = 0
 
 
 def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
@@ -78,7 +79,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     Each parse node drops the states whose games.Verdicts verdict is
     BOTTOM; see there for why this is sound.  stats, if given, receives
-    the peak and dropped state counts and the state pairs.
+    the peak and dropped state counts, the state pairs and the forest's
+    node count, which bounds the states (they are ids in that forest).
     """
     weights = problem.weights
     l = len(weights)
@@ -139,6 +141,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     classes, _ = fold(tree, (leaf_states, 1),
                       lambda op: lambda left, right: combine(left, right, op))
+    stats.peak_interned = len(forest)
     best: tuple[int, tuple[frozenset[int], ...]] | None = None
     for rid, (value, witness) in classes.items():
         if not game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars):

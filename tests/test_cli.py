@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rwmso import format_graph, format_parse_tree, family_tree, generate_graph
-from rwmso import cli
+from rwmso import chartree, cli
 from rwmso.cli import main
 
 
@@ -64,19 +64,55 @@ def test_out_of_memory_is_one_error_line(p4_file, monkeypatch, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_check_q_cap(p4_file, monkeypatch, capsys):
-    monkeypatch.setenv("RWMSO_MAX_Q", "2")
-    deep = "Ex a. Ex b. Ex c. adj(a,b)"
-    assert main(["check", "--parse-tree", p4_file, "--formula", deep]) == 2
-    assert "RWMSO_MAX_Q" in capsys.readouterr().err
-    assert main(["check", "--parse-tree", p4_file, "--formula", deep,
-                 "--force"]) == 0
+def test_check_rank_five_path_sentence(p4_file, capsys):
+    # a cheap deep run: ~1,300 interned nodes, far below the ceiling
+    phi = "Ex a. Ex b. Ex c. Ex d. Ex e. (adj(a,b) & adj(b,c) & adj(c,d) & adj(d,e))"
+    assert main(["check", "--parse-tree", p4_file, "--formula", phi]) == 0
+    assert capsys.readouterr().out.splitlines() == ["true"]
 
 
-def test_max_q_must_be_an_integer(p4_file, monkeypatch, capsys):
-    monkeypatch.setenv("RWMSO_MAX_Q", "abc")
-    assert main(["check", "--parse-tree", p4_file, "--formula", "Ex x. x = x"]) == 2
-    assert "RWMSO_MAX_Q='abc'" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["check", "--formula", "Ex x. Ex y. adj(x,y)"],
+    ["optimize", "--formula", "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", "--weights", "1"],
+    ["chartree", "--q", "2"],
+    ["bench", "--family", "path", "--n-list", "8", "--q", "2", "--repeats", "1"],
+], ids=lambda argv: argv[0])
+def test_node_ceiling_is_one_error_line(p4_file, argv, monkeypatch, capsys):
+    monkeypatch.setattr(chartree, "MAX_NODES", 4)
+    if argv[0] != "bench":
+        argv = argv + ["--parse-tree", p4_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "reached 4 interned nodes" in err[0] and "MAX_NODES=4" in err[0]
+
+
+def test_deep_formulas_end_cleanly(tmp_path, monkeypatch, capsys):
+    # 95 set quantifiers over one vertex: building the leaf's tree walks
+    # ~3^96 moves, and the node ceiling ends the walk
+    p1 = tmp_path / "p1.pt"
+    p1.write_text(format_parse_tree(family_tree("path", 1)))
+    monkeypatch.setattr(chartree, "MAX_NODES", 2_000)
+    sets = "".join(f"EX A{i}. " for i in range(95)) + "Ex x. A0(x)"
+    assert main(["check", "--parse-tree", str(p1), "--formula", sets]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MAX_NODES=2000" in captured.err
+    assert "Traceback" not in captured.err
+    # 95 point moves over one vertex: one node per depth
+    points = "".join(f"Ex x{i}. " for i in range(95)) + "x0 = x94"
+    assert main(["check", "--parse-tree", str(p1), "--formula", points, "--json"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "true"
+    report = json.loads(out[1])
+    assert report["charTreeNodes"] == report["peakInterned"] == 96
+
+
+@pytest.mark.parametrize("command", ["check", "optimize", "chartree"])
+def test_tree_commands_take_no_force(command):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--parse-tree", "t.pt", "--force"])
 
 
 def test_oracle(c5_graph, capsys):
@@ -172,15 +208,14 @@ def test_optimize_reports_dp_states(tmp_path, capsys):
     assert report["answer"] == 32
     assert (report["dpPeakStates"], report["dpStatesDropped"]) == (36, 379)
     assert report["dpPairProducts"] == 4146 and report["parseSec"] >= 0
+    assert report["peakInterned"] == 189
     report = _optimize_json(tmp_path, capsys, "path", 64,
                             "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))", "1", "min")
     assert report["answer"] == 22 and report["dpStatesDropped"] == 0
 
 
-def test_optimize_two_set_variables(tmp_path, capsys, monkeypatch):
-    # a 2-colouring of path n=64, maximizing |X| - |Y|; the trees are
-    # deeper than the default RWMSO_MAX_Q (rank 3 plus two sets)
-    monkeypatch.setenv("RWMSO_MAX_Q", "5")
+def test_optimize_two_set_variables(tmp_path, capsys):
+    # a 2-colouring of path n=64, maximizing |X| - |Y| (rank 3 plus two sets)
     formula = ("Ax x. ((X(x) | Y(x)) & !(X(x) & Y(x)))"
                " & (Ax x. Ax y. (!adj(x,y) | !X(x) | !X(y)))"
                " & (Ax x. Ax y. (!adj(x,y) | !Y(x) | !Y(y)))")
@@ -287,20 +322,26 @@ def test_bench_bad_n_list(capsys):
     assert "--n-list" in err and "'a'" in err
 
 
-def test_optimize_force_lifts_the_leaf_tree_guard(tmp_path, capsys):
+@pytest.mark.parametrize("repeats", ["0", "-5"])
+def test_bench_bad_repeats(repeats, capsys):
+    assert main(["bench", "--family", "path", "--n-list", "8",
+                 "--repeats", repeats]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error:") and "--repeats" in err[0] and repeats in err[0]
+
+
+def test_nine_point_moves_answer_under_defaults(tmp_path, capsys):
     # nine point moves over a one-vertex leaf: ~3^9 direct moves, past
-    # the direct construction's guard, which --force must lift
+    # the direct construction's own guard, which leaf builds skip
     p2 = tmp_path / "p2.pt"
     p2.write_text(format_parse_tree(family_tree("path", 2)))
     phi = "Ax a. " * 9 + "(!X(a) | a = a)"
     assert main(["optimize", "--parse-tree", str(p2), "--formula", phi,
-                 "--weights", "1"]) == 2           # RWMSO_MAX_Q refuses
-    capsys.readouterr()
-    assert main(["optimize", "--parse-tree", str(p2), "--formula", phi,
-                 "--weights", "1", "--force"]) == 0
+                 "--weights", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["value 2", "X = {0, 1}"]
-    assert main(["check", "--parse-tree", str(p2), "--formula", "EX X. " + phi,
-                 "--force"]) == 0
+    assert main(["check", "--parse-tree", str(p2), "--formula", "EX X. " + phi]) == 0
     assert capsys.readouterr().out.splitlines() == ["true"]
 
 
