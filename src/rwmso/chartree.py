@@ -261,17 +261,13 @@ def leaf_char_tree(forest: RCForest, budget: int | Budget, t: int) -> int:
 
 # --- combining reduced trees --------------------------------------------
 
-IndicatorVector = tuple[tuple[int, int], ...]
+IndicatorVector = tuple[int, ...]  # the side, 1 or 2, of each position
 
 
 def _check_indicator(d: IndicatorVector, m1: int, m2: int):
-    counts = [0, 0]
-    for side, k in d:
-        if side not in (1, 2):
-            raise RwmsoError(f"bad indicator side {side}")
-        counts[side - 1] += 1
-        if k != counts[side - 1]:
-            raise RwmsoError("indicator indices must be 1,2,... per side")
+    if not set(d) <= {1, 2}:
+        raise RwmsoError(f"bad indicator sides {sorted(set(d) - {1, 2})}")
+    counts = [d.count(1), d.count(2)]
     if counts != [m1, m2]:
         raise RwmsoError(
             f"indicator covers {counts} positions, operands have {[m1, m2]}")
@@ -282,18 +278,19 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
     """Ordered structure of the composition, renamed via the indicator.
 
     Equals Ord(A1 (x) A2, c, C) whenever o_i = Ord(A_i, c[A_i], C n A_i)
-    and d is the indicator vector of c.  Each label holds only the
-    elements its side's part of c reaches, so composing the two labels
-    and inducing on c, read off d, gives the same result as composing
-    the whole factors.  The fold runs it once per distinct label product.
+    and d is the indicator vector of c, the side of each entry.  Each
+    label holds only the elements its side's part of c reaches, in
+    order, so composing the two labels and inducing on c, read off d,
+    gives the same result as composing the whole factors.  The fold
+    runs it once per distinct label product.
     """
     if o1.p != o2.p:
         raise RwmsoError(f"trace counts differ: {o1.p} vs {o2.p}")
     _check_indicator(d, o1.m, o2.m)
     # element e < k1 is class e of side 1, e >= k1 class e - k1 of side 2
     k1 = o1.structure.n
-    pos1, pos2 = o1.positions, o2.positions
-    c = [pos1[k - 1] if side == 1 else k1 + pos2[k - 1] for side, k in d]
+    it1, it2 = iter(o1.positions), iter(o2.positions)
+    c = [next(it1) if side == 1 else k1 + next(it2) for side in d]
     traces = [tr1 | tr2 << k1 for tr1, tr2 in zip(o1.set_traces, o2.set_traces)]
     return ordered_induced(compose(o1.structure, o2.structure, *op), c, traces)
 
@@ -303,7 +300,8 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     """Reduced tree of the composition from the factors' reduced trees.
 
     Point moves pair a point child of one side with the other side's
-    whole tree (extending the indicator vector d, empty at the roots);
+    whole tree (appending that side to the indicator vector d, empty at
+    the roots);
     set moves pair set children of both sides.  A factor's own (m_i, p)
     never exceeds the product's (m, p) and the budget is down-closed, so
     factors built for the same budget have every move the product needs.
@@ -338,8 +336,7 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         # in_budget(caps, m + 1, p) and in_budget(caps, m, p + 1), inlined
         if p < ncaps and m < caps[p]:
             _check_factors(n1, n2, True, m, p, caps)
-            d1 = d + ((1, o1.m + 1),)
-            d2 = d + ((2, o2.m + 1),)
+            d1, d2 = d + (1,), d + (2,)
             point = {h if (h := get((u, i2, d1))) is not None else rec(u, i2, d1)
                      for u in n1.point_children}
             point.update(h if (h := get((i1, u, d2))) is not None else rec(i1, u, d2)

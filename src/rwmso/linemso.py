@@ -7,7 +7,8 @@ characteristic trees, built with the l chosen sets preloaded as traces,
 to the best weight (plus one witness) reaching that tree.  The 2^l leaf
 states are built once per solve and combined pairwise with the tree
 cross product.  At the root, the game decides which states satisfy the
-formula.
+formula.  A min problem is the max over negated weights, and a witness
+is one vertex bitmask per set variable until the result.
 
 Each parse node drops the states whose games.Verdicts verdict is
 BOTTOM; see there for why this is sound.
@@ -68,6 +69,15 @@ class DPStats:
     peak_interned: int = 0
 
 
+def _members(mask: int) -> frozenset[int]:
+    """The vertices of a bitmask, walking its set bits."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return frozenset(out)
+
+
 def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
                   stats: DPStats | None = None) -> LinEMSOResult | None:
     """Optimize sum a_i |U_i| over set tuples satisfying the formula.
@@ -82,7 +92,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     the peak and dropped state counts, the state pairs and the forest's
     node count, which bounds the states (they are ids in that forest).
     """
-    weights = problem.weights
+    sign = 1 if problem.direction == "max" else -1
+    weights = tuple(sign * w for w in problem.weights)
     l = len(weights)
     budget = problem.budget
     set_vars = problem.set_vars
@@ -90,10 +101,6 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     verdicts = Verdicts(forest, problem.phi, set_vars, budget)
     if stats is None:
         stats = DPStats()
-    prefer_larger = problem.direction == "max"
-
-    def better(a: int, b: int) -> bool:
-        return a > b if prefer_larger else a < b
 
     def survivors(states: dict) -> dict:
         if verdicts.can_fail:
@@ -104,19 +111,18 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
         stats.peak_states = max(stats.peak_states, len(states))
         return states
 
-    # states per subtree: interned tree id -> (weight, witness); ties keep
-    # the first-found witness, so results are deterministic
+    # states per subtree: interned tree id -> (weight, witness masks); ties
+    # keep the first-found witness, so results are deterministic
     leaf_struct = Structure(1, tree.t, (0,), (1,))
-    leaf_states: dict[int, tuple[int, tuple[frozenset[int], ...]]] = {}
+    leaf_states: dict[int, tuple[int, tuple[int, ...]]] = {}
     for choice in range(1 << l):
         masks = tuple((choice >> i) & 1 for i in range(l))
         rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks,
                                        force=True)
         value = sum(w for w, m in zip(weights, masks) if m)
-        witness = tuple(frozenset({0} if m else ()) for m in masks)
         old = leaf_states.get(rid)
-        if old is None or better(value, old[0]):
-            leaf_states[rid] = (value, witness)
+        if old is None or value > old[0]:
+            leaf_states[rid] = (value, masks)
     leaf_states = survivors(leaf_states)
 
     def combine(left, right, op):
@@ -132,26 +138,22 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
                     rid = tree_cross_product(forest, id1, id2, budget, op)
                 value = v1 + v2
                 old = pairs.get(rid)
-                if old is None or better(value, old[0]):
+                if old is None or value > old[0]:
                     pairs[rid] = (value, w1, w2)
-        combined = {
-            rid: (value, tuple(a | frozenset(x + n1 for x in b) for a, b in zip(w1, w2)))
-            for rid, (value, w1, w2) in survivors(pairs).items()}
+        combined = {rid: (value, tuple(a | b << n1 for a, b in zip(w1, w2)))
+                    for rid, (value, w1, w2) in survivors(pairs).items()}
         return combined, n1 + n2
 
     classes, _ = fold(tree, (leaf_states, 1),
                       lambda op: lambda left, right: combine(left, right, op))
     stats.peak_interned = len(forest)
-    best: tuple[int, tuple[frozenset[int], ...]] | None = None
-    for rid, (value, witness) in classes.items():
-        if not game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars):
-            continue
-        if best is None or better(value, best[0]):
-            best = (value, witness)
-    if best is None:
+    sat = [state for rid, state in classes.items()
+           if game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars)]
+    if not sat:
         return None
-    value, witness = best
+    value, masks = max(sat, key=lambda state: state[0])  # the first on ties
+    witness = tuple(map(_members, masks))
     check = sum(w * len(u) for w, u in zip(weights, witness))
     if check != value:
         raise RwmsoError(f"witness weight {check} does not reproduce value {value}")
-    return LinEMSOResult(value, witness)
+    return LinEMSOResult(sign * value, witness)

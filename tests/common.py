@@ -85,19 +85,16 @@ def small_parse_trees():
 
 
 def indicator_vector(a1, a2, c):
-    """Record, per entry of c, its side and its index within that side."""
+    """Record, per entry of c, the side (1 or 2) it lies on."""
     s1, s2 = set(a1), set(a2)
     if s1 & s2:
         raise RwmsoError(f"sides overlap: {sorted(s1 & s2)}")
-    counts = [0, 0]
     out = []
     for e in c:
         if e in s1:
-            counts[0] += 1
-            out.append((1, counts[0]))
+            out.append(1)
         elif e in s2:
-            counts[1] += 1
-            out.append((2, counts[1]))
+            out.append(2)
         else:
             raise RwmsoError(f"element {e} is on neither side")
     return tuple(out)

@@ -163,12 +163,11 @@ def test_indicator_example():
     # a1 b1 b2 a2 b3 b4 a2 b3 a1 with sides {a1,a2} and {b1..b4}
     a1, a2, b1, b2, b3, b4 = 0, 1, 2, 3, 4, 5
     c = (a1, b1, b2, a2, b3, b4, a2, b3, a1)
-    assert indicator_vector({a1, a2}, {b1, b2, b3, b4}, c) == (
-        (1, 1), (2, 1), (2, 2), (1, 2), (2, 3), (2, 4), (1, 3), (2, 5), (1, 4))
+    assert indicator_vector({a1, a2}, {b1, b2, b3, b4}, c) == (1, 2, 2, 1, 2, 2, 1, 2, 1)
 
 
 def test_indicator_trivial():
-    assert indicator_vector({0, 1}, set(), (0, 1, 0)) == ((1, 1), (1, 2), (1, 3))
+    assert indicator_vector({0, 1}, set(), (0, 1, 0)) == (1, 1, 1)
     assert indicator_vector(set(), set(), ()) == ()
 
 
@@ -187,12 +186,12 @@ def _split_vector(rng, n1, n2, m):
             e = rng.randrange(n1)
             c.append(e)
             c1.append(e)
-            d.append((1, len(c1)))
+            d.append(1)
         else:
             e = rng.randrange(n2)
             c.append(n1 + e)
             c2.append(e)
-            d.append((2, len(c2)))
+            d.append(2)
     return c, c1, c2, tuple(d)
 
 
@@ -215,10 +214,10 @@ def test_rename_combine_matches_composition():
             m = rng.randint(0, 4) if n1 or n2 else 0
             if mode == "left":
                 c1 = [rng.randrange(n1) for _ in range(m)]
-                c, c2, d = list(c1), [], tuple((1, k) for k in range(1, m + 1))
+                c, c2, d = list(c1), [], (1,) * m
             elif mode == "right":
                 c2 = [rng.randrange(n2) for _ in range(m)]
-                c, c1, d = [n1 + e for e in c2], [], tuple((2, k) for k in range(1, m + 1))
+                c, c1, d = [n1 + e for e in c2], [], (2,) * m
             else:
                 c, c1, c2, d = _split_vector(rng, n1, n2, m)
             sets = [frozenset(v for v in range(n1 + n2) if rng.random() < 0.5)
@@ -237,12 +236,12 @@ def test_rename_combine_matches_composition():
 
 
 def test_rename_combine_interleaved_sides():
-    # d = (1,1)(2,1)(2,2)(2,3)(1,2): c = x b1 b2 b2 x with x on side 1
+    # d = 1 2 2 2 1: c = x b1 b2 b2 x with x on side 1
     rng = random.Random(29)
     t = 2
     g1, g2 = random_structure(rng, 3, t), random_structure(rng, 3, t)
     op = (Relabeling.identity(2), Relabeling.zero(2), Relabeling.identity(2))
-    d = ((1, 1), (2, 1), (2, 2), (2, 3), (1, 2))
+    d = (1, 2, 2, 2, 1)
     c1, c2 = [2, 2], [0, 1, 1]
     c = [2, 3 + 0, 3 + 1, 3 + 1, 2]
     o = rename_combine(ordered_induced(g1, c1), ordered_induced(g2, c2), d, op)
@@ -255,7 +254,7 @@ def test_rename_combine_empty_side():
     o1 = ordered_induced(build_structure(2, [(0, 1)], t=1, labels=[1, 1]), [0, 1])
     o2 = ordered_induced(build_structure(0, [], t=1), [])
     op = (IDENT, Relabeling.zero(1), IDENT)
-    out = rename_combine(o1, o2, ((1, 1), (1, 2)), op)
+    out = rename_combine(o1, o2, (1, 1), op)
     assert out.structure.n == 2 and out.structure.labels == (0, 0)
     assert out.structure.edges() == [(0, 1)]
 
@@ -265,13 +264,15 @@ def test_rename_combine_validation():
     o2 = ordered_induced(VERTEX, [])
     op = (IDENT, IDENT, IDENT)
     with pytest.raises(RwmsoError):
-        rename_combine(o1, o2, ((1, 1),), op)  # trace counts differ
+        rename_combine(o1, o2, (1,), op)  # trace counts differ
     o2 = ordered_induced(VERTEX, [], [set()])
     with pytest.raises(RwmsoError):
-        rename_combine(o1, o2, ((1, 2),), op)  # bad indicator index
+        rename_combine(o1, o2, (3,), op)  # bad indicator side
+    with pytest.raises(RwmsoError):
+        rename_combine(o1, o2, (1, 1), op)  # wrong count on side 1
     wide = ordered_induced(Structure(1, 2, (0,), (1,)), [], [set()])
     with pytest.raises(WidthMismatchError):
-        rename_combine(o1, wide, ((1, 1),), op)  # label widths differ
+        rename_combine(o1, wide, (1,), op)  # label widths differ
 
 
 # --- tree cross product ---------------------------------------------------

@@ -23,6 +23,12 @@ def _check_against_brute_force(tree, text, direction, weights=(1,)):
     phi = parse_formula(text, 2)
     problem = LinEMSOProblem(phi, weights, direction)
     result = solve_linemso(tree, problem)
+    if direction == "min":
+        # min with weights w is max with -w: value -v and the same witness
+        mirror = solve_linemso(tree, LinEMSOProblem(phi, tuple(-w for w in weights), "max"))
+        assert (mirror is None) == (result is None)
+        if result is not None:
+            assert (mirror.value, mirror.witness) == (-result.value, result.witness)
     g = generate_graph(tree)
     want = brute_force_linemso(g, phi, problem.set_vars, weights, direction)
     if want is None:
