@@ -22,11 +22,11 @@ can take (logic.move_budget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
-from .parsetree import CompositionOp, ParseTree, fold
+from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
 from .structures import OrderedStructure, Structure, _as_masks, compose, ordered_induced
 
 # covers the documented envelope |A| <= 4, q <= 3 for direct construction
@@ -253,10 +253,7 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budge
 
 def leaf_char_tree(forest: RCForest, budget: int | Budget, t: int) -> int:
     """Reduced tree of the single new-vertex structure (label {1})."""
-    if t < 1:
-        raise RwmsoError("leaf vertices carry label 1; need t >= 1")
-    return reduced_char_tree_direct(forest, Structure(1, t, (0,), (1,)), budget,
-                                    force=True)
+    return reduced_char_tree_direct(forest, leaf_vertex(t), budget, force=True)
 
 
 # --- combining reduced trees --------------------------------------------
@@ -405,69 +402,3 @@ def rc_dump(forest: RCForest, root: int) -> str:
         lines.append(f"{nid} {kind[nid]} {n.m} {n.p} {len(kids)} {ids}".rstrip()
                      + f" | {n.ord.encode()}")
     return "\n".join(lines) + "\n"
-
-
-# --- size bound ----------------------------------------------------------
-
-# refuse to materialize integers beyond this many bits
-_BIT_LIMIT = 2_000_000
-
-
-def exp_tower(i: int, x: int) -> int:
-    """exp(0)(x) = x, exp(1)(x) = 2^x, exp(i)(x) = 2^(2*exp(i-1)(x))."""
-    if i == 0:
-        return x
-    e = x if i == 1 else 2 * exp_tower(i - 1, x)
-    if e > _BIT_LIMIT:
-        raise ScaleGuardError(
-            f"tower value needs ~2^{e.bit_length()} bits, over the guard")
-    return 1 << e
-
-
-def tower_at_least(i: int, x: int, n: int) -> bool:
-    """Whether exp(i)(x) >= n, without materializing the tower."""
-    if n <= 0:
-        return True
-    if i == 0:
-        return x >= n
-    need = (n - 1).bit_length()  # 2^e >= n iff e >= need
-    if i == 1:
-        return x >= need
-    return tower_at_least(i - 1, x, (need + 1) // 2)
-
-
-@dataclass(frozen=True)
-class SizeBound:
-    """Bounds from the counting argument; None when past the int guard."""
-
-    num_trees: int | None
-    tree_size: int | None
-    tower_arg: int = field(default=0)
-
-
-def _f_value(q: int, tau_size: int, r: int) -> int:
-    if q == 0:
-        return 0
-    log_term = q * (q - 1).bit_length() if q > 1 else 0  # q * ceil(log2 q)
-    return tau_size * q ** r + log_term + q * q
-
-
-def size_bound(q: int, tau_size: int, r: int = 2) -> SizeBound:
-    """Count and size bounds for reduced characteristic trees of depth q.
-
-    num_trees bounds the number of distinct trees over all choice
-    vectors; tree_size bounds the node count of any single tree.  The
-    q log q term is rounded up to an integer.
-    """
-    if q < 0 or tau_size < 0 or r < 1:
-        raise RwmsoError("bad size-bound arguments")
-    f = _f_value(q, tau_size, r)
-    try:
-        num = exp_tower(q + 1, f)
-    except ScaleGuardError:
-        num = None
-    try:
-        size = exp_tower(q, f) ** 4
-    except ScaleGuardError:
-        size = None
-    return SizeBound(num, size, f)

@@ -24,7 +24,7 @@ from .chartree import RCTree, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
-                    free_variables, is_sentence, move_budget, parse_formula)
+                    free_variables, is_sentence, move_budget)
 from .parsetree import ParseTree
 from .structures import Structure
 
@@ -378,12 +378,3 @@ CATALOG: tuple[CatalogSentence, ...] = (
     CatalogSentence("has-triangle",
                     "Ex x. Ex y. Ex z. (adj(x,y) & adj(y,z) & adj(x,z))", 3),
 )
-
-
-def catalog(max_qr: int | None = None, t: int = 2) -> list[tuple[str, Formula]]:
-    """Parsed catalog sentences, optionally filtered by quantifier rank."""
-    out = []
-    for entry in CATALOG:
-        if max_qr is None or entry.qr <= max_qr:
-            out.append((entry.name, parse_formula(entry.text, t)))
-    return out

@@ -9,11 +9,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def dot(a: int, b: int) -> int:
-    """Scalar product of two bit-vectors."""
-    return (a & b).bit_count() & 1
-
-
 def vec_times_matrix(v: int, rows: Sequence[int]) -> int:
     """Row vector times matrix: XOR of the rows selected by the bits of v."""
     out = 0

@@ -23,8 +23,7 @@ from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
 from .errors import RwmsoError
 from .games import BOTTOM, Verdicts, game_on_tree
 from .logic import Formula, free_variables, move_budget
-from .parsetree import ParseTree, fold
-from .structures import Structure
+from .parsetree import ParseTree, fold, leaf_vertex
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     # states per subtree: interned tree id -> (weight, witness masks); ties
     # keep the first-found witness, so results are deterministic
-    leaf_struct = Structure(1, tree.t, (0,), (1,))
+    leaf_struct = leaf_vertex(tree.t)
     leaf_states: dict[int, tuple[int, tuple[int, ...]]] = {}
     for choice in range(1 << l):
         masks = tuple((choice >> i) & 1 for i in range(l))

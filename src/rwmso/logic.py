@@ -1,4 +1,4 @@
-"""MSO1 formulas over {E, L1..Lt}: AST, concrete syntax, and rewrites.
+"""MSO1 formulas over {E, L1..Lt}: AST and concrete syntax.
 
 Grammar (whitespace-insensitive)::
 
@@ -383,49 +383,6 @@ def move_budget(phi: Formula, objects: int = 0, sets: int = 0) -> tuple[int, ...
         cap = max(cap, most.get(p, 0))
         caps.append(cap)
     return tuple(reversed(caps))
-
-
-def to_nnf(phi: Formula) -> Formula:
-    """Push negations to the atoms; preserves quantifier rank.
-
-    The tree game takes any formula; on an NNF formula, evaluate's
-    any/all recursion is the game played on the structure itself."""
-    if is_atomic(phi):
-        return phi
-    if isinstance(phi, (And, Or)):
-        return type(phi)(to_nnf(phi.left), to_nnf(phi.right))
-    if isinstance(phi, (ExistsObj, ForallObj)):
-        return type(phi)(phi.var, to_nnf(phi.sub))
-    if isinstance(phi, (ExistsSet, ForallSet)):
-        return type(phi)(phi.set_var, to_nnf(phi.sub))
-    sub = phi.sub
-    if is_atomic(sub):
-        return phi
-    if isinstance(sub, Not):
-        return to_nnf(sub.sub)
-    if isinstance(sub, And):
-        return Or(to_nnf(Not(sub.left)), to_nnf(Not(sub.right)))
-    if isinstance(sub, Or):
-        return And(to_nnf(Not(sub.left)), to_nnf(Not(sub.right)))
-    if isinstance(sub, ExistsObj):
-        return ForallObj(sub.var, to_nnf(Not(sub.sub)))
-    if isinstance(sub, ForallObj):
-        return ExistsObj(sub.var, to_nnf(Not(sub.sub)))
-    if isinstance(sub, ExistsSet):
-        return ForallSet(sub.set_var, to_nnf(Not(sub.sub)))
-    if isinstance(sub, ForallSet):
-        return ExistsSet(sub.set_var, to_nnf(Not(sub.sub)))
-    raise RwmsoError(f"unknown formula node {sub!r}")
-
-
-def is_nnf(phi: Formula) -> bool:
-    if isinstance(phi, Not):
-        return is_atomic(phi.sub)
-    if is_atomic(phi):
-        return True
-    if isinstance(phi, (And, Or)):
-        return is_nnf(phi.left) and is_nnf(phi.right)
-    return is_nnf(phi.sub)
 
 
 def free_variables(phi: Formula) -> VariableList:

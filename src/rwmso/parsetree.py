@@ -36,6 +36,8 @@ class ParseTree:
     code: tuple[int, ...]
 
     def __post_init__(self):
+        if self.t < 1:
+            raise RwmsoError("width must be at least 1")
         if any([getattr(r, "t", None) for r in op] != [self.t] * 3 for op in self.ops):
             raise RwmsoError(f"an operator is three relabelings of width {self.t}")
         if len(set(self.ops)) != len(self.ops):
@@ -76,10 +78,17 @@ def fold(tree: ParseTree, leaf: T,
     return results[0]
 
 
+def leaf_vertex(t: int) -> Structure:
+    """The structure every leaf creates: one vertex with label {1}."""
+    if t < 1:
+        raise RwmsoError("leaf vertices carry label 1; need t >= 1")
+    return Structure(1, t, (0,), (1,))
+
+
 def generate_graph(tree: ParseTree) -> Structure:
     """Apply the operators leaves-to-root and return the generated graph."""
-    leaf = Structure(1, tree.t, (0,), (1,) if tree.t else (0,))
-    return fold(tree, leaf, lambda op: lambda left, right: compose(left, right, *op))
+    return fold(tree, leaf_vertex(tree.t),
+                lambda op: lambda left, right: compose(left, right, *op))
 
 
 # --- text format --------------------------------------------------------
@@ -148,8 +157,6 @@ def parse_tree_from_text(text: str) -> ParseTree:
         t = int(lines[0].strip()[2:])
     except ValueError:
         raise RwmsoError("bad width in header") from None
-    if t < 1:
-        raise RwmsoError("width must be at least 1")
     # Split at "(", each chunk is one node, read once per distinct text.
     # The scan then appends each node to the code where it ends, keeping
     # ints only: the open inner nodes as 2 * head + (left child done).

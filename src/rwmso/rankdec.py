@@ -1,4 +1,4 @@
-"""Cut-rank, rank-decomposition width, and an exact-rankwidth oracle.
+"""Cut-rank and an exact-rankwidth oracle.
 
 The oracle enumerates every leaf-labeled subcubic tree (there are
 (2n-5)!! of them), so it is only meant for verification on tiny graphs.
@@ -65,38 +65,6 @@ def _side_masks(d: BranchDecomposition) -> list[int]:
             stack.extend((nxt, node) for nxt in adj[node] if nxt != parent)
         masks.append(mask)
     return masks
-
-
-def _validate(g: Structure, d: BranchDecomposition):
-    degree = [0] * d.num_nodes
-    for a, b in d.edges:
-        if not (0 <= a < d.num_nodes and 0 <= b < d.num_nodes):
-            raise RwmsoError("decomposition edge endpoint out of range")
-        degree[a] += 1
-        degree[b] += 1
-    leaves = set(d.leaf_map.values())
-    if len(leaves) != len(d.leaf_map) or set(d.leaf_map) != set(range(g.n)):
-        raise RwmsoError("leaf map is not a bijection from the vertices")
-    for node in range(d.num_nodes):
-        if node in leaves:
-            if degree[node] > 1:
-                raise RwmsoError(f"leaf node {node} has degree {degree[node]}")
-        elif degree[node] != 3 and d.num_nodes > 2:
-            raise RwmsoError(f"internal node {node} has degree {degree[node]}")
-    if len(d.edges) != d.num_nodes - 1:
-        raise RwmsoError("decomposition tree is not a tree")
-
-
-def decomposition_width(g: Structure, d: BranchDecomposition) -> int:
-    """Maximum cut-rank over the cuts induced by the tree edges."""
-    _validate(g, d)
-    if not d.edges:
-        return 0
-    width = 0
-    for mask in _side_masks(d):
-        y = [u for u in range(g.n) if (mask >> u) & 1]
-        width = max(width, cut_rank(g, y))
-    return width
 
 
 def _subcubic_trees(n: int):

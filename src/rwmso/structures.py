@@ -8,7 +8,7 @@ labeling operations are GF(2) bitset arithmetic (see gf2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import gf2
 from .errors import RwmsoError, WidthMismatchError
@@ -122,12 +122,6 @@ def _check_width(*widths: int) -> int:
     if len(set(widths)) > 1:
         raise WidthMismatchError(f"label widths differ: {widths}")
     return widths[0]
-
-
-def relabel(g: Structure, f: Relabeling) -> Structure:
-    """Apply the relabeling to every label row; edges are untouched."""
-    _check_width(g.t, f.t)
-    return Structure(g.n, g.t, g.adj, tuple(f.apply(lab) for lab in g.labels))
 
 
 def _cross_rows(g1: Structure, g2_labels: Sequence[int]) -> list[int]:
@@ -253,43 +247,6 @@ def ordered_induced(a: Structure, c: Sequence[int],
         traces.append(tr)
     struct = _unchecked(k, a.t, tuple(adj), labels)
     return OrderedStructure(struct, tuple(positions), tuple(traces))
-
-
-def is_partial_isomorphism(a: Structure, b: Structure,
-                           a_sets: Sequence[Iterable[int] | int],
-                           b_sets: Sequence[Iterable[int] | int],
-                           pi: Mapping[int, int]) -> bool:
-    """Check that pi preserves E, the labels, and set membership both ways."""
-    if len(a_sets) != len(b_sets):
-        raise RwmsoError("set tuples differ in length")
-    a_masks = _as_masks(a.n, a_sets)
-    b_masks = _as_masks(b.n, b_sets)
-    items = list(pi.items())
-    if len({v for _, v in items}) != len(items):
-        return False
-    for u, v in items:
-        if not (0 <= u < a.n and 0 <= v < b.n):
-            return False
-        if a.labels[u] != b.labels[v]:
-            return False
-        for am, bm in zip(a_masks, b_masks):
-            if ((am >> u) & 1) != ((bm >> v) & 1):
-                return False
-        for u2, v2 in items:
-            if a.has_edge(u, u2) != b.has_edge(v, v2):
-                return False
-    return True
-
-
-def generated_subspace(g: Structure, x: Iterable[int]) -> tuple[int, ...]:
-    """Canonical basis of the subspace spanned by the labels of X."""
-    return gf2.row_echelon(g.labels[u] for u in x)
-
-
-def subspaces_orthogonal(b1: Iterable[int], b2: Iterable[int]) -> bool:
-    """True iff every vector of b1 is orthogonal to every vector of b2."""
-    b2 = tuple(b2)
-    return all(gf2.dot(v1, v2) == 0 for v1 in b1 for v2 in b2)
 
 
 # --- graph text format -------------------------------------------------

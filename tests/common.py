@@ -5,22 +5,34 @@ checks: ranks by list-of-list elimination, reduction by merging the
 full move tree, the game played on that unmerged tree, optima by
 subset enumeration, the LinEMSO dynamic program without state
 pruning, and the parse-tree text read one token at a time.
+
+The last section holds helpers that came from the library: the
+negation normal form (to_nnf, is_nnf), relabel, partial isomorphism,
+label subspaces (generated_subspace, subspaces_orthogonal, dot),
+decomposition_width, the counting bound of criterion 7 (exp_tower,
+tower_at_least, SizeBound, size_bound) and catalog().  They live here
+because only tests call them; the package keeps what its commands use.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
-from rwmso import (Assignment, LinEMSOResult, ParseTree, RCForest, RCTree,
-                   Relabeling, Structure, build_structure, evaluate,
-                   game_on_tree, ordered_induced, reduced_char_tree_direct,
-                   tree_cross_product)
-from rwmso.errors import RwmsoError
+from rwmso import (CATALOG, Assignment, BranchDecomposition, Formula,
+                   LinEMSOResult, ParseTree, RCForest, RCTree, Relabeling,
+                   Structure, build_structure, cut_rank, evaluate,
+                   game_on_tree, ordered_induced, parse_formula,
+                   reduced_char_tree_direct, tree_cross_product)
+from rwmso import gf2
+from rwmso.errors import RwmsoError, ScaleGuardError
 from rwmso.parsetree import LEAF, CompositionOp, _parse_matrix, fold
 from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
-                         ForallSet, In, Label, Not, Or)
+                         ForallSet, In, Label, Not, Or, is_atomic)
+from rwmso.rankdec import _side_masks
+from rwmso.structures import _as_masks, _check_width
 
 
 def all_structures(n, t=1):
@@ -69,6 +81,57 @@ def random_parse_tree(rng: random.Random, leaves, t):
         op = tuple(random_relabeling(rng, t) for _ in range(3))
         return op, build(k - split), build(split)
     return tree_of(t, build(leaves))
+
+
+def random_formula(rng: random.Random, depth, obj_scope, set_scope):
+    """A random formula over t=2 whose free variables lie in the two
+    scopes, ``depth`` connectives or quantifiers deep at most, plus one
+    ``Ex v. adj(v,v)`` where an atom is due with no object in scope.
+    Label atoms, set membership and vacuous quantifiers occur."""
+    if depth == 0 or (obj_scope and rng.random() < 0.3):
+        if not obj_scope:
+            v = f"x{rng.randrange(100)}"
+            return ExistsObj(v, Adj(v, v))
+        choices = [lambda: Adj(rng.choice(obj_scope), rng.choice(obj_scope)),
+                   lambda: Equal(rng.choice(obj_scope), rng.choice(obj_scope)),
+                   lambda: Label(rng.randint(1, 2), rng.choice(obj_scope))]
+        if set_scope:
+            choices.append(lambda: In(rng.choice(set_scope), rng.choice(obj_scope)))
+        return rng.choice(choices)()
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(random_formula(rng, depth - 1, obj_scope, set_scope))
+    if kind == 1:
+        return And(random_formula(rng, depth - 1, obj_scope, set_scope),
+                   random_formula(rng, depth - 1, obj_scope, set_scope))
+    if kind == 2:
+        return Or(random_formula(rng, depth - 1, obj_scope, set_scope),
+                  random_formula(rng, depth - 1, obj_scope, set_scope))
+    if kind == 3:
+        v = f"x{len(obj_scope)}"
+        quant = rng.choice((ExistsObj, ForallObj))
+        return quant(v, random_formula(rng, depth - 1, obj_scope + [v], set_scope))
+    v = f"S{len(set_scope)}"
+    quant = rng.choice((ExistsSet, ForallSet))
+    return quant(v, random_formula(rng, depth - 1, obj_scope, set_scope + [v]))
+
+
+def random_sentence(rng: random.Random):
+    """One to three quantifiers, each over an object (7 in 10) or a set,
+    in front of a random_formula of depth 2 over their variables; a
+    prefix variable the body never names is a vacuous quantifier."""
+    objs, sets, prefix = [], [], []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            objs.append(f"x{len(objs)}")
+            prefix.append((rng.choice((ExistsObj, ForallObj)), objs[-1]))
+        else:
+            sets.append(f"S{len(sets)}")
+            prefix.append((rng.choice((ExistsSet, ForallSet)), sets[-1]))
+    phi = random_formula(rng, 2, objs, sets)
+    for quant, v in reversed(prefix):
+        phi = quant(v, phi)
+    return phi
 
 
 def small_parse_trees():
@@ -388,3 +451,201 @@ def reference_parse_tree_from_text(text: str) -> ParseTree:
     if tokens[i] is not None:
         raise RwmsoError(f"trailing input after tree: {tokens[i]!r}")
     return ParseTree(t, tuple(ops), tuple(code))
+
+
+# --- helpers moved from the library: only tests call them ---------------
+
+def to_nnf(phi: Formula) -> Formula:
+    """Push negations to the atoms; preserves quantifier rank.
+
+    The tree game takes any formula; on an NNF formula, evaluate's
+    any/all recursion is the game played on the structure itself."""
+    if is_atomic(phi):
+        return phi
+    if isinstance(phi, (And, Or)):
+        return type(phi)(to_nnf(phi.left), to_nnf(phi.right))
+    if isinstance(phi, (ExistsObj, ForallObj)):
+        return type(phi)(phi.var, to_nnf(phi.sub))
+    if isinstance(phi, (ExistsSet, ForallSet)):
+        return type(phi)(phi.set_var, to_nnf(phi.sub))
+    sub = phi.sub
+    if is_atomic(sub):
+        return phi
+    if isinstance(sub, Not):
+        return to_nnf(sub.sub)
+    if isinstance(sub, And):
+        return Or(to_nnf(Not(sub.left)), to_nnf(Not(sub.right)))
+    if isinstance(sub, Or):
+        return And(to_nnf(Not(sub.left)), to_nnf(Not(sub.right)))
+    if isinstance(sub, ExistsObj):
+        return ForallObj(sub.var, to_nnf(Not(sub.sub)))
+    if isinstance(sub, ForallObj):
+        return ExistsObj(sub.var, to_nnf(Not(sub.sub)))
+    if isinstance(sub, ExistsSet):
+        return ForallSet(sub.set_var, to_nnf(Not(sub.sub)))
+    if isinstance(sub, ForallSet):
+        return ExistsSet(sub.set_var, to_nnf(Not(sub.sub)))
+    raise RwmsoError(f"unknown formula node {sub!r}")
+
+
+def is_nnf(phi: Formula) -> bool:
+    if isinstance(phi, Not):
+        return is_atomic(phi.sub)
+    if is_atomic(phi):
+        return True
+    if isinstance(phi, (And, Or)):
+        return is_nnf(phi.left) and is_nnf(phi.right)
+    return is_nnf(phi.sub)
+
+
+def relabel(g: Structure, f: Relabeling) -> Structure:
+    """Apply the relabeling to every label row; edges are untouched."""
+    _check_width(g.t, f.t)
+    return Structure(g.n, g.t, g.adj, tuple(f.apply(lab) for lab in g.labels))
+
+
+def is_partial_isomorphism(a: Structure, b: Structure,
+                           a_sets: Sequence[Iterable[int] | int],
+                           b_sets: Sequence[Iterable[int] | int],
+                           pi: Mapping[int, int]) -> bool:
+    """Check that pi preserves E, the labels, and set membership both ways."""
+    if len(a_sets) != len(b_sets):
+        raise RwmsoError("set tuples differ in length")
+    a_masks = _as_masks(a.n, a_sets)
+    b_masks = _as_masks(b.n, b_sets)
+    items = list(pi.items())
+    if len({v for _, v in items}) != len(items):
+        return False
+    for u, v in items:
+        if not (0 <= u < a.n and 0 <= v < b.n):
+            return False
+        if a.labels[u] != b.labels[v]:
+            return False
+        for am, bm in zip(a_masks, b_masks):
+            if ((am >> u) & 1) != ((bm >> v) & 1):
+                return False
+        for u2, v2 in items:
+            if a.has_edge(u, u2) != b.has_edge(v, v2):
+                return False
+    return True
+
+
+def dot(a: int, b: int) -> int:
+    """Scalar product of two bit-vectors."""
+    return (a & b).bit_count() & 1
+
+
+def generated_subspace(g: Structure, x: Iterable[int]) -> tuple[int, ...]:
+    """Canonical basis of the subspace spanned by the labels of X."""
+    return gf2.row_echelon(g.labels[u] for u in x)
+
+
+def subspaces_orthogonal(b1: Iterable[int], b2: Iterable[int]) -> bool:
+    """True iff every vector of b1 is orthogonal to every vector of b2."""
+    b2 = tuple(b2)
+    return all(dot(v1, v2) == 0 for v1 in b1 for v2 in b2)
+
+
+def _validate(g: Structure, d: BranchDecomposition):
+    degree = [0] * d.num_nodes
+    for a, b in d.edges:
+        if not (0 <= a < d.num_nodes and 0 <= b < d.num_nodes):
+            raise RwmsoError("decomposition edge endpoint out of range")
+        degree[a] += 1
+        degree[b] += 1
+    leaves = set(d.leaf_map.values())
+    if len(leaves) != len(d.leaf_map) or set(d.leaf_map) != set(range(g.n)):
+        raise RwmsoError("leaf map is not a bijection from the vertices")
+    for node in range(d.num_nodes):
+        if node in leaves:
+            if degree[node] > 1:
+                raise RwmsoError(f"leaf node {node} has degree {degree[node]}")
+        elif degree[node] != 3 and d.num_nodes > 2:
+            raise RwmsoError(f"internal node {node} has degree {degree[node]}")
+    if len(d.edges) != d.num_nodes - 1:
+        raise RwmsoError("decomposition tree is not a tree")
+
+
+def decomposition_width(g: Structure, d: BranchDecomposition) -> int:
+    """Maximum cut-rank over the cuts induced by the tree edges."""
+    _validate(g, d)
+    if not d.edges:
+        return 0
+    width = 0
+    for mask in _side_masks(d):
+        y = [u for u in range(g.n) if (mask >> u) & 1]
+        width = max(width, cut_rank(g, y))
+    return width
+
+
+# refuse to materialize integers beyond this many bits
+_BIT_LIMIT = 2_000_000
+
+
+def exp_tower(i: int, x: int) -> int:
+    """exp(0)(x) = x, exp(1)(x) = 2^x, exp(i)(x) = 2^(2*exp(i-1)(x))."""
+    if i == 0:
+        return x
+    e = x if i == 1 else 2 * exp_tower(i - 1, x)
+    if e > _BIT_LIMIT:
+        raise ScaleGuardError(
+            f"tower value needs ~2^{e.bit_length()} bits, over the guard")
+    return 1 << e
+
+
+def tower_at_least(i: int, x: int, n: int) -> bool:
+    """Whether exp(i)(x) >= n, without materializing the tower."""
+    if n <= 0:
+        return True
+    if i == 0:
+        return x >= n
+    need = (n - 1).bit_length()  # 2^e >= n iff e >= need
+    if i == 1:
+        return x >= need
+    return tower_at_least(i - 1, x, (need + 1) // 2)
+
+
+@dataclass(frozen=True)
+class SizeBound:
+    """Bounds from the counting argument; None when past the int guard."""
+
+    num_trees: int | None
+    tree_size: int | None
+    tower_arg: int = field(default=0)
+
+
+def _f_value(q: int, tau_size: int, r: int) -> int:
+    if q == 0:
+        return 0
+    log_term = q * (q - 1).bit_length() if q > 1 else 0  # q * ceil(log2 q)
+    return tau_size * q ** r + log_term + q * q
+
+
+def size_bound(q: int, tau_size: int, r: int = 2) -> SizeBound:
+    """Count and size bounds for reduced characteristic trees of depth q.
+
+    num_trees bounds the number of distinct trees over all choice
+    vectors; tree_size bounds the node count of any single tree.  The
+    q log q term is rounded up to an integer.
+    """
+    if q < 0 or tau_size < 0 or r < 1:
+        raise RwmsoError("bad size-bound arguments")
+    f = _f_value(q, tau_size, r)
+    try:
+        num = exp_tower(q + 1, f)
+    except ScaleGuardError:
+        num = None
+    try:
+        size = exp_tower(q, f) ** 4
+    except ScaleGuardError:
+        size = None
+    return SizeBound(num, size, f)
+
+
+def catalog(max_qr: int | None = None, t: int = 2) -> list[tuple[str, Formula]]:
+    """Parsed catalog sentences, optionally filtered by quantifier rank."""
+    out = []
+    for entry in CATALOG:
+        if max_qr is None or entry.qr <= max_qr:
+            out.append((entry.name, parse_formula(entry.text, t)))
+    return out

@@ -15,20 +15,18 @@ import time
 
 from rwmso import (Assignment, LinEMSOProblem, Structure, build_structure,
                    evaluate, family_tree, game_on_tree, generate_graph,
-                   model_check, parse_formula, quantifier_rank, solve_linemso,
-                   to_nnf)
+                   model_check, parse_formula, quantifier_rank, solve_linemso)
 from rwmso.chartree import (RCForest, RCTree, char_tree_from_parse_tree,
-                            reduced_char_tree_direct, size_bound,
-                            tree_cross_product)
+                            reduced_char_tree_direct, tree_cross_product)
 from rwmso.cli import run_bench
-from rwmso.games import catalog
 from rwmso.parsetree import FAMILIES
 from rwmso.rankdec import cut_rank, exact_rankwidth
 from rwmso.structures import Relabeling, compose
 
-from common import (all_structures, brute_force_linemso, full_char_tree,
+from common import (all_structures, brute_force_linemso, catalog, full_char_tree,
                     full_tree_game, merge_full_tree, permuted,
-                    random_parse_tree, random_relabeling, random_structure)
+                    random_parse_tree, random_relabeling, random_structure,
+                    size_bound, to_nnf)
 
 
 def _family_corpus(max_n, widths=(None, 2)):

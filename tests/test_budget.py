@@ -3,17 +3,17 @@ moves the game on phi can take, and answers as the full-depth tree does."""
 
 import pytest
 
-from rwmso import (CATALOG, FAMILIES, build_structure, catalog, char_tree_from_parse_tree,
+from rwmso import (CATALOG, FAMILIES, build_structure, char_tree_from_parse_tree,
                    evaluate, family_tree, format_parse_tree, game_on_tree,
                    generate_graph, model_check, parse_formula,
                    parse_tree_from_text, quantifier_rank,
-                   reduced_char_tree_direct, to_nnf)
+                   reduced_char_tree_direct)
 from rwmso import chartree
 from rwmso.chartree import RCForest, RCTree, as_budget
 from rwmso.errors import DepthBudgetError, RwmsoError
 from rwmso.logic import move_budget
 
-from common import cross_misses, small_parse_trees
+from common import catalog, cross_misses, small_parse_trees, to_nnf
 
 
 @pytest.mark.parametrize("text, objects, sets, want", [

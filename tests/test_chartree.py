@@ -4,20 +4,19 @@ import random
 
 import pytest
 
-from rwmso import (ParseTree, Relabeling, Structure, build_structure, catalog,
-                   char_tree_from_parse_tree, compose, exp_tower, family_tree,
+from rwmso import (ParseTree, Relabeling, Structure, build_structure,
+                   char_tree_from_parse_tree, compose, family_tree,
                    generate_graph, leaf_char_tree, ordered_induced,
-                   rename_combine, reduced_char_tree_direct, size_bound,
-                   tower_at_least, tree_cross_product)
+                   rename_combine, reduced_char_tree_direct, tree_cross_product)
 from rwmso.chartree import RCForest, RCTree, in_budget, rc_dump
 from rwmso.errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
                           WidthMismatchError)
 from rwmso.logic import move_budget
 
-from common import (all_structures, cross_misses, full_char_tree, full_tree_size,
-                    indicator_vector, merge_full_tree, permuted, random_parse_tree,
-                    random_relabeling, random_structure, small_parse_trees,
-                    unfold_rc)
+from common import (all_structures, catalog, cross_misses, exp_tower, full_char_tree,
+                    full_tree_size, indicator_vector, merge_full_tree, permuted,
+                    random_relabeling, random_structure, size_bound,
+                    small_parse_trees, tower_at_least, unfold_rc)
 
 IDENT = Relabeling.identity(1)
 VERTEX = Structure(1, 1, (0,), (1,))

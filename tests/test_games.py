@@ -7,15 +7,15 @@ import pytest
 
 from rwmso import (Assignment, GameStats, build_structure, evaluate,
                    family_tree, game_on_tree, generate_graph, model_check,
-                   parse_formula, quantifier_rank, to_nnf)
+                   parse_formula, quantifier_rank)
 from rwmso.chartree import (RCForest, RCTree, char_tree_from_parse_tree,
                             reduced_char_tree_direct)
 from rwmso.errors import DepthBudgetError, RwmsoError
-from rwmso.games import CATALOG, catalog
+from rwmso.games import CATALOG
 from rwmso.logic import Not, free_variables, move_budget
 
-from common import (all_structures, full_char_tree, full_tree_game,
-                    random_structure)
+from common import (all_structures, catalog, full_char_tree, full_tree_game,
+                    random_parse_tree, random_sentence, random_structure, to_nnf)
 
 K2 = build_structure(2, [(0, 1)])
 TWO_ISOLATED = build_structure(2, [])
@@ -240,6 +240,22 @@ def test_model_check_examples():
         "EX C. Ax x. Ax y. (!adj(x,y) | (C(x) & !C(y)) | (!C(x) & C(y)))", 2)
     assert model_check(family_tree("path", 4), two_col)
     assert not model_check(family_tree("cycle", 5), two_col)
+
+
+def test_model_check_agrees_with_evaluate_on_random_sentences():
+    # seeded differential fuzz: random sentences of rank <= 3 over t=2,
+    # with label atoms, set membership and vacuous or reused binders, on
+    # random parse trees of 1 to 6 leaves
+    rng = random.Random(7)
+    checked = 0
+    while checked < 600:
+        phi = random_sentence(rng)
+        tree = random_parse_tree(rng, rng.randint(1, 6), 2)
+        if quantifier_rank(phi) > 3:
+            continue
+        want = evaluate(generate_graph(tree), phi)
+        assert model_check(tree, phi) == want, (str(phi), tree)
+        checked += 1
 
 
 def test_model_check_requires_sentence():

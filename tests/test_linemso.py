@@ -2,16 +2,15 @@ import pytest
 
 from rwmso import (FAMILIES, Assignment, LinEMSOProblem, evaluate, family_tree,
                    generate_graph, parse_formula, quantifier_rank,
-                   solve_linemso, tower_at_least)
+                   solve_linemso)
 from rwmso import linemso
-from rwmso.chartree import (RCForest, reduced_char_tree_direct, size_bound,
-                            tree_cross_product)
+from rwmso.chartree import RCForest, reduced_char_tree_direct, tree_cross_product
 from rwmso.errors import RwmsoError
 from rwmso.linemso import DPStats
 from rwmso.parsetree import fold
 from rwmso.structures import Structure
 
-from common import brute_force_linemso
+from common import brute_force_linemso, size_bound, tower_at_least
 
 INDEP = "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))"
 DOMIN = "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))"

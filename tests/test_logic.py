@@ -3,14 +3,12 @@ import random
 import pytest
 
 from rwmso import (FormulaSyntaxError, evaluate, family_tree, free_variables,
-                   model_check, parse_formula, pretty_print, quantifier_rank,
-                   to_nnf)
-from rwmso.games import CATALOG, catalog
-from rwmso.logic import (MAX_NESTING, Adj, And, Equal, ExistsObj, ExistsSet,
-                         ForallObj, ForallSet, In, Label, Not, Or, SetEqual,
-                         is_nnf)
+                   model_check, parse_formula, pretty_print, quantifier_rank)
+from rwmso.games import CATALOG
+from rwmso.logic import (MAX_NESTING, Adj, And, Equal, ExistsObj,
+                         ForallObj, ForallSet, In, Label, Not, Or, SetEqual)
 
-from common import all_structures
+from common import all_structures, catalog, is_nnf, random_formula, to_nnf
 
 
 def test_parse_basic():
@@ -98,39 +96,10 @@ def test_to_nnf_examples():
     assert to_nnf(Not(And(a, b))) == Or(Not(a), Not(b))
 
 
-def _random_formula(rng, depth, obj_scope, set_scope):
-    if depth == 0 or (obj_scope and rng.random() < 0.3):
-        if not obj_scope:
-            v = f"x{rng.randrange(100)}"
-            return ExistsObj(v, Adj(v, v))
-        choices = [lambda: Adj(rng.choice(obj_scope), rng.choice(obj_scope)),
-                   lambda: Equal(rng.choice(obj_scope), rng.choice(obj_scope)),
-                   lambda: Label(rng.randint(1, 2), rng.choice(obj_scope))]
-        if set_scope:
-            choices.append(lambda: In(rng.choice(set_scope), rng.choice(obj_scope)))
-        return rng.choice(choices)()
-    kind = rng.randrange(6)
-    if kind == 0:
-        return Not(_random_formula(rng, depth - 1, obj_scope, set_scope))
-    if kind == 1:
-        return And(_random_formula(rng, depth - 1, obj_scope, set_scope),
-                   _random_formula(rng, depth - 1, obj_scope, set_scope))
-    if kind == 2:
-        return Or(_random_formula(rng, depth - 1, obj_scope, set_scope),
-                  _random_formula(rng, depth - 1, obj_scope, set_scope))
-    if kind == 3:
-        v = f"x{len(obj_scope)}"
-        quant = rng.choice((ExistsObj, ForallObj))
-        return quant(v, _random_formula(rng, depth - 1, obj_scope + [v], set_scope))
-    v = f"S{len(set_scope)}"
-    quant = rng.choice((ExistsSet, ForallSet))
-    return quant(v, _random_formula(rng, depth - 1, obj_scope, set_scope + [v]))
-
-
 def test_nnf_properties_random():
     rng = random.Random(11)
     for _ in range(200):
-        phi = _random_formula(rng, 4, [], [])
+        phi = random_formula(rng, 4, [], [])
         nnf = to_nnf(phi)
         assert is_nnf(nnf)
         assert to_nnf(nnf) == nnf
@@ -144,7 +113,7 @@ def test_nnf_semantics_on_small_structures():
     rng.shuffle(structures)
     for g in structures[:12]:
         for _ in range(10):
-            phi = _random_formula(rng, 3, [], [])
+            phi = random_formula(rng, 3, [], [])
             assert evaluate(g, to_nnf(phi)) == evaluate(g, phi)
     for g in structures[:12]:
         for _, phi in catalog(max_qr=2):
@@ -167,7 +136,7 @@ def test_pretty_print_round_trip():
         assert parse_formula(pretty_print(phi), 2) == phi
     for _ in range(300):
         # sibling binders reuse names; the parser keeps them as written
-        raw = _random_formula(rng, 4, ["u", "w"], ["T"])
+        raw = random_formula(rng, 4, ["u", "w"], ["T"])
         assert parse_formula(pretty_print(raw), 2) == raw
 
 

@@ -7,7 +7,7 @@ from rwmso import (ParseTree, Relabeling, build_structure, family_tree,
                    format_parse_tree, generate_graph, model_check, parse_formula,
                    parse_tree_from_text)
 from rwmso.errors import RwmsoError
-from rwmso.parsetree import FAMILIES, fold
+from rwmso.parsetree import FAMILIES, LEAF, fold
 
 from common import are_isomorphic, random_parse_tree, reference_parse_tree_from_text
 
@@ -45,6 +45,10 @@ def test_parse_errors():
         parse_tree_from_text("t=2\n(o 1 1 1 (v) (v))")  # 1x1 matrix, t=2
     with pytest.raises(RwmsoError):
         parse_tree_from_text("t=1\n(v) (v)")
+    with pytest.raises(RwmsoError, match="width"):
+        parse_tree_from_text("t=0\n(v)")
+    with pytest.raises(RwmsoError, match="width"):
+        ParseTree(0, (), (LEAF,))
 
 
 @pytest.mark.parametrize("body", [

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from rwmso import (BranchDecomposition, build_structure, cut_rank,
-                   decomposition_width, exact_rankwidth, family_tree,
-                   generate_graph)
+                   exact_rankwidth, family_tree, generate_graph)
 from rwmso.errors import RwmsoError, ScaleGuardError
 
-from common import all_structures, naive_rank, random_structure
+from common import all_structures, decomposition_width, naive_rank, random_structure
 
 P4 = build_structure(4, [(0, 1), (1, 2), (2, 3)])
 

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from rwmso import (Relabeling, Structure, build_structure, compose,
-                   format_graph, generated_subspace, is_partial_isomorphism,
-                   ordered_induced, parse_graph, relabel,
-                   subspaces_orthogonal)
+                   format_graph, ordered_induced, parse_graph)
 from rwmso.errors import RwmsoError, WidthMismatchError
 from rwmso.gf2 import rank
 
-from common import induced, mat_mul, naive_rank, permuted, random_structure
+from common import (generated_subspace, induced, is_partial_isomorphism, mat_mul,
+                    naive_rank, permuted, random_structure, relabel,
+                    subspaces_orthogonal)
 
 
 def join(g1, g2):
