@@ -121,9 +121,12 @@ class RCForest:
     label product: a label product depends on neither the budget nor the
     children.  Operators are keyed by their matrix rows, so equal
     operators parsed from text share entries, and the inner keys are
-    ints and the indicator vector only.  The memos live here because ids
-    mean nothing outside their forest.  Not thread-safe: confine
-    construction to one thread.
+    ints and the indicator vector only.  game_memo maps (phi, x_vars,
+    X_vars, caps) to the game's compiled position table and its memo from
+    (node id, position) to the winner: games.game_on_tree plays from it
+    and games.Verdicts reads its table, so all the games on one forest
+    compile phi once and share what they evaluate.  The memos live here because ids mean nothing outside their
+    forest.  Not thread-safe: confine construction to one thread.
     """
 
     def __init__(self):
@@ -133,6 +136,7 @@ class RCForest:
         self._nodes: list[RCNode] = []
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
+        self.game_memo: dict[tuple, tuple[list[tuple], dict[int, bool]]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -179,6 +183,12 @@ class RCForest:
 
     def node(self, nid: int) -> RCNode:
         return self._nodes[nid]
+
+    @property
+    def nodes(self) -> list[RCNode]:
+        """The nodes indexed by id; the list only grows, so a hot loop
+        may hold it across interning."""
+        return self._nodes
 
     def reachable(self, root: int) -> list[int]:
         seen = {root}

@@ -4,13 +4,14 @@ game on reduced characteristic trees.
 The direct evaluator is the semantic oracle (exponential in set
 quantifiers); on a formula in negation normal form its any/all
 recursion is the model checking game played on the structure itself.
-The tree game takes any formula and compiles it once into the int
-positions of its negation normal form.  It never looks at the original
-structure: each object variable resolves to its innermost binder's
-node position, each set variable to its binder's trace.  Set-set
-equality atoms are supported by the direct evaluator only; a tree node
-keeps just the trace of each chosen set, which cannot decide equality
-of the full sets, so the tree game refuses a formula containing one.
+The tree game takes any formula and compiles it once per forest into
+the int positions of its negation normal form, which all games on that
+forest share with one memo.  It never looks at the original structure:
+each object variable resolves to its innermost binder's node position,
+each set variable to its binder's trace.  Set-set equality atoms are
+supported by the direct evaluator only; a tree node keeps just the
+trace of each chosen set, which cannot decide equality of the full
+sets, so the tree game refuses a formula containing one.
 Verdicts reads the game's compiled table for three-valued verdicts that
 no composition context can change; LinEMSO prunes its states by them.
 """
@@ -183,20 +184,40 @@ def _atom_test(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]):
     raise RwmsoError(f"unknown formula node {psi!r}")
 
 
+def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...],
+          caps) -> tuple[list[tuple], dict[int, bool]]:
+    """The forest's compiled game for phi: its position table and its
+    memo from nid * len(table) + position to the winner.
+
+    Both are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
+    caps), so every game on one forest compiles phi once and shares one
+    memo; nodes are immutable, so an entry never goes stale.
+    """
+    key = (phi, x_vars, X_vars, caps)
+    game = forest.game_memo.get(key)
+    if game is None:
+        table: list[tuple] = []
+        _compile(phi, True, x_vars, X_vars, caps, table)
+        game = forest.game_memo[key] = (table, {})
+    return game
+
+
 def game_on_tree(tree: RCTree, phi: Formula,
                  x_vars: tuple[str, ...] = (), X_vars: tuple[str, ...] = (),
                  stats: GameStats | None = None) -> bool:
     """Winner of the model checking game on a reduced characteristic tree.
 
-    phi, any formula, is compiled once into the int positions of its
-    negation normal form.  Object quantifiers descend along point
+    phi, any formula, is compiled once per forest into the int positions
+    of its negation normal form.  Object quantifiers descend along point
     extensions, set quantifiers along set extensions, connectives stay
     on the node, and atoms are decided inside the node label, each
     variable at its innermost binder's position (or trace), after the
-    listed x_vars and X_vars.  Memoized per (node, position).  Before
-    playing, raises RwmsoError for an unlisted free variable or a
-    set-set equality anywhere in phi, and DepthBudgetError for a
-    quantifier whose move the tree was not built for.
+    listed x_vars and X_vars.  Memoized per (node, position) in the
+    forest, so games on several roots of one forest share their work;
+    stats, if given, receives the memo's growth.  Before playing, raises
+    RwmsoError for an unlisted free variable or a set-set equality
+    anywhere in phi, and DepthBudgetError for a quantifier whose move
+    the tree was not built for.
     """
     if not isinstance(tree, RCTree):
         raise RwmsoError(f"the game needs an RCTree, got {type(tree).__name__}")
@@ -204,24 +225,22 @@ def game_on_tree(tree: RCTree, phi: Formula,
         raise RwmsoError("duplicate variable names")
 
     forest = tree.forest
-    root = forest.node(tree.root)
+    nodes = forest.nodes
+    root = nodes[tree.root]
     if root.m != len(x_vars) or root.p != len(X_vars):
         raise RwmsoError(
             f"tree was built for m={root.m}, p={root.p}; "
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
-    table: list[tuple] = []
-    _compile(phi, True, tuple(x_vars), tuple(X_vars), tree.budget, table)
-    memo: dict[tuple[int, int], bool] = {}
+    table, memo = _game(forest, phi, tuple(x_vars), tuple(X_vars), tree.budget)
+    size = len(table)
 
     def rec(nid: int, pos: int) -> bool:
-        mk = (nid, pos)
+        mk = nid * size + pos
         hit = memo.get(mk)
         if hit is not None:
             return hit
-        if stats is not None:
-            stats.evaluations += 1
         kind, a, b = table[pos]
-        node = forest.node(nid)
+        node = nodes[nid]
         if kind <= _ATOM:
             out = a(node.ord) == b
         elif kind == _AND:
@@ -237,12 +256,14 @@ def game_on_tree(tree: RCTree, phi: Formula,
         memo[mk] = out
         return out
 
+    before = len(memo)
     try:
         return rec(tree.root, 0)
     finally:
+        if stats is not None:
+            stats.evaluations += len(memo) - before
         # rec reaches itself through its closure cell; clearing the cell
-        # frees it and the memo now instead of leaving a cycle to the
-        # garbage collector
+        # frees it now instead of leaving a cycle to the garbage collector
         del rec
 
 
@@ -274,19 +295,19 @@ class Verdicts:
     unchanged.
 
     phi, with free set variables X_vars and no free object variables,
-    is compiled once into the game's position table for budget, a caps
-    tuple; verdicts are memoized per (node id, position).  can_fail is
-    the static pass: it is False when no verdict at position 0 can be
-    BOTTOM, because every path to a decided atom passes an existential
-    move, a label atom or a disjunct that cannot fail.  Such formulas
-    (min dominating set's) skip the verdicts, which would cost them
-    time and drop nothing.
+    is read as the position table of the forest's compiled game for
+    budget, a caps tuple, so the verdicts and the games at the root
+    compile phi once; verdicts are memoized per (node id, position).
+    can_fail is the static pass: it is False when no verdict at position
+    0 can be BOTTOM, because every path to a decided atom passes an
+    existential move, a label atom or a disjunct that cannot fail.  Such
+    formulas (min dominating set's) skip the verdicts, which would cost
+    them time and drop nothing.
     """
 
     def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...], budget):
-        self.table: list[tuple] = []
-        _compile(phi, True, (), X_vars, budget, self.table)
-        self.node = forest.node
+        self.table = _game(forest, phi, (), tuple(X_vars), budget)[0]
+        self.nodes = forest.nodes
         self.memo: dict[int, int] = {}
         self.can_fail = _can_fail(self.table)
 
@@ -297,7 +318,7 @@ class Verdicts:
         if out is not None:
             return out
         kind, a, b = self.table[pos]
-        node = self.node(nid)
+        node = self.nodes[nid]
         if kind == _ATOM:
             out = TOP if a(node.ord) == b else BOTTOM
         elif kind == _LABEL:

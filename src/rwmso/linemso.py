@@ -7,8 +7,10 @@ characteristic trees, built with the l chosen sets preloaded as traces,
 to the best weight (plus one witness) reaching that tree.  The 2^l leaf
 states are built once per solve and combined pairwise with the tree
 cross product.  At the root, the game decides which states satisfy the
-formula.  A min problem is the max over negated weights, and a witness
-is one vertex bitmask per set variable until the result.
+formula, all root states sharing one compiled game in the forest.  A
+min problem is the max over negated weights.  A witness is one int
+until the result: bit v*l + i says that vertex v is in set variable i,
+so a product's witness is one shift and one or.
 
 Each parse node drops the states whose games.Verdicts verdict is
 BOTTOM; see there for why this is sound.
@@ -68,13 +70,12 @@ class DPStats:
     peak_interned: int = 0
 
 
-def _members(mask: int) -> frozenset[int]:
-    """The vertices of a bitmask, walking its set bits."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
+def unpack_witness(witness: int, l: int) -> tuple[frozenset[int], ...]:
+    """The l vertex sets of a packed witness, whose bit v*l + i says that
+    vertex v is in set i."""
+    bits = bin(witness)[:1:-1]  # least significant first
+    return tuple(frozenset(v for v, bit in enumerate(bits[i::l]) if bit == "1")
+                 for i in range(l))
 
 
 def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
@@ -110,10 +111,11 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
         stats.peak_states = max(stats.peak_states, len(states))
         return states
 
-    # states per subtree: interned tree id -> (weight, witness masks); ties
-    # keep the first-found witness, so results are deterministic
+    # states per subtree: interned tree id -> (weight, packed witness); ties
+    # keep the first-found witness, so results are deterministic.  A leaf's
+    # witness is its choice: bit i says that the vertex is in set i
     leaf_struct = leaf_vertex(tree.t)
-    leaf_states: dict[int, tuple[int, tuple[int, ...]]] = {}
+    leaf_states: dict[int, tuple[int, int]] = {}
     for choice in range(1 << l):
         masks = tuple((choice >> i) & 1 for i in range(l))
         rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks,
@@ -121,7 +123,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
         value = sum(w for w, m in zip(weights, masks) if m)
         old = leaf_states.get(rid)
         if old is None or value > old[0]:
-            leaf_states[rid] = (value, masks)
+            leaf_states[rid] = (value, choice)
     leaf_states = survivors(leaf_states)
 
     def combine(left, right, op):
@@ -139,7 +141,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
                 old = pairs.get(rid)
                 if old is None or value > old[0]:
                     pairs[rid] = (value, w1, w2)
-        combined = {rid: (value, tuple(a | b << n1 for a, b in zip(w1, w2)))
+        shift = n1 * l
+        combined = {rid: (value, w1 | w2 << shift)
                     for rid, (value, w1, w2) in survivors(pairs).items()}
         return combined, n1 + n2
 
@@ -150,8 +153,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
            if game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars)]
     if not sat:
         return None
-    value, masks = max(sat, key=lambda state: state[0])  # the first on ties
-    witness = tuple(map(_members, masks))
+    value, packed = max(sat, key=lambda state: state[0])  # the first on ties
+    witness = unpack_witness(packed, l)
     check = sum(w * len(u) for w, u in zip(weights, witness))
     if check != value:
         raise RwmsoError(f"witness weight {check} does not reproduce value {value}")

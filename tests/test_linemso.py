@@ -1,9 +1,9 @@
 import pytest
 
-from rwmso import (FAMILIES, Assignment, LinEMSOProblem, evaluate, family_tree,
-                   generate_graph, parse_formula, quantifier_rank,
+from rwmso import (FAMILIES, Assignment, GameStats, LinEMSOProblem, evaluate,
+                   family_tree, generate_graph, parse_formula, quantifier_rank,
                    solve_linemso)
-from rwmso import linemso
+from rwmso import games, linemso
 from rwmso.chartree import RCForest, reduced_char_tree_direct, tree_cross_product
 from rwmso.errors import RwmsoError
 from rwmso.linemso import DPStats
@@ -102,6 +102,27 @@ def test_two_set_variables_at_scale(family, n, value):
         assert (u in x) != (v in x) and (u in y) != (v in y)
 
 
+def test_sentence_with_no_set_variables():
+    # l = 0: the witness is the empty int, the shift n1 * 0, and the
+    # problem asks only whether the sentence holds
+    true_phi = parse_formula("Ex x. Ex y. adj(x,y)", 1)
+    false_phi = parse_formula("Ex x. Ex y. Ex z. (adj(x,y) & adj(y,z) & adj(x,z))", 1)
+    tree = family_tree("path", 5)
+    for direction in ("max", "min"):
+        result = solve_linemso(tree, LinEMSOProblem(true_phi, (), direction))
+        assert result == linemso.LinEMSOResult(0, ())
+        assert solve_linemso(tree, LinEMSOProblem(false_phi, (), direction)) is None
+
+
+def test_unpack_witness():
+    # bit v*3 + i says that vertex v is in set i
+    sets = ({0, 2, 5}, {1, 2}, {4, 6})
+    packed = sum(1 << (v * 3 + i) for i, s in enumerate(sets) for v in s)
+    assert linemso.unpack_witness(packed, 3) == tuple(map(frozenset, sets))
+    assert linemso.unpack_witness(0, 3) == (frozenset(),) * 3
+    assert linemso.unpack_witness(0, 0) == ()
+
+
 def test_infeasible():
     # an edge inside X cannot exist on an edgeless graph
     phi = parse_formula("Ex x. Ex y. (X(x) & X(y) & adj(x,y))", 1)
@@ -195,3 +216,55 @@ def test_pairs_past_stabilisation_are_memo_hits(monkeypatch):
             solve_linemso(family_tree("path", size, 2), problem)
             made.append(len(calls))
         assert made[0] == made[1] > 0, (name, made)
+
+
+def test_root_games_share_one_memo(monkeypatch):
+    # the game half of the linearity gate: all root states of a solve play
+    # on one compiled game and one memo, so no (node, position) pair is
+    # evaluated twice, and six more path vertices add no evaluation.  The
+    # wrapper injects the stats the way perfbench's tracer does, which
+    # needs the four-argument call with no stats of its own.
+    game = linemso.game_on_tree
+    stats = GameStats()
+    roots = []
+
+    def counting(*args, **kwargs):
+        assert len(args) == 4 and not kwargs
+        roots.append(args[0])
+        return game(*args, stats=stats)
+
+    monkeypatch.setattr(linemso, "game_on_tree", counting)
+    for name, text, direction in (("mis", INDEP, "max"), ("mds", DOMIN, "min")):
+        problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
+        table = []
+        games._compile(problem.phi, True, (), problem.set_vars, problem.budget, table)
+        evaluations = []
+        for size in (64, 70):
+            stats.evaluations = 0
+            roots.clear()
+            solve_linemso(family_tree("path", size, 2), problem)
+            reachable = set()
+            for tree in roots:
+                reachable.update(tree.forest.reachable(tree.root))
+            assert 0 < stats.evaluations <= len(reachable) * len(table), (name, size)
+            evaluations.append(stats.evaluations)
+        assert evaluations[0] == evaluations[1], (name, evaluations)
+
+
+def test_phi_is_compiled_once_per_solve(monkeypatch):
+    # the verdicts and every root game read one compiled table from the
+    # forest; a compile starts on an empty table
+    compile_ = games._compile
+    compiles = []
+
+    def counting(psi, positive, objs, sets, caps, table):
+        if not table:
+            compiles.append(psi)
+        return compile_(psi, positive, objs, sets, caps, table)
+
+    monkeypatch.setattr(games, "_compile", counting)
+    for text, direction in ((INDEP, "max"), (VCOVER, "min"), (DOMIN, "min")):
+        problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
+        compiles.clear()
+        solve_linemso(family_tree("path", 40, 2), problem)
+        assert compiles == [problem.phi], text
