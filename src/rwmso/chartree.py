@@ -18,12 +18,19 @@ Reduced trees are built for a move budget: the (point, set) move counts
 that get children.  A depth q is the paper's tree (every m + p <= q);
 model checking builds the smaller tree of the moves its formula's game
 can take (logic.move_budget).
+
+Model checking can also pass the fold a collapse test, which marks
+product nodes at the set-only levels (0, p) that its sentence has
+already lost; the fold then puts one childless lost node per level in
+their place and in place of every product with a lost factor, and never
+multiplies their subtrees.  games.Verdicts says when that is sound.
+Without a test the fold builds the reduced tree itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
@@ -43,6 +50,10 @@ MAX_NODES = 500_000
 # (q, q-1, ..., 0): every m + p <= q.  A node at (m, p) has point children
 # iff (m + 1, p) is in the budget and set children iff (m, p + 1) is.
 Budget = tuple[int, ...]
+
+# A collapse test says whether a product node at a set-only level (0, p)
+# is lost; a fold makes one per forest from the maker its caller passes.
+Collapse = Callable[[int], bool]
 
 
 def as_budget(budget: int | Sequence[int]) -> Budget:
@@ -121,12 +132,21 @@ class RCForest:
     label product: a label product depends on neither the budget nor the
     children.  Operators are keyed by their matrix rows, so equal
     operators parsed from text share entries, and the inner keys are
-    ints and the indicator vector only.  game_memo maps (phi, x_vars,
-    X_vars, caps) to the game's compiled position table and its memo from
-    (node id, position) to the winner: games.game_on_tree plays from it
-    and games.Verdicts reads its table, so all the games on one forest
-    compile phi once and share what they evaluate.  The memos live here because ids mean nothing outside their
-    forest.  Not thread-safe: confine construction to one thread.
+    ints and the indicator vector only.  A collapsing fold keys its own
+    cross_memo dicts by its collapse test too.  game_memo maps (phi,
+    x_vars, X_vars, caps) to the game's compiled position table and its
+    memo from (node id, position) to the winner: games.game_on_tree plays
+    from it and games.Verdicts reads its table, so all the games on one
+    forest compile phi once and share what they evaluate; game_last is
+    the last entry looked up, with its key, so a caller that plays the
+    same phi object again finds it without hashing phi.  The memos live
+    here because ids mean nothing outside their forest.
+
+    lost_node(m, p) interns the one lost node of level (m, p): childless,
+    under a label id of its own that label_id() never returns, so it
+    never merges with a real node.  lost holds their ids, and collapsed
+    counts the (0, p) products a collapsing fold replaced by one.  Not
+    thread-safe: confine construction to one thread.
     """
 
     def __init__(self):
@@ -137,13 +157,18 @@ class RCForest:
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
         self.game_memo: dict[tuple, tuple[list[tuple], dict[int, bool]]] = {}
+        self.game_last: tuple | None = None
+        self._lost_at: dict[tuple[int, int], int] = {}
+        self.lost: set[int] = set()
+        self.collapsed = 0
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def cross_memo_for(self, caps: Budget, op: CompositionOp) -> dict[tuple, int]:
+    def cross_memo_for(self, caps: Budget, op: CompositionOp,
+                       collapse: Collapse | None = None) -> dict[tuple, int]:
         g, f1, f2 = op
-        return self.cross_memo.setdefault((caps, g.rows, f1.rows, f2.rows), {})
+        return self.cross_memo.setdefault((caps, collapse, g.rows, f1.rows, f2.rows), {})
 
     def label_id(self, ord_struct: OrderedStructure) -> int:
         """The id of an ordered structure in the label table, equal
@@ -179,6 +204,18 @@ class RCForest:
                     f"chartree.MAX_NODES={MAX_NODES}; use a smaller formula or depth")
             self._ids[key] = nid
             self._nodes.append(RCNode(self._labels[label], point, set_kids, label))
+        return nid
+
+    def lost_node(self, m: int, p: int) -> int:
+        """The id of the lost node of level (m, p), interned on first use."""
+        nid = self._lost_at.get((m, p))
+        if nid is None:
+            # a placeholder label with m positions and p traces; nothing
+            # reads it, as games seed their memos for lost nodes
+            lid = len(self._labels)
+            self._labels.append(OrderedStructure(Structure(0, 0, (), ()), (0,) * m, (0,) * p))
+            nid = self._lost_at[m, p] = self.intern(lid, (), ())
+            self.lost.add(nid)
         return nid
 
     def node(self, nid: int) -> RCNode:
@@ -303,7 +340,7 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
 
 
 def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budget,
-                       op: CompositionOp) -> int:
+                       op: CompositionOp, collapse: Collapse | None = None) -> int:
     """Reduced tree of the composition from the factors' reduced trees.
 
     Point moves pair a point child of one side with the other side's
@@ -315,11 +352,16 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     Results are memoized in the forest, across calls, and so are product
     labels: a miss looks its label up by (label1, label2, d) and runs
     rename_combine only if that is new.
+
+    With a collapse test, a new product node at a level (0, p) that the
+    test calls lost is replaced by the forest's lost node of that level,
+    and so is every product with a lost factor, at its own level, before
+    anything of it is built.
     """
     # both folds answer their hits from cross_memo_for themselves and
     # call this on a miss only, with caps already normalised
     caps = budget if type(budget) is tuple else as_budget(budget)
-    memo = forest.cross_memo_for(caps, op)
+    memo = forest.cross_memo_for(caps, op, collapse)
     get = memo.get
     hit = get((id1, id2, ()))
     if hit is not None:
@@ -328,17 +370,23 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     labels = forest.label_memo.setdefault((g.rows, f1.rows, f2.rows), {})
     nodes = forest._nodes
     ncaps = len(caps)
+    lost = forest.lost
 
     def rec(i1: int, i2: int, d: IndicatorVector) -> int:
         # a miss: every caller looked (i1, i2, d) up first, so hits cost
         # no call
         n1, n2 = nodes[i1], nodes[i2]
         o1, o2 = n1.ord, n2.ord
+        m, p = len(d), o1.p
+        if collapse is not None and (i1 in lost or i2 in lost):
+            if not d:
+                forest.collapsed += 1
+            out = memo[i1, i2, d] = forest.lost_node(m, p)
+            return out
         lkey = (n1.label, n2.label, d)
         root = labels.get(lkey)
         if root is None:
             root = labels[lkey] = forest.label_id(rename_combine(o1, o2, d, op))
-        m, p = len(d), o1.p
         point = set_kids = ()
         # in_budget(caps, m + 1, p) and in_budget(caps, m, p + 1), inlined
         if p < ncaps and m < caps[p]:
@@ -352,7 +400,11 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
             _check_factors(n1, n2, False, m, p, caps)
             set_kids = {h if (h := get((u1, u2, d))) is not None else rec(u1, u2, d)
                         for u1 in n1.set_children for u2 in n2.set_children}
-        out = memo[i1, i2, d] = forest.intern(root, point, set_kids)
+        out = forest.intern(root, point, set_kids)
+        if collapse is not None and not d and collapse(out):
+            forest.collapsed += 1
+            out = forest.lost_node(0, p)
+        memo[i1, i2, d] = out
         return out
 
     try:
@@ -375,28 +427,37 @@ def _check_factors(n1: RCNode, n2: RCNode, point: bool, m: int, p: int,
 
 
 def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
-                              forest: RCForest | None = None) -> RCTree:
+                              forest: RCForest | None = None,
+                              collapse: Callable[[RCForest], Collapse | None] | None = None,
+                              ) -> RCTree:
     """Fold the tree cross product over a parse tree, leaves to root.
 
     Returns the reduced characteristic tree of the generated graph, built
     for the move budget (a depth q means every m + p <= q), in time
-    linear in the parse tree for a fixed budget and t.
+    linear in the parse tree for a fixed budget and t.  collapse, if
+    given, makes the fold's collapse test for the forest (None for no
+    test); model checking passes games.check_collapse, and the tree then
+    has lost nodes in place of the subtrees its sentence has lost.
     """
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
+    leaf = leaf_char_tree(forest, caps, tree.t)
+    test = None if collapse is None else collapse(forest)
 
     def combine_for(op: CompositionOp):
-        get = forest.cross_memo_for(caps, op).get
+        get = forest.cross_memo_for(caps, op, test).get
         return lambda left, right: (hit if (hit := get((left, right, ()))) is not None
-                                    else tree_cross_product(forest, left, right, caps, op))
+                                    else tree_cross_product(forest, left, right, caps, op,
+                                                            test))
 
-    root = fold(tree, leaf_char_tree(forest, caps, tree.t), combine_for)
+    root = fold(tree, leaf, combine_for)
     return RCTree(forest, root, caps)
 
 
 def rc_dump(forest: RCForest, root: int) -> str:
-    """One line per reachable node: id kind m p |children| childIds | ord."""
+    """One line per reachable node: id kind m p |children| childIds | ord,
+    with "lost" in place of the ord of a lost node."""
     kind = {root: "root"}
     for nid in forest.reachable(root):
         n = forest.node(nid)
@@ -409,6 +470,7 @@ def rc_dump(forest: RCForest, root: int) -> str:
         n = forest.node(nid)
         kids = n.point_children + n.set_children
         ids = " ".join(str(c) for c in kids)
+        label = "lost" if nid in forest.lost else n.ord.encode()
         lines.append(f"{nid} {kind[nid]} {n.m} {n.p} {len(kids)} {ids}".rstrip()
-                     + f" | {n.ord.encode()}")
+                     + f" | {label}")
     return "\n".join(lines) + "\n"

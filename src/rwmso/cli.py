@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .chartree import RCForest, RCTree, char_tree_from_parse_tree, rc_dump
 from .errors import RwmsoError
-from .games import evaluate, game_on_tree
+from .games import check_collapse, evaluate, game_on_tree
 from .linemso import DPStats, LinEMSOProblem, solve_linemso
 from .logic import (Formula, free_variables, is_sentence, move_budget,
                     parse_formula, quantifier_rank)
@@ -89,11 +89,13 @@ def cmd_check(args) -> int:
     q = quantifier_rank(phi)
     start = time.perf_counter()
     # games.model_check, with the tree kept for the report
-    rc = char_tree_from_parse_tree(tree, move_budget(phi))
+    caps = move_budget(phi)
+    rc = char_tree_from_parse_tree(tree, caps, RCForest(), check_collapse(phi, caps))
     answer = game_on_tree(rc, phi)
     elapsed = time.perf_counter() - start
     print("true" if answer else "false")
     _report(args, {"command": "check", "answer": answer, "parseSec": parse_s,
+                   "collapsedNodes": rc.forest.collapsed,
                    **_tree_report(q, tree, rc, elapsed)})
     return 0 if answer else 1
 

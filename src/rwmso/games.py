@@ -13,15 +13,18 @@ supported by the direct evaluator only; a tree node keeps just the
 trace of each chosen set, which cannot decide equality of the full
 sets, so the tree game refuses a formula containing one.
 Verdicts reads the game's compiled table for three-valued verdicts that
-no composition context can change; LinEMSO prunes its states by them.
+no composition context can change; LinEMSO prunes its states by them,
+and model checking collapses the subtrees a set-first sentence has
+lost (check_collapse).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .chartree import RCTree, char_tree_from_parse_tree, in_budget
+from .chartree import Collapse, RCTree, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
@@ -191,14 +194,21 @@ def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...]
 
     Both are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
     caps), so every game on one forest compiles phi once and shares one
-    memo; nodes are immutable, so an entry never goes stale.
+    memo; nodes are immutable, so an entry never goes stale.  A repeat
+    lookup of the same phi object is answered from forest.game_last
+    without hashing phi, whose hash walks the whole formula.
     """
+    last = forest.game_last
+    if (last is not None and last[0] is phi and last[1] == x_vars
+            and last[2] == X_vars and last[3] == caps):
+        return last[4]
     key = (phi, x_vars, X_vars, caps)
     game = forest.game_memo.get(key)
     if game is None:
         table: list[tuple] = []
         _compile(phi, True, x_vars, X_vars, caps, table)
         game = forest.game_memo[key] = (table, {})
+    forest.game_last = (*key, game)
     return game
 
 
@@ -294,6 +304,22 @@ class Verdicts:
     pairs are still visited in the same order, the first-found witness
     unchanged.
 
+    It also makes check_collapse's collapse sound, for a set-first sentence
+    (no set quantifier below a point quantifier on any branch) and at
+    the set-only levels (0, p) only.  A product node at (0, p) is the
+    node of a subgraph's tree with p sets placed, and the game on the
+    whole graph reaches the positions of level (0, p) only at products
+    of such nodes with (0, p) nodes of the rest of the graph.  So a node
+    whose verdict is BOTTOM at every position of its level loses all of
+    them in every composition: replacing it by a lost node, which every
+    game and verdict memo seeds as lost, and replacing every product with
+    a lost factor at (0, p) by the lost node of that level, leaves the
+    winner at the root unchanged.  Every other product with a lost factor
+    is a set child of a node at a level (m, p) with m >= 1, and the game
+    of a set-first sentence makes no set move there: from the root it
+    walks (0, p) nodes by set moves and then real nodes by point moves
+    only, so those products are off its move paths.
+
     phi, with free set variables X_vars and no free object variables,
     is read as the position table of the forest's compiled game for
     budget, a caps tuple, so the verdicts and the games at the root
@@ -309,7 +335,7 @@ class Verdicts:
         self.table = _game(forest, phi, (), tuple(X_vars), budget)[0]
         self.nodes = forest.nodes
         self.memo: dict[int, int] = {}
-        self.can_fail = _can_fail(self.table)
+        self.can_fail = _fails(self.table)[0]
 
     def at(self, nid: int, pos: int = 0) -> int:
         """The verdict of position pos at node nid."""
@@ -339,9 +365,9 @@ class Verdicts:
         return out
 
 
-def _can_fail(table: list[tuple]) -> bool:
-    """Whether some verdict of position 0 can be BOTTOM.  Children follow
-    their parent in the pre-order table, so one backward scan does."""
+def _fails(table: list[tuple]) -> list[bool]:
+    """Per position, whether some verdict of it can be BOTTOM.  Children
+    follow their parent in the pre-order table, so one backward scan does."""
     fail = [False] * len(table)
     for pos in range(len(table) - 1, -1, -1):
         kind, a, b = table[pos]
@@ -353,19 +379,89 @@ def _can_fail(table: list[tuple]) -> bool:
             fail[pos] = fail[a] and fail[b]
         elif kind == _FORALL:
             fail[pos] = fail[a]
-    return fail[0]
+    return fail
+
+
+def _lost_levels(table: list[tuple]) -> dict[int, tuple[int, ...]]:
+    """The set-only levels a sentence's collapse can use: each p whose
+    positions at level (0, p) can all fail, mapped to those positions.
+
+    Empty unless the table is set-first.  Children follow their parent in
+    the pre-order table, so one forward scan gives every level.
+    """
+    level = [(0, 0)] * len(table)
+    for pos, (kind, a, b) in enumerate(table):
+        m, p = level[pos]
+        if kind == _AND or kind == _OR:
+            level[a] = level[b] = (m, p)
+        elif kind >= _EXISTS:
+            if not b and m:
+                return {}  # a set move after a point move
+            level[a] = (m + 1, p) if b else (m, p + 1)
+    fail = _fails(table)
+    at_level: dict[int, list[int]] = {}
+    for pos, (m, p) in enumerate(level):
+        if not m:
+            at_level.setdefault(p, []).append(pos)
+    return {p: tuple(ps) for p, ps in at_level.items() if all(fail[q] for q in ps)}
+
+
+def _collapse_test(forest, phi: Formula, caps) -> Collapse | None:
+    """The fold's collapse test for sentence phi on forest, or None when
+    phi is not set-first or no level of it can collapse.
+
+    The test calls a node at level (0, p) lost when its verdict is BOTTOM
+    at every position of that level.  Interns the lost node of every
+    level of the budget first and seeds it as lost in phi's game and
+    verdict memos, so neither ever reads a lost node's placeholder label.
+    """
+    verdicts = Verdicts(forest, phi, (), caps)
+    levels = _lost_levels(verdicts.table)
+    if not levels:
+        return None
+    table, memo = _game(forest, phi, (), (), caps)
+    size = len(table)
+    for p, cap in enumerate(caps):
+        for m in range(cap + 1):
+            first = forest.lost_node(m, p) * size
+            for key in range(first, first + size):
+                memo[key] = False
+                verdicts.memo[key] = BOTTOM
+    at, nodes = verdicts.at, forest.nodes
+
+    def lost(nid: int) -> bool:
+        positions = levels.get(nodes[nid].p)
+        return positions is not None and all(at(nid, pos) == BOTTOM for pos in positions)
+
+    return lost
+
+
+def check_collapse(phi: Formula, caps) -> Callable[..., Collapse | None]:
+    """The collapse maker that model checking folds sentence phi's tree
+    with, for phi's move budget caps.
+
+    Model checking is char_tree_from_parse_tree(tree, caps,
+    collapse=check_collapse(phi, caps)), then the game.  When phi is
+    set-first, the fold collapses the (0, p) products phi has lost into
+    one lost node per level (see Verdicts for why the game's winner stays
+    the same), and the forest's collapsed attribute counts them;
+    otherwise the tree is the one the fold builds without a maker.
+    """
+    return functools.partial(_collapse_test, phi=phi, caps=caps)
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:
     """Decide whether the generated graph models the sentence.
 
     Builds the reduced characteristic tree for phi's move budget from
-    the parse tree, then plays the game on it; never materializes the
-    graph.
+    the parse tree, collapsed by check_collapse, then plays the game on
+    it; never materializes the graph.
     """
     if not is_sentence(phi):
         raise RwmsoError("model checking requires a sentence (no free variables)")
-    return game_on_tree(char_tree_from_parse_tree(tree, move_budget(phi)), phi)
+    caps = move_budget(phi)
+    rc = char_tree_from_parse_tree(tree, caps, collapse=check_collapse(phi, caps))
+    return game_on_tree(rc, phi)
 
 
 # --- formula catalog (shared test fixture) --------------------------------

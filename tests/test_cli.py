@@ -4,6 +4,7 @@ import pytest
 
 from rwmso import format_graph, format_parse_tree, family_tree, generate_graph
 from rwmso import chartree, cli
+from rwmso.chartree import RCForest, char_tree_from_parse_tree
 from rwmso.cli import main
 
 
@@ -36,10 +37,26 @@ def test_check_true_false_and_json(p4_file, capsys):
     # every label is some interned node's
     assert 0 < report["internedLabels"] <= report["peakInterned"]
     assert report["wallTimeSec"] >= 0 and report["parseSec"] >= 0
+    assert report["collapsedNodes"] == 0  # no set quantifier, nothing to collapse
 
     assert main(["check", "--parse-tree", p4_file,
                  "--formula", "Ax x. Ax y. adj(x,y)"]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "false"
+
+
+def test_check_reports_the_collapsed_tree(tmp_path, capsys):
+    # two-colorable on a path: the collapsed tree is smaller than the one
+    # chartree builds for the same budget, and its count is in the report
+    path = tmp_path / "p32.pt"
+    path.write_text(format_parse_tree(family_tree("path", 32, 2)))
+    formula = "EX C. Ax x. Ax y. (!adj(x,y) | (C(x) & !C(y)) | (!C(x) & C(y)))"
+    assert main(["check", "--parse-tree", str(path), "--formula", formula, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["answer"] is True and report["collapsedNodes"] > 0
+    forest = RCForest()
+    plain = char_tree_from_parse_tree(family_tree("path", 32, 2), report["moveBudget"], forest)
+    assert report["peakInterned"] < len(forest)
+    assert report["charTreeNodes"] < plain.size()
 
 
 def test_check_errors(p4_file, capsys):

@@ -293,6 +293,31 @@ def _count_positions(phi):
     return 1 + _count_positions(phi.sub)
 
 
+def test_repeat_games_on_one_phi_object_hash_it_once():
+    # the forest answers a repeat lookup of the same phi object without
+    # hashing phi again; an equal formula built afresh still finds the entry
+    from rwmso.logic import ExistsObj
+
+    hashes = []
+
+    class Counted(ExistsObj):
+        def __hash__(self):
+            hashes.append(self)
+            return super().__hash__()
+
+    phi = Counted("x", parse_formula("Ex y. adj(x,y)"))
+    forest = RCForest()
+    rid = reduced_char_tree_direct(forest, K2, 2)
+    assert game_on_tree(RCTree(forest, rid, 2), phi)
+    first = len(hashes)  # the lookup that compiles phi hashes it
+    for _ in range(3):
+        assert game_on_tree(RCTree(forest, rid, 2), phi)
+    assert len(hashes) == first
+    assert game_on_tree(RCTree(forest, rid, 2), HAS_EDGE)
+    assert game_on_tree(RCTree(forest, rid, 2), Counted("x", phi.sub))
+    assert len(forest.game_memo) == 2 and len(hashes) > first
+
+
 def test_catalog_sentences_are_sentences():
     for entry in CATALOG:
         phi = parse_formula(entry.text, 2)
