@@ -29,6 +29,15 @@ def _plain(tree, phi, forest=None):
     return char_tree_from_parse_tree(tree, move_budget(phi), forest)
 
 
+def _point_moves_stay_real(rc):
+    """Whether no node of the tree has a lost point child: the game of a
+    set-first sentence meets lost nodes only at set moves from (0, p)
+    nodes, where their verdict holds, and never after a point move."""
+    forest = rc.forest
+    return not any(set(forest.node(nid).point_children) & forest.lost
+                   for nid in forest.reachable(rc.root))
+
+
 def _catalog_at(t):
     """The catalog sentences a width-t parse tree can be asked."""
     out = []
@@ -51,7 +60,9 @@ def test_collapsing_check_agrees_with_the_plain_game_and_evaluate():
     for tree, sentences, forest in trees:
         g = generate_graph(tree)
         for phi in sentences:
-            got = game_on_tree(_collapsed(tree, phi, forest), phi)
+            rc = _collapsed(tree, phi, forest)
+            assert _point_moves_stay_real(rc), (str(phi), tree)
+            got = game_on_tree(rc, phi)
             assert got == game_on_tree(_plain(tree, phi, forest), phi), (str(phi), tree)
             assert got == evaluate(g, phi), (str(phi), tree)
         assert model_check(tree, sentences[-1]) == got
@@ -75,17 +86,22 @@ def test_collapsed_node_count_is_flat_in_n():
 
 
 def test_sentences_it_cannot_collapse_build_the_plain_tree():
-    # not set-first: a set quantifier under a point quantifier
-    not_set_first = parse_formula("Ax x. EX C. (C(x) & (Ax y. (!adj(x,y) | !C(y))))", 2)
+    # not set-first: a set quantifier under a point quantifier.  In the
+    # second, every position at level (0, 1) can fail, and collapsing
+    # there would lose the singletons {y} the right disjunct needs
+    not_set_first = [
+        parse_formula("Ax x. EX C. (C(x) & (Ax y. (!adj(x,y) | !C(y))))", 2),
+        parse_formula("(AX S. Ax x. S(x)) | (Ax y. EX Z. (Z(y) & (Ax w. (!Z(w) | w = y))))", 2)]
     # set-first, but every position at level (0, 0) is existential
     nothing_to_fail = parse_formula("Ex x. Ex y. Ex z. (adj(x,y) & adj(y,z) & adj(x,z))", 2)
-    for phi in (not_set_first, nothing_to_fail):
+    for phi in not_set_first + [nothing_to_fail]:
         for family in ("path", "cycle", "star"):
             tree = family_tree(family, 9, 2)
             rc, plain = _collapsed(tree, phi), _plain(tree, phi)
             assert not rc.forest.lost and rc.forest.collapsed == 0
             assert len(rc.forest) == len(plain.forest)
             assert rc_dump(rc.forest, rc.root) == rc_dump(plain.forest, plain.root)
+            assert game_on_tree(rc, phi) == evaluate(generate_graph(tree), phi)
 
 
 def test_lost_nodes():
@@ -124,6 +140,7 @@ def test_random_sentences_with_collapses_agree_with_evaluate():
         if quantifier_rank(phi) > 3:
             continue
         rc = _collapsed(tree, phi)
+        assert _point_moves_stay_real(rc), (str(phi), tree)
         assert game_on_tree(rc, phi) == evaluate(generate_graph(tree), phi), (str(phi), tree)
         with_collapse += rc.forest.collapsed > 0
     assert with_collapse >= 20, with_collapse
