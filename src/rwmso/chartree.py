@@ -44,11 +44,13 @@ MAX_NODES = 500_000
 
 # --- interned reduced characteristic trees ------------------------------
 
-# A move budget is a down-closed set of (point moves m, set moves p),
-# stored as caps[p] = the most point moves allowed after p set moves, so
-# caps is non-increasing.  The depth-q tree of the paper is the staircase
-# (q, q-1, ..., 0): every m + p <= q.  A node at (m, p) has point children
-# iff (m + 1, p) is in the budget and set children iff (m, p + 1) is.
+# A move budget is a set of levels (point moves m, set moves p), stored
+# as caps[p] = the most point moves allowed after p set moves, so it is
+# down-closed in m at each p but need not be in p: logic.move_budget
+# gives caps[p] = the largest m of a level (m, p) the formula's game
+# visits.  The depth-q tree of the paper is the staircase (q, q-1, ...,
+# 0): every m + p <= q.  A node at (m, p) has point children iff
+# (m + 1, p) is in the budget and set children iff (m, p + 1) is.
 Budget = tuple[int, ...]
 
 # A collapse test says whether a product node at a set-only level (0, p)
@@ -63,11 +65,10 @@ def as_budget(budget: int | Sequence[int]) -> Budget:
             raise RwmsoError("depth must be nonnegative")
         return tuple(range(budget, -1, -1))
     caps = tuple(budget)
-    if (not caps or not all(isinstance(c, int) for c in caps) or caps[-1] < 0
-            or any(a < b for a, b in zip(caps, caps[1:]))):
+    if not caps or not all(isinstance(c, int) and c >= 0 for c in caps):
         raise RwmsoError(
-            f"move budget must be a nonempty non-increasing sequence of "
-            f"nonnegative ints, got {budget!r}")
+            f"move budget must be a nonempty sequence of nonnegative ints, "
+            f"got {budget!r}")
     return caps
 
 
@@ -76,9 +77,14 @@ def in_budget(caps: Budget, m: int, p: int) -> bool:
 
 
 def _moves_left(caps: Budget, m: int, p: int) -> int:
-    """Longest move sequence the budget allows from (m, p)."""
-    return max((cap - m + j - p for j, cap in enumerate(caps)
-                if j >= p and cap >= m), default=0)
+    """Longest move sequence the budget allows from (m, p): set moves up
+    to some level j while caps allows m there, then point moves."""
+    most = max(caps[p] - m, 0) if p < len(caps) else 0
+    for j in range(p + 1, len(caps)):
+        if caps[j] < m:
+            break
+        most = max(most, caps[j] - m + j - p)
+    return most
 
 
 @dataclass(frozen=True)
@@ -347,8 +353,10 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     whole tree (appending that side to the indicator vector d, empty at
     the roots);
     set moves pair set children of both sides.  A factor's own (m_i, p)
-    never exceeds the product's (m, p) and the budget is down-closed, so
-    factors built for the same budget have every move the product needs.
+    has m_i <= m, and the budget is down-closed in m at each p (it need
+    not be in p), so factors built for the same budget have every move
+    the product needs: a point move at (m, p) needs m_i + 1 <= caps[p],
+    a set move m_i <= caps[p + 1].
     Results are memoized in the forest, across calls, and so are product
     labels: a miss looks its label up by (label1, label2, d) and runs
     rename_combine only if that is new.

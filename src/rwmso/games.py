@@ -315,10 +315,12 @@ class Verdicts:
     game and verdict memo seeds as lost, and replacing every product with
     a lost factor at (0, p) by the lost node of that level, leaves the
     winner at the root unchanged.  Every other product with a lost factor
-    is a set child of a node at a level (m, p) with m >= 1, and the game
-    of a set-first sentence makes no set move there: from the root it
-    walks (0, p) nodes by set moves and then real nodes by point moves
-    only, so those products are off its move paths.
+    is a set child of a node at a level (m, p) with m >= 1, which the
+    fold builds only when some branch of phi reaches (m, p + 1) by point
+    moves (logic.move_budget), and the game of a set-first sentence makes
+    no set move there: from the root it walks (0, p) nodes by set moves
+    and then real nodes by point moves only, so those products are off
+    its move paths.
 
     phi, with free set variables X_vars and no free object variables,
     is read as the position table of the forest's compiled game for

@@ -359,15 +359,19 @@ def move_budget(phi: Formula, objects: int = 0, sets: int = 0) -> tuple[int, ...
     """The moves the game on phi can take, as caps[p] = the most point
     moves after p set moves (see chartree.as_budget).
 
-    A root-to-atom path with m object and p set quantifiers ends at
-    (objects + m, sets + p), counting the free variables already placed;
-    the budget is the down-closure of those ends.  Negation does not
-    change the paths, so phi and its NNF get the same budget.
+    The game starts at (objects, sets), counting the free variables
+    already placed, and an object (set) quantifier moves it from (m, p)
+    to (m + 1, p) ((m, p + 1)).  caps[p] is the largest m of a level
+    (m, p) the game visits, 0 below sets.  It is not closed over p:
+    EX C. Ax x. Ax y. ... gets (0, 2), with no point move before the set
+    move and no set move after the point moves.  Negation does not
+    change the levels, so phi and its NNF get the same budget.
     """
-    most: dict[int, int] = {}  # p -> most m among path ends
+    most: dict[int, int] = {}  # p -> most m among the levels visited
     stack = [(phi, objects, sets)]
     while stack:
         psi, m, p = stack.pop()
+        most[p] = max(m, most.get(p, m))
         if isinstance(psi, (ExistsObj, ForallObj)):
             stack.append((psi.sub, m + 1, p))
         elif isinstance(psi, (ExistsSet, ForallSet)):
@@ -376,13 +380,7 @@ def move_budget(phi: Formula, objects: int = 0, sets: int = 0) -> tuple[int, ...
             stack += [(psi.left, m, p), (psi.right, m, p)]
         elif isinstance(psi, Not):
             stack.append((psi.sub, m, p))
-        else:
-            most[p] = max(m, most.get(p, m))
-    caps, cap = [], 0
-    for p in range(max(most), -1, -1):
-        cap = max(cap, most.get(p, 0))
-        caps.append(cap)
-    return tuple(reversed(caps))
+    return tuple(most.get(p, 0) for p in range(max(most) + 1))
 
 
 def free_variables(phi: Formula) -> VariableList:

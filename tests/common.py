@@ -163,6 +163,12 @@ def indicator_vector(a1, a2, c):
     return tuple(out)
 
 
+def down_closure(caps):
+    """The budget closed over p as well as m: caps[p] = the most of
+    caps[p'] over p' >= p, so every level below a level of caps is in it."""
+    return tuple(max(caps[p:]) for p in range(len(caps)))
+
+
 def cross_misses(forest):
     """Cross-product memo misses so far: a miss adds one cross_memo entry."""
     return sum(map(len, forest.cross_memo.values()))

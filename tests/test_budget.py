@@ -1,48 +1,109 @@
 """Formula-directed move budgets: the fold builds only the (point, set)
 moves the game on phi can take, and answers as the full-depth tree does."""
 
+import random
+
 import pytest
 
 from rwmso import (CATALOG, FAMILIES, build_structure, char_tree_from_parse_tree,
-                   evaluate, family_tree, format_parse_tree, game_on_tree,
-                   generate_graph, model_check, parse_formula,
+                   evaluate, family_tree, format_parse_tree, free_variables,
+                   game_on_tree, generate_graph, model_check, parse_formula,
                    parse_tree_from_text, quantifier_rank,
                    reduced_char_tree_direct)
 from rwmso import chartree
 from rwmso.chartree import RCForest, RCTree, as_budget
 from rwmso.errors import DepthBudgetError, RwmsoError
+from rwmso.games import _AND, _EXISTS, _FORALL, _OR, _compile
 from rwmso.logic import move_budget
 
-from common import catalog, cross_misses, small_parse_trees, to_nnf
+from common import (catalog, cross_misses, random_sentence, small_parse_trees,
+                    to_nnf)
+
+# max independent set, min vertex cover and min dominating set, over X
+OPTIMIZE_PROBLEMS = ("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))",
+                     "Ax x. Ax y. (!adj(x,y) | X(x) | X(y))",
+                     "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))")
 
 
 @pytest.mark.parametrize("text, objects, sets, want", [
     pytest.param("Ex x. Ex y. Ex z. (adj(x,y) & adj(y,z) & adj(x,z))", 0, 0, (3,),
                  id="has-triangle"),
     pytest.param("EX C. Ax x. Ax y. (!adj(x,y) | (C(x) & !C(y)) | (!C(x) & C(y)))",
-                 0, 0, (2, 2), id="two-colorable"),
-    pytest.param("AX S. Ex x. (S(x) | !S(x))", 0, 0, (1, 1), id="set-then-point"),
-    pytest.param("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", 0, 1, (2, 2),
+                 0, 0, (0, 2), id="two-colorable"),
+    pytest.param("AX S. Ex x. (S(x) | !S(x))", 0, 0, (0, 1), id="set-then-point"),
+    pytest.param("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", 0, 1, (0, 2),
                  id="preloaded-set"),
     pytest.param("(Ex x. EX S. Ex y. S(y)) | (Ax z. Ax w. Ax u. adj(z,w))", 0, 0, (3, 2),
                  id="two-paths"),
     pytest.param("!(Ex x. Ax y. adj(x,y))", 0, 0, (2,), id="negated"),
     pytest.param("adj(x, y)", 2, 0, (2,), id="free-objects"),
-    pytest.param("S(x)", 1, 1, (1, 1), id="free-object-and-set"),
+    pytest.param("S(x)", 1, 1, (0, 1), id="free-object-and-set"),
 ])
-def test_move_budget_is_the_down_closure_of_path_ends(text, objects, sets, want):
+def test_move_budget_is_the_levels_the_game_visits(text, objects, sets, want):
     phi = parse_formula(text, 1)
     assert move_budget(phi, objects, sets) == want
     assert move_budget(to_nnf(phi), objects, sets) == want
+    assert _visited_levels(phi, objects, sets) == want
 
 
 def test_a_depth_is_its_staircase():
     assert as_budget(0) == (0,)
     assert as_budget(3) == (3, 2, 1, 0)
     assert as_budget([2, 2]) == (2, 2)
-    for bad in (-1, (), (1, 2), (1, -1), (1.5,)):
+    assert as_budget([1, 2]) == (1, 2)  # caps need not fall with p
+    for bad in (-1, (), (1, -1), (-1, 2), (2, -1, 1), (1.5,)):
         with pytest.raises(RwmsoError):
             as_budget(bad)
+
+
+def _visited_levels(phi, objects=0, sets=0):
+    """caps[p] = the largest m of a level (m, p) of phi's compiled game,
+    0 below sets: a forward scan of the pre-order position table, where
+    every child follows its parent, compiled against a staircase deep
+    enough for every move."""
+    fv = free_variables(phi)
+    x_vars = tuple(f"_x{i}" for i in range(objects - len(fv.objects))) + fv.objects
+    X_vars = tuple(f"_X{i}" for i in range(sets - len(fv.sets))) + fv.sets
+    table = []
+    _compile(phi, True, x_vars, X_vars, as_budget(quantifier_rank(phi) + objects + sets),
+             table)
+    level = [(objects, sets)] * len(table)
+    most = {}
+    for pos, (kind, a, b) in enumerate(table):
+        m, p = level[pos]
+        most[p] = max(m, most.get(p, m))
+        if kind in (_AND, _OR):
+            level[a] = level[b] = (m, p)
+        elif kind in (_EXISTS, _FORALL):
+            level[a] = (m + 1, p) if b else (m, p + 1)
+    return tuple(most.get(p, 0) for p in range(max(most) + 1))
+
+
+def test_move_budget_matches_the_compiled_game_levels():
+    # independent route: the budget read off phi's position table, for
+    # every catalog sentence, the optimize problems with their one free
+    # set, and random sentences
+    cases = [(phi, 0) for _, phi in catalog(t=2)]
+    cases += [(parse_formula(text, 2), 1) for text in OPTIMIZE_PROBLEMS]
+    rng = random.Random(17)
+    cases += [(random_sentence(rng), 0) for _ in range(600)]
+    for phi, sets in cases:
+        assert move_budget(phi, sets=sets) == _visited_levels(phi, sets=sets), str(phi)
+
+
+def test_moves_left_is_the_longest_move_path():
+    # the direct builder's work guard: caps that rise with p allow set
+    # moves at m only while caps stays at least m
+    def longest(caps, m, p):
+        steps = [longest(caps, m + 1, p)] if chartree.in_budget(caps, m + 1, p) else []
+        if chartree.in_budget(caps, m, p + 1):
+            steps.append(longest(caps, m, p + 1))
+        return 1 + max(steps) if steps else 0
+
+    for caps in ((0,), (3, 2, 1, 0), (0, 2), (1, 2), (3, 0, 0, 1), (0, 0, 3), (2, 0, 2)):
+        for m in range(4):
+            for p in range(len(caps) + 1):
+                assert chartree._moves_left(caps, m, p) == longest(caps, m, p), (caps, m, p)
 
 
 def test_catalog_on_families_matches_full_depth_and_evaluate():
@@ -95,7 +156,7 @@ def test_has_triangle_folds_a_quarter_of_the_full_depth_work():
 def test_memo_misses_are_constant_past_stabilisation(name):
     # deterministic work-count gate: once the class count has stabilised,
     # every further parse node is a memo hit, so a fresh fold makes the same
-    # number of cross-product misses at n = 64, 128 and 256 (2797 for
+    # number of cross-product misses at n = 64, 128 and 256 (2713 for
     # two-colorable, 479 for has-triangle).  A tree read back from text has
     # distinct but equal operator objects, and must share memo entries too.
     budget = move_budget(to_nnf(dict(catalog(t=2))[name]))
@@ -132,7 +193,7 @@ def test_fold_calls_cross_product_on_memo_misses_only(monkeypatch):
 def test_label_products_are_computed_once(monkeypatch, name):
     # deterministic work-count gate: rename_combine runs once per distinct
     # (label1, label2, d) product of an operator, so a fresh fold makes the
-    # same few calls at n = 64, 128 and 256 (70 for two-colorable, 93 for
+    # same few calls at n = 64, 128 and 256 (54 for two-colorable, 93 for
     # has-triangle), one per label-memo entry and far fewer than its
     # cross-product misses
     calls = []

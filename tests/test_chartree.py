@@ -13,9 +13,9 @@ from rwmso.errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
                           WidthMismatchError)
 from rwmso.logic import move_budget
 
-from common import (all_structures, catalog, cross_misses, exp_tower, full_char_tree,
-                    full_tree_size, indicator_vector, merge_full_tree, permuted,
-                    random_relabeling, random_structure, size_bound,
+from common import (all_structures, catalog, cross_misses, down_closure, exp_tower,
+                    full_char_tree, full_tree_size, indicator_vector, merge_full_tree,
+                    permuted, random_relabeling, random_structure, size_bound,
                     small_parse_trees, tower_at_least, unfold_rc)
 
 IDENT = Relabeling.identity(1)
@@ -394,8 +394,10 @@ RC_DUMP_SHA256 = "27ce9a27cd0506b890dac1451597b1fa69f3a8b2c461580135786af786a9b8
 
 
 def test_rc_dump_is_byte_identical():
-    # every catalog sentence at t=2, folded for its move budget into one
-    # forest per (family, n), so later sentences reuse earlier nodes
+    # every catalog sentence at t=2, folded for the down-closure of its
+    # move budget into one forest per (family, n), so later sentences
+    # reuse earlier nodes; for a given budget the fold's nodes, ids and
+    # child order stay fixed
     digest = hashlib.sha256()
     lines = 0
     for family in ("path", "cycle", "star", "cograph-join"):
@@ -403,7 +405,8 @@ def test_rc_dump_is_byte_identical():
             forest = RCForest()
             tree = family_tree(family, n, 2)
             for _, phi in catalog(t=2):
-                rc = char_tree_from_parse_tree(tree, move_budget(phi), forest)
+                rc = char_tree_from_parse_tree(tree, down_closure(move_budget(phi)),
+                                               forest)
                 text = rc_dump(forest, rc.root)
                 lines += text.count("\n")
                 digest.update(text.encode())

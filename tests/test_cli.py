@@ -205,7 +205,7 @@ def test_optimize(p4_file, capsys):
     assert out[0] == "value 2"
     report = json.loads(out[-1])
     assert report["answer"] == 2
-    assert report["q"] == 3 and report["moveBudget"] == [2, 2]
+    assert report["q"] == 3 and report["moveBudget"] == [0, 2]
 
 
 def _optimize_json(tmp_path, capsys, family, n, formula, weights, direction):

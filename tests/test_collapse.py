@@ -71,18 +71,18 @@ def test_collapsing_check_agrees_with_the_plain_game_and_evaluate():
 
 
 def test_collapsed_node_count_is_flat_in_n():
-    # the plain fold of two-colorable on a path interns 507 nodes at any
-    # n; collapsing keeps the count flat and below that
+    # the plain fold of two-colorable on a path interns 485 nodes at any
+    # n; collapsing keeps the count flat, at 105
     phi = parse_formula(TWO_COLORABLE, 2)
     counts = []
     for n in (64, 128):
         tree = family_tree("path", n, 2)
-        assert len(_plain(tree, phi).forest) == 507
+        assert len(_plain(tree, phi).forest) == 485
         rc = _collapsed(tree, phi)
         assert game_on_tree(rc, phi)
         assert rc.forest.collapsed > 0
         counts.append(len(rc.forest))
-    assert counts[0] == counts[1] < 507, counts
+    assert counts == [105, 105], counts
 
 
 def test_sentences_it_cannot_collapse_build_the_plain_tree():
