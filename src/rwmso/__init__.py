@@ -2,8 +2,7 @@
 given as t-labeled parse trees."""
 
 from .chartree import (RCForest, RCTree, char_tree_from_parse_tree,
-                       leaf_char_tree, rename_combine, reduced_char_tree_direct,
-                       tree_cross_product)
+                       rename_combine, tree_cross_product)
 from .errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
                      WidthMismatchError)
 from .games import (Assignment, CATALOG, GameStats, evaluate, game_on_tree,

@@ -7,7 +7,9 @@ set traces) and equal sibling subtrees merged.  Reduced trees are
 hash-consed in an RCForest, so two subtrees are equal iff their
 interned ids are equal, and the number of distinct nodes is bounded by
 a function of q and the vocabulary only.  The unmerged full tree grows
-like (2^n + n)^q and is only built by the tests, as an oracle.
+like (2^n + n)^q and is only built by the tests, as an oracle.  The
+leaf builder, reduced_char_tree_direct, walks every move as well: both
+folds call it only on the one vertex that a parse-tree leaf creates.
 
 The tree cross product combines the reduced trees of two structures
 into the reduced tree of their labeled composition without touching the
@@ -36,8 +38,6 @@ from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
 from .structures import OrderedStructure, Structure, _as_masks, compose, ordered_induced
 
-# covers the documented envelope |A| <= 4, q <= 3 for direct construction
-MAX_DIRECT_WORK = 10_000
 # the most nodes one forest interns: ~1.3-2.1 KB each, ~0.7-1.1 GB at the cap
 MAX_NODES = 500_000
 
@@ -74,17 +74,6 @@ def as_budget(budget: int | Sequence[int]) -> Budget:
 
 def in_budget(caps: Budget, m: int, p: int) -> bool:
     return p < len(caps) and m <= caps[p]
-
-
-def _moves_left(caps: Budget, m: int, p: int) -> int:
-    """Longest move sequence the budget allows from (m, p): set moves up
-    to some level j while caps allows m there, then point moves."""
-    most = max(caps[p] - m, 0) if p < len(caps) else 0
-    for j in range(p + 1, len(caps)):
-        if caps[j] < m:
-            break
-        most = max(most, caps[j] - m + j - p)
-    return most
 
 
 @dataclass(frozen=True)
@@ -264,29 +253,20 @@ class RCTree:
         return len(self.forest.reachable(self.root))
 
 
-def _direct_work(n: int, depth: int) -> int:
-    """Bound on the nodes a walk over every point and set move visits."""
-    return ((1 << n) + n) ** depth if depth > 0 else 1
-
-
 def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budget,
-                             c: Sequence[int] = (), sets: Sequence[Iterable[int] | int] = (),
-                             force: bool = False) -> int:
+                             c: Sequence[int] = (),
+                             sets: Sequence[Iterable[int] | int] = ()) -> int:
     """Reduced characteristic tree straight from the definition.
 
-    Enumerates all moves of the underlying structure, so this is the
-    brute-force oracle; the tree cross product is the scalable path.
+    Enumerates every move of the structure, about (2^n + n)^depth calls
+    on n elements, and has no size guard: both folds build their
+    one-vertex leaves with it, and the tests use it as their oracle.
     The root sits at (len(c), len(sets)); below it, moves exist exactly
     where the budget allows them.
     """
     caps = as_budget(budget)
     c = tuple(c)
     masks = _as_masks(a.n, sets)
-    remaining = _moves_left(caps, len(c), len(masks))
-    if not force and (a.n > 4 or _direct_work(a.n, remaining) > MAX_DIRECT_WORK):
-        raise ScaleGuardError(
-            f"direct construction would explore ~{_direct_work(a.n, remaining)} moves; "
-            "pass force=True")
 
     def rec(c: tuple[int, ...], masks: tuple[int, ...]) -> int:
         label = ordered_induced(a, c, masks)
@@ -302,11 +282,6 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budge
         return rec(c, tuple(masks))
     finally:
         del rec  # rec reaches itself, and so the forest, through its cell
-
-
-def leaf_char_tree(forest: RCForest, budget: int | Budget, t: int) -> int:
-    """Reduced tree of the single new-vertex structure (label {1})."""
-    return reduced_char_tree_direct(forest, leaf_vertex(t), budget, force=True)
 
 
 # --- combining reduced trees --------------------------------------------
@@ -450,7 +425,7 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
-    leaf = leaf_char_tree(forest, caps, tree.t)
+    leaf = reduced_char_tree_direct(forest, leaf_vertex(tree.t), caps)
     test = None if collapse is None else collapse(forest)
 
     def combine_for(op: CompositionOp):

@@ -118,36 +118,37 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     leaf_states: dict[int, tuple[int, int]] = {}
     for choice in range(1 << l):
         masks = tuple((choice >> i) & 1 for i in range(l))
-        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks,
-                                       force=True)
+        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks)
         value = sum(w for w, m in zip(weights, masks) if m)
         old = leaf_states.get(rid)
         if old is None or value > old[0]:
             leaf_states[rid] = (value, choice)
     leaf_states = survivors(leaf_states)
 
-    def combine(left, right, op):
-        (states1, n1), (states2, n2) = left, right
-        stats.pair_products += len(states1) * len(states2)
-        # the best pair per product; witnesses are built for survivors only
+    def combine_for(op):
         get = forest.cross_memo_for(budget, op).get
-        pairs = {}
-        for id1, (v1, w1) in states1.items():
-            for id2, (v2, w2) in states2.items():
-                rid = get((id1, id2, ()))
-                if rid is None:
-                    rid = tree_cross_product(forest, id1, id2, budget, op)
-                value = v1 + v2
-                old = pairs.get(rid)
-                if old is None or value > old[0]:
-                    pairs[rid] = (value, w1, w2)
-        shift = n1 * l
-        combined = {rid: (value, w1 | w2 << shift)
-                    for rid, (value, w1, w2) in survivors(pairs).items()}
-        return combined, n1 + n2
 
-    classes, _ = fold(tree, (leaf_states, 1),
-                      lambda op: lambda left, right: combine(left, right, op))
+        def combine(left, right):
+            (states1, n1), (states2, n2) = left, right
+            stats.pair_products += len(states1) * len(states2)
+            # the best pair per product; witnesses are built for survivors only
+            pairs = {}
+            for id1, (v1, w1) in states1.items():
+                for id2, (v2, w2) in states2.items():
+                    rid = get((id1, id2, ()))
+                    if rid is None:
+                        rid = tree_cross_product(forest, id1, id2, budget, op)
+                    value = v1 + v2
+                    old = pairs.get(rid)
+                    if old is None or value > old[0]:
+                        pairs[rid] = (value, w1, w2)
+            shift = n1 * l
+            combined = {rid: (value, w1 | w2 << shift)
+                        for rid, (value, w1, w2) in survivors(pairs).items()}
+            return combined, n1 + n2
+        return combine
+
+    classes, _ = fold(tree, (leaf_states, 1), combine_for)
     stats.peak_interned = len(forest)
     sat = [state for rid, state in classes.items()
            if game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars)]

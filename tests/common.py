@@ -25,10 +25,11 @@ from rwmso import (CATALOG, Assignment, BranchDecomposition, Formula,
                    LinEMSOResult, ParseTree, RCForest, RCTree, Relabeling,
                    Structure, build_structure, cut_rank, evaluate,
                    game_on_tree, ordered_induced, parse_formula,
-                   reduced_char_tree_direct, tree_cross_product)
+                   tree_cross_product)
 from rwmso import gf2
+from rwmso.chartree import reduced_char_tree_direct
 from rwmso.errors import RwmsoError, ScaleGuardError
-from rwmso.parsetree import LEAF, CompositionOp, _parse_matrix, fold
+from rwmso.parsetree import LEAF, CompositionOp, _parse_matrix, fold, leaf_vertex
 from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                          ForallSet, In, Label, Not, Or, is_atomic)
 from rwmso.rankdec import _side_masks
@@ -364,12 +365,11 @@ def unpruned_linemso(tree, problem):
     weights, budget, set_vars = problem.weights, problem.budget, problem.set_vars
     forest = RCForest()
     sign = 1 if problem.direction == "max" else -1
-    leaf_struct = Structure(1, tree.t, (0,), (1,))
+    leaf_struct = leaf_vertex(tree.t)
     leaf_states = {}
     for choice in range(1 << len(weights)):
         masks = tuple((choice >> i) & 1 for i in range(len(weights)))
-        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks,
-                                       force=True)
+        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks)
         value = sum(w for w, m in zip(weights, masks) if m)
         old = leaf_states.get(rid)
         if old is None or sign * value > sign * old[0]:

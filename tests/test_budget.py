@@ -8,10 +8,9 @@ import pytest
 from rwmso import (CATALOG, FAMILIES, build_structure, char_tree_from_parse_tree,
                    evaluate, family_tree, format_parse_tree, free_variables,
                    game_on_tree, generate_graph, model_check, parse_formula,
-                   parse_tree_from_text, quantifier_rank,
-                   reduced_char_tree_direct)
+                   parse_tree_from_text, quantifier_rank)
 from rwmso import chartree
-from rwmso.chartree import RCForest, RCTree, as_budget
+from rwmso.chartree import RCForest, RCTree, as_budget, reduced_char_tree_direct
 from rwmso.errors import DepthBudgetError, RwmsoError
 from rwmso.games import _AND, _EXISTS, _FORALL, _OR, _compile
 from rwmso.logic import move_budget
@@ -89,21 +88,6 @@ def test_move_budget_matches_the_compiled_game_levels():
     cases += [(random_sentence(rng), 0) for _ in range(600)]
     for phi, sets in cases:
         assert move_budget(phi, sets=sets) == _visited_levels(phi, sets=sets), str(phi)
-
-
-def test_moves_left_is_the_longest_move_path():
-    # the direct builder's work guard: caps that rise with p allow set
-    # moves at m only while caps stays at least m
-    def longest(caps, m, p):
-        steps = [longest(caps, m + 1, p)] if chartree.in_budget(caps, m + 1, p) else []
-        if chartree.in_budget(caps, m, p + 1):
-            steps.append(longest(caps, m, p + 1))
-        return 1 + max(steps) if steps else 0
-
-    for caps in ((0,), (3, 2, 1, 0), (0, 2), (1, 2), (3, 0, 0, 1), (0, 0, 3), (2, 0, 2)):
-        for m in range(4):
-            for p in range(len(caps) + 1):
-                assert chartree._moves_left(caps, m, p) == longest(caps, m, p), (caps, m, p)
 
 
 def test_catalog_on_families_matches_full_depth_and_evaluate():

@@ -6,12 +6,14 @@ import pytest
 
 from rwmso import (ParseTree, Relabeling, Structure, build_structure,
                    char_tree_from_parse_tree, compose, family_tree,
-                   generate_graph, leaf_char_tree, ordered_induced,
-                   rename_combine, reduced_char_tree_direct, tree_cross_product)
-from rwmso.chartree import RCForest, RCTree, in_budget, rc_dump
+                   generate_graph, ordered_induced, rename_combine,
+                   tree_cross_product)
+from rwmso.chartree import (RCForest, RCTree, in_budget, rc_dump,
+                            reduced_char_tree_direct)
 from rwmso.errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
                           WidthMismatchError)
 from rwmso.logic import move_budget
+from rwmso.parsetree import leaf_vertex
 
 from common import (all_structures, catalog, cross_misses, down_closure, exp_tower,
                     full_char_tree, full_tree_size, indicator_vector, merge_full_tree,
@@ -19,7 +21,7 @@ from common import (all_structures, catalog, cross_misses, down_closure, exp_tow
                     small_parse_trees, tower_at_least, unfold_rc)
 
 IDENT = Relabeling.identity(1)
-VERTEX = Structure(1, 1, (0,), (1,))
+VERTEX = leaf_vertex(1)
 
 
 # --- full characteristic trees -------------------------------------------
@@ -52,12 +54,19 @@ def test_direct_matches_merged_full_tree():
     # the reduced tree must be exactly the full tree after replacing
     # labels by ordered structures and collapsing equal siblings
     forest = RCForest()
-    for n in (1, 2, 3):
-        for g in itertools.islice(all_structures(n, 1), 0, None, 7):
-            for q in (0, 1, 2):
-                rid = reduced_char_tree_direct(forest, g, q)
-                want = merge_full_tree(g, full_char_tree(g, q))
-                assert unfold_rc(forest, rid) == want
+    cases = [(g, q) for n in (1, 2, 3)
+             for g in itertools.islice(all_structures(n, 1), 0, None, 7)
+             for q in (0, 1, 2)]
+    # five elements: a strided sample of all 32,768 at q <= 1, and a
+    # labeled path at q = 2
+    cases += [(g, q) for g in itertools.islice(all_structures(5, 1), 0, None, 2521)
+              for q in (0, 1)]
+    cases.append((build_structure(5, [(0, 1), (1, 2), (2, 3), (3, 4)], 1,
+                                  [1, 0, 1, 1, 0]), 2))
+    for g, q in cases:
+        rid = reduced_char_tree_direct(forest, g, q)
+        want = merge_full_tree(g, full_char_tree(g, q))
+        assert unfold_rc(forest, rid) == want, (g, q)
 
 
 def test_two_indistinguishable_elements_merge():
@@ -77,11 +86,11 @@ def test_two_indistinguishable_elements_merge():
     assert derived == 4
 
 
-def test_leaf_char_tree():
+def test_leaf_tree():
     forest = RCForest()
-    leaf = forest.node(leaf_char_tree(forest, 0, 1))
+    leaf = forest.node(reduced_char_tree_direct(forest, VERTEX, 0))
     assert not leaf.has_children(True) and not leaf.has_children(False)
-    nid = leaf_char_tree(forest, 1, 1)
+    nid = reduced_char_tree_direct(forest, VERTEX, 1)
     node = forest.node(nid)
     # full tree has 3 children (1 point, 2 set); the set children merge
     # because a trace is always intersected with the chosen elements
@@ -89,13 +98,13 @@ def test_leaf_char_tree():
     assert len(node.point_children) == 1 and len(node.set_children) == 1
     assert unfold_rc(forest, nid) == merge_full_tree(VERTEX, full_char_tree(VERTEX, 1))
     # interned: rebuilding gives the same id
-    assert leaf_char_tree(forest, 1, 1) == nid
+    assert reduced_char_tree_direct(forest, VERTEX, 1) == nid
 
 
-def test_leaf_char_tree_size_within_3_to_the_q():
+def test_leaf_tree_size_within_3_to_the_q():
     forest = RCForest()
     for q in (0, 1, 2, 3):
-        rid = leaf_char_tree(forest, q, 1)
+        rid = reduced_char_tree_direct(forest, VERTEX, q)
         assert RCTree(forest, rid, q).size() <= sum(3 ** i for i in range(q + 1))
 
 
@@ -149,11 +158,6 @@ def test_budget_monotone():
             node = forest.node(nid)
             assert node.has_children(True) == in_budget(budget, node.m + 1, node.p)
             assert node.has_children(False) == in_budget(budget, node.m, node.p + 1)
-
-
-def test_direct_guard():
-    with pytest.raises(ScaleGuardError):
-        reduced_char_tree_direct(RCForest(), build_structure(5, []), 2)
 
 
 # --- indicator vectors ----------------------------------------------------
@@ -279,7 +283,7 @@ def test_rename_combine_validation():
 def test_tcp_leaf_leaf_is_k2():
     forest = RCForest()
     op = (IDENT, IDENT, IDENT)
-    left = leaf_char_tree(forest, 2, 1)
+    left = reduced_char_tree_direct(forest, VERTEX, 2)
     got = tree_cross_product(forest, left, left, 2, op)
     k2 = build_structure(2, [(0, 1)], t=1, labels=[1, 1])
     assert got == reduced_char_tree_direct(forest, k2, 2)
@@ -288,7 +292,7 @@ def test_tcp_leaf_leaf_is_k2():
 def test_tcp_zero_budget_single_root():
     forest = RCForest()
     op = (IDENT, IDENT, IDENT)
-    left = leaf_char_tree(forest, 0, 1)
+    left = reduced_char_tree_direct(forest, VERTEX, 0)
     got = tree_cross_product(forest, left, left, 0, op)
     node = forest.node(got)
     assert not node.has_children(True) and not node.has_children(False)
@@ -307,7 +311,7 @@ def test_tcp_exhaustive_small_parse_trees():
 
 def test_tcp_depth_budget_error():
     forest = RCForest()
-    shallow = leaf_char_tree(forest, 1, 1)
+    shallow = reduced_char_tree_direct(forest, VERTEX, 1)
     with pytest.raises(DepthBudgetError):
         tree_cross_product(forest, shallow, shallow, 2, (IDENT, IDENT, IDENT))
 
@@ -317,7 +321,7 @@ def test_char_tree_single_leaf():
     tree = ParseTree(1, (), (-1,))
     for q in (0, 1, 2, 3):
         assert char_tree_from_parse_tree(tree, q, forest).root == \
-            leaf_char_tree(forest, q, 1)
+            reduced_char_tree_direct(forest, VERTEX, q)
 
 
 def test_char_tree_families_match_direct():

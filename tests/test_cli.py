@@ -350,8 +350,8 @@ def test_bench_bad_repeats(repeats, capsys):
 
 
 def test_nine_point_moves_answer_under_defaults(tmp_path, capsys):
-    # nine point moves over a one-vertex leaf: ~3^9 direct moves, past
-    # the direct construction's own guard, which leaf builds skip
+    # nine point moves over a one-vertex leaf: the leaf builder walks
+    # ~3^9 moves, which the defaults allow
     p2 = tmp_path / "p2.pt"
     p2.write_text(format_parse_tree(family_tree("path", 2)))
     phi = "Ax a. " * 9 + "(!X(a) | a = a)"

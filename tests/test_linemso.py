@@ -7,8 +7,7 @@ from rwmso import games, linemso
 from rwmso.chartree import RCForest, reduced_char_tree_direct, tree_cross_product
 from rwmso.errors import RwmsoError
 from rwmso.linemso import DPStats
-from rwmso.parsetree import fold
-from rwmso.structures import Structure
+from rwmso.parsetree import fold, leaf_vertex
 
 from common import brute_force_linemso, size_bound, tower_at_least
 
@@ -148,7 +147,7 @@ def test_class_count_bounded_and_stabilizes():
         tree = family_tree("path", n)
         # the DP's state space: distinct interned trees at the root
         forest = RCForest()
-        leaf_struct = Structure(1, tree.t, (0,), (1,))
+        leaf_struct = leaf_vertex(tree.t)
         leaf_ids = {reduced_char_tree_direct(forest, leaf_struct, q, (), (m,))
                     for m in (0, 1)}
         root_ids = fold(tree, leaf_ids, lambda op: lambda left, right: {

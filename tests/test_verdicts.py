@@ -12,12 +12,13 @@ import random
 
 import pytest
 
-from rwmso import (Assignment, LinEMSOProblem, RCForest, Structure, evaluate,
-                   free_variables, generate_graph, parse_formula,
-                   reduced_char_tree_direct, solve_linemso, tree_cross_product)
+from rwmso import (Assignment, LinEMSOProblem, RCForest, evaluate,
+                   free_variables, generate_graph, parse_formula, solve_linemso,
+                   tree_cross_product)
+from rwmso.chartree import reduced_char_tree_direct
 from rwmso.games import BOTTOM, TOP, UNKNOWN, Verdicts
 from rwmso.logic import move_budget
-from rwmso.parsetree import fold
+from rwmso.parsetree import fold, leaf_vertex
 
 from common import brute_force_linemso, random_parse_tree, unpruned_linemso
 
@@ -99,8 +100,8 @@ def test_pruned_solver_matches_brute_force_and_the_unpruned_witness(name):
 def _subtree_states(forest, tree, budget, l):
     """Per subtree of the parse tree: (first vertex in the whole graph,
     vertex count, {trace masks: tree id}) over every trace tuple."""
-    leaf = Structure(1, tree.t, (0,), (1,))
-    states = {masks: reduced_char_tree_direct(forest, leaf, budget, (), masks, force=True)
+    leaf = leaf_vertex(tree.t)
+    states = {masks: reduced_char_tree_direct(forest, leaf, budget, (), masks)
               for masks in itertools.product((0, 1), repeat=l)}
 
     def combine(left, right, op):
