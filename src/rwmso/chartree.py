@@ -129,9 +129,9 @@ class RCForest:
     operators parsed from text share entries, and the inner keys are
     ints and the indicator vector only.  A collapsing fold keys its own
     cross_memo dicts by its collapse test too.  game_memo maps (phi,
-    x_vars, X_vars, caps) to the game's compiled position table and its
-    memo from (node id, position) to the winner: games.game_on_tree plays
-    from it and games.Verdicts reads its table, so all the games on one
+    x_vars, X_vars, caps) to the game's compiled position table, its memo
+    from (node id, position) to the winner and its atoms: games.game_on_tree
+    plays from it and games.Verdicts reads its table, so all the games on one
     forest compile phi once and share what they evaluate; game_last is
     the last entry looked up, with its key, so a caller that plays the
     same phi object again finds it without hashing phi.  The memos live
@@ -151,7 +151,7 @@ class RCForest:
         self._nodes: list[RCNode] = []
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
-        self.game_memo: dict[tuple, tuple[list[tuple], dict[int, bool]]] = {}
+        self.game_memo: dict[tuple, tuple[list[tuple], dict[int, bool], dict]] = {}
         self.game_last: tuple | None = None
         self._lost_at: dict[tuple[int, int], int] = {}
         self.lost: set[int] = set()

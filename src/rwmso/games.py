@@ -129,57 +129,70 @@ def _binder(names: tuple[str, ...], v: str) -> int:
     raise RwmsoError(f"free variable {v!r} of the formula is not listed")
 
 
-def _compile(psi: Formula, positive: bool, objs: tuple[str, ...],
-             sets: tuple[str, ...], caps, table: list) -> int:
-    """Append psi's positions to table in pre-order; return psi's index.
+def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
+             sets: tuple[str, ...], caps, table: list) -> dict[int, tuple]:
+    """Append phi's positions to table in pre-order; return its atoms,
+    position -> (formula class, object indices read, innermost object index).
 
     A negation flips the polarity and takes no position, so the table
-    holds exactly the positions of psi's negation normal form.  Each
+    holds exactly the positions of phi's negation normal form.  Each
     variable resolves here to its innermost binder's index, and each
     quantifier's move is checked against the tree's budget caps.
     """
-    if isinstance(psi, Not):
-        return _compile(psi.sub, not positive, objs, sets, caps, table)
-    pos = len(table)
-    table.append(None)
-    if isinstance(psi, (And, Or)):
-        kind = _AND if isinstance(psi, And) == positive else _OR
-        left = _compile(psi.left, positive, objs, sets, caps, table)
-        table[pos] = (kind, left, _compile(psi.right, positive, objs, sets, caps, table))
-    elif isinstance(psi, (ExistsObj, ForallObj, ExistsSet, ForallSet)):
-        point = isinstance(psi, (ExistsObj, ForallObj))
-        if point:
-            objs += (psi.var,)
+    atoms: dict[int, tuple] = {}
+
+    def walk(psi: Formula, positive: bool, objs: tuple[str, ...],
+             sets: tuple[str, ...]) -> int:
+        if isinstance(psi, Not):
+            return walk(psi.sub, not positive, objs, sets)
+        pos = len(table)
+        table.append(None)
+        if isinstance(psi, (And, Or)):
+            kind = _AND if isinstance(psi, And) == positive else _OR
+            left = walk(psi.left, positive, objs, sets)
+            table[pos] = (kind, left, walk(psi.right, positive, objs, sets))
+        elif isinstance(psi, (ExistsObj, ForallObj, ExistsSet, ForallSet)):
+            point = isinstance(psi, (ExistsObj, ForallObj))
+            if point:
+                objs += (psi.var,)
+            else:
+                sets += (psi.set_var,)
+            m, p = len(objs), len(sets)
+            if not in_budget(caps, m, p):
+                raise DepthBudgetError(
+                    f"a {'point' if point else 'set'} move to m={m}, p={p} is outside "
+                    f"the tree's move budget {list(caps)}: build the tree for the "
+                    "formula's budget")
+            kind = _EXISTS if isinstance(psi, (ExistsObj, ExistsSet)) == positive else _FORALL
+            table[pos] = (kind, walk(psi.sub, positive, objs, sets), int(point))
         else:
-            sets += (psi.set_var,)
-        m, p = len(objs), len(sets)
-        if not in_budget(caps, m, p):
-            raise DepthBudgetError(
-                f"a {'point' if point else 'set'} move to m={m}, p={p} is outside "
-                f"the tree's move budget {list(caps)}: build the tree for the "
-                "formula's budget")
-        kind = _EXISTS if isinstance(psi, (ExistsObj, ExistsSet)) == positive else _FORALL
-        table[pos] = (kind, _compile(psi.sub, positive, objs, sets, caps, table), int(point))
-    else:
-        kind = _LABEL if isinstance(psi, Label) else _ATOM
-        table[pos] = (kind, _atom_test(psi, objs, sets), positive)
-    return pos
+            test, reads = _atom_test(psi, objs, sets)
+            table[pos] = (_LABEL if isinstance(psi, Label) else _ATOM, test, positive)
+            atoms[pos] = (type(psi), reads, len(objs) - 1)
+        return pos
+
+    try:
+        walk(phi, positive, objs, sets)
+        return atoms
+    finally:
+        del walk  # walk reaches itself through its closure cell
 
 
 def _atom_test(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]):
     """The atom as a test on a node's ordered structure, its variables
-    resolved to position and trace indices."""
+    resolved to position and trace indices, and the object-variable
+    indices it reads."""
     if isinstance(psi, (Equal, Adj)):
         i, j = _binder(objs, psi.left), _binder(objs, psi.right)
         if isinstance(psi, Equal):
-            return lambda o: o.positions[i] == o.positions[j]
-        return lambda o: o.structure.has_edge(o.positions[i], o.positions[j])
+            return (lambda o: o.positions[i] == o.positions[j]), (i, j)
+        return (lambda o: o.structure.has_edge(o.positions[i], o.positions[j])), (i, j)
     if isinstance(psi, Label):
         i, bit = _binder(objs, psi.var), psi.index - 1
-        return lambda o: (o.structure.labels[o.positions[i]] >> bit) & 1
+        return (lambda o: (o.structure.labels[o.positions[i]] >> bit) & 1), (i,)
     if isinstance(psi, In):
         k, i = _binder(sets, psi.set_var), _binder(objs, psi.var)
-        return lambda o: (o.set_traces[k] >> o.positions[i]) & 1
+        return (lambda o: (o.set_traces[k] >> o.positions[i]) & 1), (i,)
     if isinstance(psi, SetEqual):
         raise RwmsoError(
             "set-set equality cannot be decided from set traces; "
@@ -188,11 +201,12 @@ def _atom_test(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]):
 
 
 def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...],
-          caps) -> tuple[list[tuple], dict[int, bool]]:
-    """The forest's compiled game for phi: its position table and its
-    memo from nid * len(table) + position to the winner.
+          caps) -> tuple[list[tuple], dict[int, bool], dict[int, tuple]]:
+    """The forest's compiled game for phi: its position table, its memo
+    from nid * len(table) + position to the winner, and its atoms (see
+    _compile).
 
-    Both are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
+    All three are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
     caps), so every game on one forest compiles phi once and shares one
     memo; nodes are immutable, so an entry never goes stale.  A repeat
     lookup of the same phi object is answered from forest.game_last
@@ -206,8 +220,8 @@ def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...]
     game = forest.game_memo.get(key)
     if game is None:
         table: list[tuple] = []
-        _compile(phi, True, x_vars, X_vars, caps, table)
-        game = forest.game_memo[key] = (table, {})
+        atoms = _compile(phi, True, x_vars, X_vars, caps, table)
+        game = forest.game_memo[key] = (table, {}, atoms)
     forest.game_last = (*key, game)
     return game
 
@@ -241,7 +255,7 @@ def game_on_tree(tree: RCTree, phi: Formula,
         raise RwmsoError(
             f"tree was built for m={root.m}, p={root.p}; "
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
-    table, memo = _game(forest, phi, tuple(x_vars), tuple(X_vars), tree.budget)
+    table, memo, _ = _game(forest, phi, tuple(x_vars), tuple(X_vars), tree.budget)
     size = len(table)
 
     def rec(nid: int, pos: int) -> bool:
@@ -291,11 +305,20 @@ class Verdicts:
     composed into, whatever the placed sets contain outside it.
     Compositions add edges only across their two sides, so atoms over
     placed vertices are final, except label atoms, which later
-    relabelings change: those are UNKNOWN.  And/or follow Kleene logic.
-    An existential move is TOP if some child is, a universal one BOTTOM
-    if some child is (point and set moves alike); a witness or a
-    counterexample outside the subgraph may still come, so nothing else
-    is decided.
+    relabelings change.  And/or follow Kleene logic.  An existential
+    move is TOP if some child is, a universal one BOTTOM if some child
+    is (point and set moves alike).
+
+    A vertex whose label row is 0 is frozen: relabelings are linear, so
+    its row stays 0, and a cross edge needs an odd label product, so it
+    gains no edge.  Its label atoms are therefore final, and no vertex
+    outside the subgraph is ever adjacent to it.  So a point existential
+    move is also BOTTOM when every child is and its body is BOTTOM for
+    every outside vertex as the new variable y (_outside): there an atom
+    without y keeps its verdict here, adj(y, x) is false for a frozen x
+    and adj(y, y) always, y = x is false and y = y true, and any other
+    atom with y or nested quantifier is UNKNOWN.  Nothing else is
+    decided: a witness or a counterexample outside may still come.
 
     That makes pruning by BOTTOM sound: a LinEMSO state whose verdict
     at position 0 is BOTTOM fails phi at the root of every parse tree
@@ -326,18 +349,17 @@ class Verdicts:
     is read as the position table of the forest's compiled game for
     budget, a caps tuple, so the verdicts and the games at the root
     compile phi once; verdicts are memoized per (node id, position).
-    can_fail is the static pass: it is False when no verdict at position
-    0 can be BOTTOM, because every path to a decided atom passes an
-    existential move, a label atom or a disjunct that cannot fail.  Such
-    formulas (min dominating set's) skip the verdicts, which would cost
-    them time and drop nothing.
+    fail is the static pass, per position whether any verdict of it can
+    be BOTTOM; can_fail is its value at position 0, and when it is False
+    LinEMSO skips the verdicts, which would cost it time and drop nothing.
     """
 
     def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...], budget):
-        self.table = _game(forest, phi, (), tuple(X_vars), budget)[0]
+        self.table, _, self.atoms = _game(forest, phi, (), tuple(X_vars), budget)
         self.nodes = forest.nodes
         self.memo: dict[int, int] = {}
-        self.can_fail = _fails(self.table)[0]
+        self.fail = _fails(self.table, self.atoms)
+        self.can_fail = self.fail[0]
 
     def at(self, nid: int, pos: int = 0) -> int:
         """The verdict of position pos at node nid."""
@@ -347,10 +369,11 @@ class Verdicts:
             return out
         kind, a, b = self.table[pos]
         node = self.nodes[nid]
-        if kind == _ATOM:
-            out = TOP if a(node.ord) == b else BOTTOM
-        elif kind == _LABEL:
-            out = UNKNOWN
+        o = node.ord
+        if kind == _LABEL and o.structure.labels[o.positions[self.atoms[pos][1][0]]]:
+            out = UNKNOWN  # not frozen
+        elif kind <= _ATOM:
+            out = TOP if a(o) == b else BOTTOM
         elif kind == _AND:
             out = self.at(nid, a)
             if out != BOTTOM:
@@ -363,28 +386,61 @@ class Verdicts:
             moves = node.point_children if b else node.set_children
             decided = TOP if kind == _EXISTS else BOTTOM
             out = decided if any(self.at(ch, a) == decided for ch in moves) else UNKNOWN
+            if (out == UNKNOWN and kind == _EXISTS and self.fail[pos]  # a point move
+                    and all(self.at(ch, a) == BOTTOM for ch in moves)
+                    and _outside(self.table, self.atoms, a, functools.partial(self.at, nid), o)
+                    == BOTTOM):
+                out = BOTTOM
         self.memo[key] = out
         return out
 
 
-def _fails(table: list[tuple]) -> list[bool]:
+def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
+             verdict: Callable[[int], int], o) -> int:
+    """The value of position pos, in the body of a point existential
+    move, for every vertex outside the subgraph as its new variable (see
+    Verdicts): verdict gives an atom without it, and o is the move's
+    ordered structure, or None for the static pass."""
+    kind, a, b = table[pos]
+    if kind == _AND or kind == _OR:
+        pair = (_outside(table, atoms, a, verdict, o), _outside(table, atoms, b, verdict, o))
+        return min(pair) if kind == _AND else max(pair)
+    if kind >= _EXISTS:
+        return UNKNOWN
+    cls, reads, new = atoms[pos]
+    other = [i for i in reads if i != new]
+    if len(other) == len(reads):
+        return verdict(pos)
+    if cls is Equal:  # y = y holds, y = x fails
+        test = not other
+    elif cls is Adj and (not other or o is None or not o.structure.labels[o.positions[other[0]]]):
+        test = False  # no loop, no edge to a frozen x; statically any x may be frozen
+    else:
+        return UNKNOWN
+    return TOP if test == b else BOTTOM
+
+
+def _fails(table: list[tuple], atoms: dict[int, tuple]) -> list[bool]:
     """Per position, whether some verdict of it can be BOTTOM.  Children
     follow their parent in the pre-order table, so one backward scan does."""
     fail = [False] * len(table)
     for pos in range(len(table) - 1, -1, -1):
         kind, a, b = table[pos]
-        if kind == _ATOM:
-            fail[pos] = True
+        if kind <= _ATOM:
+            fail[pos] = kind == _ATOM or b  # a frozen vertex has no label
         elif kind == _AND:
             fail[pos] = fail[a] or fail[b]
         elif kind == _OR:
             fail[pos] = fail[a] and fail[b]
         elif kind == _FORALL:
             fail[pos] = fail[a]
+        elif b:  # a point existential move
+            fail[pos] = fail[a] and _outside(
+                table, atoms, a, lambda q: BOTTOM if fail[q] else UNKNOWN, None) == BOTTOM
     return fail
 
 
-def _lost_levels(table: list[tuple]) -> dict[int, tuple[int, ...]]:
+def _lost_levels(table: list[tuple], fail: list[bool]) -> dict[int, tuple[int, ...]]:
     """The set-only levels a sentence's collapse can use: each p whose
     positions at level (0, p) can all fail, mapped to those positions.
 
@@ -400,7 +456,6 @@ def _lost_levels(table: list[tuple]) -> dict[int, tuple[int, ...]]:
             if not b and m:
                 return {}  # a set move after a point move
             level[a] = (m + 1, p) if b else (m, p + 1)
-    fail = _fails(table)
     at_level: dict[int, list[int]] = {}
     for pos, (m, p) in enumerate(level):
         if not m:
@@ -418,10 +473,10 @@ def _collapse_test(forest, phi: Formula, caps) -> Collapse | None:
     verdict memos, so neither ever reads a lost node's placeholder label.
     """
     verdicts = Verdicts(forest, phi, (), caps)
-    levels = _lost_levels(verdicts.table)
+    levels = _lost_levels(verdicts.table, verdicts.fail)
     if not levels:
         return None
-    table, memo = _game(forest, phi, (), (), caps)
+    table, memo, _ = _game(forest, phi, (), (), caps)
     size = len(table)
     for p, cap in enumerate(caps):
         for m in range(cap + 1):

@@ -85,6 +85,21 @@ def test_collapsed_node_count_is_flat_in_n():
     assert counts == [105, 105], counts
 
 
+def test_frozen_vertices_collapse_label1_dominates():
+    # label1-dominates fails once a frozen vertex (label row 0) has no
+    # neighbour that can still carry label 1: it can gain neither.  The
+    # path folds lose such subtrees early, and the count stays flat
+    phi = parse_formula(next(e.text for e in CATALOG if e.name == "label1-dominates"), 2)
+    counts = []
+    for n in (64, 128):
+        tree = family_tree("path", n, 2)
+        rc = _collapsed(tree, phi)
+        assert rc.forest.collapsed > 0
+        assert game_on_tree(rc, phi) == evaluate(generate_graph(tree), phi)
+        counts.append(len(rc.forest))
+    assert counts[0] == counts[1], counts
+
+
 def test_sentences_it_cannot_collapse_build_the_plain_tree():
     # not set-first: a set quantifier under a point quantifier.  In the
     # second, every position at level (0, 1) can fail, and collapsing

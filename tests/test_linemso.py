@@ -9,7 +9,7 @@ from rwmso.errors import RwmsoError
 from rwmso.linemso import DPStats
 from rwmso.parsetree import fold, leaf_vertex
 
-from common import brute_force_linemso, size_bound, tower_at_least
+from common import brute_force_linemso, size_bound, tower_at_least, unpruned_linemso
 
 INDEP = "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))"
 DOMIN = "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))"
@@ -177,8 +177,8 @@ def test_pair_products_per_vertex_are_constant():
     # the DP half of the linearity gate: state pairs combined for six more
     # path vertices, past the point where the states repeat.  Pruning
     # drops the states of independent set and vertex cover that already
-    # hold an edge inside X (or outside it); dominating set has nothing to
-    # drop.
+    # hold an edge inside X (or outside it), and those of dominating set
+    # with a frozen vertex outside X and no neighbour in it.
     per_six, total = {}, {}
     for name, text, direction in PROBLEMS:
         problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
@@ -191,9 +191,27 @@ def test_pair_products_per_vertex_are_constant():
             added.add(total[name, n + 6] - total[name, n])
         assert len(added) == 1, name
         per_six[name] = added.pop()
-    assert per_six == {"mis": 428, "vc": 428, "mds": 6 * 480}
+    assert per_six == {"mis": 428, "vc": 428, "mds": 1256}
     for (name, size), count in total.items():
         assert name == "mds" or count < total["mds", size]
+
+
+def test_dominating_set_states_are_flat_and_pruned():
+    # a frozen vertex (label row 0) gains no edge, so a state with one
+    # outside X and no neighbour in X is lost; keeping every state, the
+    # peaks are 240 on a path and 1,400 on a cycle.  Pruning keeps the
+    # optimum and the first-found witness
+    problem = LinEMSOProblem(parse_formula(DOMIN, 2), (1,), "min")
+    for family, sizes in (("path", (64, 128)), ("cycle", (32, 64))):
+        peaks = []
+        for n in sizes:
+            stats = DPStats()
+            tree = family_tree(family, n, 2)
+            got = solve_linemso(tree, problem, stats)
+            assert got.value == (n + 2) // 3 and stats.states_dropped > 0
+            assert got == unpruned_linemso(tree, problem), (family, n)
+            peaks.append(stats.peak_states)
+        assert peaks[0] == peaks[1] < (240 if family == "path" else 1400), (family, peaks)
 
 
 def test_pairs_past_stabilisation_are_memo_hits(monkeypatch):

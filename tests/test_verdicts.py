@@ -30,10 +30,19 @@ PARTITION = ("(Ax x. ((X(x) | Y(x)) & !(X(x) & Y(x))))"
              " & (Ax x. Ax y. (!adj(x,y) | !X(x) | !X(y)))")
 # no vertex of X has a neighbour (S = V is the set that matters)
 UNDER_SET = "AX S. Ax x. Ax y. (!S(x) | !S(y) | !X(x) | !adj(x,y))"
+# point existentials that an outside vertex can or cannot satisfy
+TOTAL_DOMIN = "Ax x. Ex y. (adj(x,y) & X(y))"
+FROZEN_LABEL = "Ax x. (label1(x) | X(x))"
+OUTSIDE_WITNESS = "Ax x. (X(x) | (Ex y. X(y)))"
+NOT_ADJ = "Ax x. (X(x) | (Ex y. (!adj(x,y) & X(y))))"
+NESTED = "Ax x. (X(x) | (Ex y. Ex z. (adj(x,y) & adj(y,z) & X(z))))"
+# y = y and a frozen !label1(x) hold for an outside y: X(y) decides
+OUTSIDE_TRUE_ATOMS = "Ax x. (X(x) | (Ex y. (y = y & !label1(x) & X(y))))"
 
 # name: (formula, weights, direction, most leaves).  They cover label
 # atoms, a set quantifier under the free set, two free sets, negative
-# weights, min and max, and infeasibility.  Brute force and the unpruned
+# weights, min and max, infeasibility, and the point existentials that
+# frozen vertices decide or leave open.  Brute force and the unpruned
 # solver grow as 4^n with a second free set and with a set quantifier
 # over two point moves, so those run on fewer leaves.
 PROBLEMS = {
@@ -51,6 +60,12 @@ PROBLEMS = {
     "two-sets-partition": (PARTITION, (1, -1), "max", 4),
     "infeasible": ("Ax x. (X(x) & !X(x))", (1,), "max", 6),
     "infeasible-when-edgeless": ("Ex x. Ex y. (X(x) & X(y) & adj(x,y))", (2,), "min", 6),
+    "total-domination": (TOTAL_DOMIN, (1,), "min", 5),
+    "label-on-a-frozen-vertex": (FROZEN_LABEL, (1,), "min", 5),
+    "witness-outside": (OUTSIDE_WITNESS, (1,), "min", 5),
+    "negated-adjacency": (NOT_ADJ, (1,), "min", 5),
+    "nested-exists": (NESTED, (1,), "min", 5),
+    "outside-true-atoms": (OUTSIDE_TRUE_ATOMS, (1,), "min", 5),
 }
 
 
@@ -69,16 +84,28 @@ TREES = _trees(8, 80, 6)
 
 
 def test_static_pass():
-    # BOTTOM needs a path from the root to a decided atom through
-    # conjunctions and universal moves on which every disjunction has
-    # both sides able to fail
-    for text, can_fail in ((INDEP, True), (VCOVER, True), (DOMIN, False),
+    # BOTTOM needs a path from the root to an atom through conjunctions,
+    # universal moves and point existentials, on which every disjunction
+    # has both sides able to fail, and every point existential a body
+    # that can fail for an outside vertex too: through an atom without
+    # its variable, or an adj or = atom with it that is false outside
+    for text, can_fail in ((INDEP, True), (VCOVER, True), (DOMIN, True),
                            (f"({DOMIN}) & ({INDEP})", True), (UNDER_SET, True),
                            (PARTITION, True), ("Ex x. X(x)", False),
-                           ("Ax x. (X(x) | label1(x))", False),
+                           ("Ax x. (X(x) | label1(x))", True),
                            ("Ax x. (X(x) & label1(x))", True),
+                           ("Ax x. (X(x) | !label1(x))", False),
                            ("!(Ex x. X(x))", True), ("EX S. Ax x. S(x)", False),
-                           ("Ax x. label1(x)", False)):
+                           ("Ax x. label1(x)", True), (TOTAL_DOMIN, True),
+                           (FROZEN_LABEL, True), (OUTSIDE_WITNESS, False),
+                           (NOT_ADJ, False), (NESTED, False), (OUTSIDE_TRUE_ATOMS, False),
+                           ("Ax x. (X(x) | (Ex y. (adj(x,y) & (Ex z. X(z)))))", True),
+                           ("Ax x. (X(x) | (Ex y. (x = y & X(y))))", True),
+                           ("Ax x. (X(x) | (Ex y. (!x = y & X(y))))", False),
+                           ("Ax x. (X(x) | (Ex y. (!adj(y,y) & X(y))))", False),
+                           ("Ax x. (X(x) | (Ex y. (y = y & adj(x,y))))", True),
+                           ("Ax x. (X(x) | (Ex y. (label1(y) & adj(x,y))))", True),
+                           ("Ax x. (X(x) | (Ex y. (label1(y) | adj(x,y))))", False)):
         assert _verdicts(RCForest(), parse_formula(text, 2)).can_fail is can_fail, text
 
 
