@@ -23,9 +23,9 @@ can take (logic.move_budget).
 
 Model checking can also pass the fold a collapse test, which marks
 product nodes at the set-only levels (0, p) that its sentence has
-already lost; the fold then puts one childless lost node per level in
-their place and in place of every product with a lost factor, and never
-multiplies their subtrees.  games.Verdicts says when that is sound.
+already lost; the fold then puts the forest's one childless lost node
+in their place and in place of every product with a lost factor, and
+never multiplies their subtrees.  games.Verdicts says when that is sound.
 Without a test the fold builds the reduced tree itself.
 """
 
@@ -132,15 +132,14 @@ class RCForest:
     x_vars, X_vars, caps) to the game's compiled position table, its memo
     from (node id, position) to the winner and its atoms: games.game_on_tree
     plays from it and games.Verdicts reads its table, so all the games on one
-    forest compile phi once and share what they evaluate; game_last is
-    the last entry looked up, with its key, so a caller that plays the
-    same phi object again finds it without hashing phi.  The memos live
+    forest compile phi once and share what they evaluate.  The memos live
     here because ids mean nothing outside their forest.
 
-    lost_node(m, p) interns the one lost node of level (m, p): childless,
-    under a label id of its own that label_id() never returns, so it
-    never merges with a real node.  lost holds their ids, and collapsed
-    counts the (0, p) products a collapsing fold replaced by one.  Not
+    lost_node() interns the forest's one lost node, a sink that stands
+    for a lost subtree at every level: childless, under a label id of
+    its own that label_id() never returns, so it never merges with a
+    real node.  lost is its id, or None before it is made, and collapsed
+    counts the (0, p) products a collapsing fold replaced by it.  Not
     thread-safe: confine construction to one thread.
     """
 
@@ -152,9 +151,7 @@ class RCForest:
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
         self.game_memo: dict[tuple, tuple[list[tuple], dict[int, bool], dict]] = {}
-        self.game_last: tuple | None = None
-        self._lost_at: dict[tuple[int, int], int] = {}
-        self.lost: set[int] = set()
+        self.lost: int | None = None
         self.collapsed = 0
 
     def __len__(self) -> int:
@@ -201,17 +198,15 @@ class RCForest:
             self._nodes.append(RCNode(self._labels[label], point, set_kids, label))
         return nid
 
-    def lost_node(self, m: int, p: int) -> int:
-        """The id of the lost node of level (m, p), interned on first use."""
-        nid = self._lost_at.get((m, p))
-        if nid is None:
-            # a placeholder label with m positions and p traces; nothing
-            # reads it, as games seed their memos for lost nodes
+    def lost_node(self) -> int:
+        """The id of the lost node, interned on first use."""
+        if self.lost is None:
+            # a placeholder label; nothing reads it, as games seed their
+            # memos for the lost node
             lid = len(self._labels)
-            self._labels.append(OrderedStructure(Structure(0, 0, (), ()), (0,) * m, (0,) * p))
-            nid = self._lost_at[m, p] = self.intern(lid, (), ())
-            self.lost.add(nid)
-        return nid
+            self._labels.append(OrderedStructure(Structure(0, 0, (), ()), (), ()))
+            self.lost = self.intern(lid, (), ())
+        return self.lost
 
     def node(self, nid: int) -> RCNode:
         return self._nodes[nid]
@@ -337,9 +332,8 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     rename_combine only if that is new.
 
     With a collapse test, a new product node at a level (0, p) that the
-    test calls lost is replaced by the forest's lost node of that level,
-    and so is every product with a lost factor, at its own level, before
-    anything of it is built.
+    test calls lost is replaced by the forest's lost node, and so is
+    every product with a lost factor, before anything of it is built.
     """
     # both folds answer their hits from cross_memo_for themselves and
     # call this on a miss only, with caps already normalised
@@ -353,19 +347,20 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     labels = forest.label_memo.setdefault((g.rows, f1.rows, f2.rows), {})
     nodes = forest._nodes
     ncaps = len(caps)
+    # a lost node made below is a product of this call, never a factor
     lost = forest.lost
 
     def rec(i1: int, i2: int, d: IndicatorVector) -> int:
         # a miss: every caller looked (i1, i2, d) up first, so hits cost
         # no call
+        if collapse is not None and (i1 == lost or i2 == lost):
+            if not d:
+                forest.collapsed += 1
+            memo[i1, i2, d] = lost
+            return lost
         n1, n2 = nodes[i1], nodes[i2]
         o1, o2 = n1.ord, n2.ord
         m, p = len(d), o1.p
-        if collapse is not None and (i1 in lost or i2 in lost):
-            if not d:
-                forest.collapsed += 1
-            out = memo[i1, i2, d] = forest.lost_node(m, p)
-            return out
         lkey = (n1.label, n2.label, d)
         root = labels.get(lkey)
         if root is None:
@@ -386,7 +381,7 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         out = forest.intern(root, point, set_kids)
         if collapse is not None and not d and collapse(out):
             forest.collapsed += 1
-            out = forest.lost_node(0, p)
+            out = forest.lost_node()
         memo[i1, i2, d] = out
         return out
 
@@ -420,7 +415,7 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     linear in the parse tree for a fixed budget and t.  collapse, if
     given, makes the fold's collapse test for the forest (None for no
     test); model checking passes games.check_collapse, and the tree then
-    has lost nodes in place of the subtrees its sentence has lost.
+    has the lost node in place of the subtrees its sentence has lost.
     """
     caps = as_budget(budget)
     if forest is None:
@@ -440,7 +435,8 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
 
 def rc_dump(forest: RCForest, root: int) -> str:
     """One line per reachable node: id kind m p |children| childIds | ord,
-    with "lost" in place of the ord of a lost node."""
+    with "lost" in place of the ord of the lost node, which stands at
+    every level and is listed at level 0 0."""
     kind = {root: "root"}
     for nid in forest.reachable(root):
         n = forest.node(nid)
@@ -453,7 +449,7 @@ def rc_dump(forest: RCForest, root: int) -> str:
         n = forest.node(nid)
         kids = n.point_children + n.set_children
         ids = " ".join(str(c) for c in kids)
-        label = "lost" if nid in forest.lost else n.ord.encode()
+        label = "lost" if nid == forest.lost else n.ord.encode()
         lines.append(f"{nid} {kind[nid]} {n.m} {n.p} {len(kids)} {ids}".rstrip()
                      + f" | {label}")
     return "\n".join(lines) + "\n"

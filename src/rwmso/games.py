@@ -208,21 +208,14 @@ def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...]
 
     All three are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
     caps), so every game on one forest compiles phi once and shares one
-    memo; nodes are immutable, so an entry never goes stale.  A repeat
-    lookup of the same phi object is answered from forest.game_last
-    without hashing phi, whose hash walks the whole formula.
+    memo; nodes are immutable, so an entry never goes stale.
     """
-    last = forest.game_last
-    if (last is not None and last[0] is phi and last[1] == x_vars
-            and last[2] == X_vars and last[3] == caps):
-        return last[4]
     key = (phi, x_vars, X_vars, caps)
     game = forest.game_memo.get(key)
     if game is None:
         table: list[tuple] = []
         atoms = _compile(phi, True, x_vars, X_vars, caps, table)
         game = forest.game_memo[key] = (table, {}, atoms)
-    forest.game_last = (*key, game)
     return game
 
 
@@ -334,16 +327,19 @@ class Verdicts:
     whole graph reaches the positions of level (0, p) only at products
     of such nodes with (0, p) nodes of the rest of the graph.  So a node
     whose verdict is BOTTOM at every position of its level loses all of
-    them in every composition: replacing it by a lost node, which every
-    game and verdict memo seeds as lost, and replacing every product with
-    a lost factor at (0, p) by the lost node of that level, leaves the
-    winner at the root unchanged.  Every other product with a lost factor
-    is a set child of a node at a level (m, p) with m >= 1, which the
-    fold builds only when some branch of phi reaches (m, p + 1) by point
-    moves (logic.move_budget), and the game of a set-first sentence makes
-    no set move there: from the root it walks (0, p) nodes by set moves
-    and then real nodes by point moves only, so those products are off
-    its move paths.
+    them in every composition: replacing it by the forest's lost node,
+    and every product with a lost factor at (0, p) too, leaves the
+    winner at the root unchanged.  One lost node serves every level: a
+    real node's label fixes its level, and so the level of each of its
+    children, so sharing it merges no two real nodes that were distinct,
+    and its own label is never read, as phi's game and verdict memos
+    seed it as lost at every position.  Every other product with a lost
+    factor is a set child of a node at a level (m, p) with m >= 1, which
+    the fold builds only when some branch of phi reaches (m, p + 1) by
+    point moves (logic.move_budget), and the game of a set-first sentence
+    makes no set move there: from the root it walks (0, p) nodes by set
+    moves and then real nodes by point moves only, so those products are
+    off its move paths.
 
     phi, with free set variables X_vars and no free object variables,
     is read as the position table of the forest's compiled game for
@@ -468,9 +464,12 @@ def _collapse_test(forest, phi: Formula, caps) -> Collapse | None:
     phi is not set-first or no level of it can collapse.
 
     The test calls a node at level (0, p) lost when its verdict is BOTTOM
-    at every position of that level.  Interns the lost node of every
-    level of the budget first and seeds it as lost in phi's game and
-    verdict memos, so neither ever reads a lost node's placeholder label.
+    at every position of that level.  Interns the forest's lost node
+    first and seeds it as lost at every position in phi's game and
+    verdict memos, so neither ever reads its placeholder label.  Made
+    here rather than at the test's first loss: seeding it there would
+    make the test reach the forest, which keys a cross memo by the test,
+    and so leave a reference cycle.
     """
     verdicts = Verdicts(forest, phi, (), caps)
     levels = _lost_levels(verdicts.table, verdicts.fail)
@@ -478,12 +477,10 @@ def _collapse_test(forest, phi: Formula, caps) -> Collapse | None:
         return None
     table, memo, _ = _game(forest, phi, (), (), caps)
     size = len(table)
-    for p, cap in enumerate(caps):
-        for m in range(cap + 1):
-            first = forest.lost_node(m, p) * size
-            for key in range(first, first + size):
-                memo[key] = False
-                verdicts.memo[key] = BOTTOM
+    first = forest.lost_node() * size
+    for key in range(first, first + size):
+        memo[key] = False
+        verdicts.memo[key] = BOTTOM
     at, nodes = verdicts.at, forest.nodes
 
     def lost(nid: int) -> bool:
@@ -500,8 +497,8 @@ def check_collapse(phi: Formula, caps) -> Callable[..., Collapse | None]:
     Model checking is char_tree_from_parse_tree(tree, caps,
     collapse=check_collapse(phi, caps)), then the game.  When phi is
     set-first, the fold collapses the (0, p) products phi has lost into
-    one lost node per level (see Verdicts for why the game's winner stays
-    the same), and the forest's collapsed attribute counts them;
+    the forest's one lost node (see Verdicts for why the game's winner
+    stays the same), and the forest's collapsed attribute counts them;
     otherwise the tree is the one the fold builds without a maker.
     """
     return functools.partial(_collapse_test, phi=phi, caps=caps)

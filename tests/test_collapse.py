@@ -30,11 +30,11 @@ def _plain(tree, phi, forest=None):
 
 
 def _point_moves_stay_real(rc):
-    """Whether no node of the tree has a lost point child: the game of a
-    set-first sentence meets lost nodes only at set moves from (0, p)
-    nodes, where their verdict holds, and never after a point move."""
+    """Whether no node of the tree has the lost node as a point child:
+    the game of a set-first sentence meets it only at set moves from
+    (0, p) nodes, where its verdict holds, and never after a point move."""
     forest = rc.forest
-    return not any(set(forest.node(nid).point_children) & forest.lost
+    return not any(forest.lost in forest.node(nid).point_children
                    for nid in forest.reachable(rc.root))
 
 
@@ -72,7 +72,7 @@ def test_collapsing_check_agrees_with_the_plain_game_and_evaluate():
 
 def test_collapsed_node_count_is_flat_in_n():
     # the plain fold of two-colorable on a path interns 485 nodes at any
-    # n; collapsing keeps the count flat, at 105
+    # n; collapsing keeps the count flat, at 102
     phi = parse_formula(TWO_COLORABLE, 2)
     counts = []
     for n in (64, 128):
@@ -82,7 +82,7 @@ def test_collapsed_node_count_is_flat_in_n():
         assert game_on_tree(rc, phi)
         assert rc.forest.collapsed > 0
         counts.append(len(rc.forest))
-    assert counts == [105, 105], counts
+    assert counts == [102, 102], counts
 
 
 def test_frozen_vertices_collapse_label1_dominates():
@@ -98,6 +98,42 @@ def test_frozen_vertices_collapse_label1_dominates():
         assert game_on_tree(rc, phi) == evaluate(generate_graph(tree), phi)
         counts.append(len(rc.forest))
     assert counts[0] == counts[1], counts
+
+
+def test_a_fold_that_collapses_nothing_interns_one_node_more():
+    # label1-dominates has a collapsible level, so its test makes the lost
+    # node up front; on a star and a cograph-join nothing is lost, and the
+    # forest holds the plain fold's nodes and that one node
+    phi = parse_formula(next(e.text for e in CATALOG if e.name == "label1-dominates"), 2)
+    for family, n, plain_nodes in (("star", 64, 12), ("cograph-join", 4096, 6)):
+        tree = family_tree(family, n, 2)
+        rc = _collapsed(tree, phi)
+        assert rc.forest.collapsed == 0
+        assert len(_plain(tree, phi).forest) == plain_nodes
+        assert len(rc.forest) == plain_nodes + 1, (family, len(rc.forest))
+
+
+def test_the_lost_node_below_point_moves_stays_off_the_game():
+    # the second conjunct reaches (2, 2) by point moves, so nodes at
+    # (m >= 1, 1) get set children, and a product with a lost (0, 2)
+    # factor among them is the lost node.  The game of a set-first
+    # sentence makes no set move there, so the shared node changes no
+    # answer.  The plain trees of the n=9 graphs intern 120k-280k nodes,
+    # so only the small ones are also played plain
+    phi = parse_formula("(EX S. Ax x. Ax y. (!adj(x,y) | !S(x) | !S(y) | x = y)) & "
+                        "(EX S. EX T. Ax x. Ax y. (!adj(x,y) | !T(x) | !T(y)))", 2)
+    assert move_budget(phi) == (0, 2, 2)
+    for family, n in (("path", 9), ("cycle", 9), ("star", 7), ("cycle", 6)):
+        tree = family_tree(family, n, 2)
+        rc = _collapsed(tree, phi)
+        forest = rc.forest
+        assert _point_moves_stay_real(rc), (family, n)
+        assert any(node.m >= 1 and forest.lost in node.set_children
+                   for node in forest.nodes), (family, n)
+        got = game_on_tree(rc, phi)
+        assert got == evaluate(generate_graph(tree), phi), (family, n)
+        if n < 9:
+            assert got == game_on_tree(_plain(tree, phi), phi), (family, n)
 
 
 def test_sentences_it_cannot_collapse_build_the_plain_tree():
@@ -122,27 +158,22 @@ def test_sentences_it_cannot_collapse_build_the_plain_tree():
 def test_lost_nodes():
     # every set contains every vertex: false once there are two vertices,
     # and the verdicts see it at the first product, so the root itself is
-    # the lost node of level (0, 0)
+    # the forest's lost node
     phi = parse_formula("AX S. Ax x. S(x)", 2)
     rc = _collapsed(family_tree("path", 40, 2), phi)
     forest = rc.forest
     assert not game_on_tree(rc, phi)
-    assert rc.root == forest.lost_node(0, 0) and rc.root in forest.lost
+    size = len(forest)
+    assert rc.root == forest.lost == forest.lost_node() and len(forest) == size
     assert rc_dump(forest, rc.root) == f"{rc.root} root 0 0 0 | lost\n"
-    # one childless node per level of the budget, none merged with another
-    levels = [(m, p) for p, cap in enumerate(rc.budget) for m in range(cap + 1)]
-    ids = [forest.lost_node(m, p) for m, p in levels]
-    assert sorted(ids) == sorted(forest.lost) and len(set(ids)) == len(levels)
-    for nid, (m, p) in zip(ids, levels):
-        node = forest.node(nid)
-        assert (node.m, node.p) == (m, p) and not node.point_children + node.set_children
+    lost = forest.node(forest.lost)
+    assert not lost.point_children + lost.set_children
     # the real childless nodes (the leaf's, at the budget's last level)
     # keep labels of their own
-    childless = [nid for nid, node in enumerate(forest.nodes) if nid not in forest.lost
+    childless = [nid for nid, node in enumerate(forest.nodes) if nid != forest.lost
                  and not node.point_children + node.set_children]
     assert childless
-    assert not ({forest.node(nid).label for nid in childless}
-                & {forest.node(nid).label for nid in ids})
+    assert lost.label not in {forest.node(nid).label for nid in childless}
 
 
 def test_random_sentences_with_collapses_agree_with_evaluate():

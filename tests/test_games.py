@@ -293,29 +293,16 @@ def _count_positions(phi):
     return 1 + _count_positions(phi.sub)
 
 
-def test_repeat_games_on_one_phi_object_hash_it_once():
-    # the forest answers a repeat lookup of the same phi object without
-    # hashing phi again; an equal formula built afresh still finds the entry
-    from rwmso.logic import ExistsObj
-
-    hashes = []
-
-    class Counted(ExistsObj):
-        def __hash__(self):
-            hashes.append(self)
-            return super().__hash__()
-
-    phi = Counted("x", parse_formula("Ex y. adj(x,y)"))
+def test_an_equal_formula_built_afresh_shares_one_game_memo_entry():
+    # games are keyed by phi's value: a formula parsed again finds the
+    # entry the first one compiled, and a different formula adds its own
     forest = RCForest()
     rid = reduced_char_tree_direct(forest, K2, 2)
-    assert game_on_tree(RCTree(forest, rid, 2), phi)
-    first = len(hashes)  # the lookup that compiles phi hashes it
-    for _ in range(3):
-        assert game_on_tree(RCTree(forest, rid, 2), phi)
-    assert len(hashes) == first
-    assert game_on_tree(RCTree(forest, rid, 2), HAS_EDGE)
-    assert game_on_tree(RCTree(forest, rid, 2), Counted("x", phi.sub))
-    assert len(forest.game_memo) == 2 and len(hashes) > first
+    for _ in range(2):
+        assert game_on_tree(RCTree(forest, rid, 2), parse_formula("Ex x. Ex y. adj(x,y)"))
+    assert len(forest.game_memo) == 1
+    assert not game_on_tree(RCTree(forest, rid, 2), parse_formula("Ax x. Ax y. adj(x,y)"))
+    assert len(forest.game_memo) == 2
 
 
 def test_catalog_sentences_are_sentences():
