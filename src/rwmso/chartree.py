@@ -21,12 +21,13 @@ that get children.  A depth q is the paper's tree (every m + p <= q);
 model checking builds the smaller tree of the moves its formula's game
 can take (logic.move_budget).
 
-Model checking can also pass the fold a collapse test, which marks
-product nodes at the set-only levels (0, p) that its sentence has
-already lost; the fold then puts the forest's one childless lost node
-in their place and in place of every product with a lost factor, and
-never multiplies their subtrees.  games.Verdicts says when that is sound.
-Without a test the fold builds the reduced tree itself.
+Model checking can also pass the fold a collapse maker; called with the
+forest and the fold's budget, it makes a test that marks product nodes
+at the set-only levels (0, p) that its sentence has already lost.  The
+fold puts the forest's one childless lost node in their place and in
+place of every product with a lost factor, and never multiplies their
+subtrees.  games.Verdicts says when that is sound.  Without a maker the
+fold builds the reduced tree itself.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ MAX_NODES = 500_000
 Budget = tuple[int, ...]
 
 # A collapse test says whether a product node at a set-only level (0, p)
-# is lost; a fold makes one per forest from the maker its caller passes.
+# is lost; a fold makes one from its forest and caps by its caller's maker.
 Collapse = Callable[[int], bool]
 
 
@@ -130,10 +131,11 @@ class RCForest:
     ints and the indicator vector only.  A collapsing fold keys its own
     cross_memo dicts by its collapse test too.  game_memo maps (phi,
     x_vars, X_vars, caps) to the game's compiled position table, its memo
-    from (node id, position) to the winner and its atoms: games.game_on_tree
-    plays from it and games.Verdicts reads its table, so all the games on one
-    forest compile phi once and share what they evaluate.  The memos live
-    here because ids mean nothing outside their forest.
+    from (node id, position) to the winner, and what games._compile
+    records: games.game_on_tree plays from it and games.Verdicts reads it,
+    so all the games on one forest compile phi once and share what they
+    evaluate.  The memos live here because ids mean nothing outside their
+    forest.
 
     lost_node() interns the forest's one lost node, a sink that stands
     for a lost subtree at every level: childless, under a label id of
@@ -150,7 +152,7 @@ class RCForest:
         self._nodes: list[RCNode] = []
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
-        self.game_memo: dict[tuple, tuple[list[tuple], dict[int, bool], dict]] = {}
+        self.game_memo: dict[tuple, tuple] = {}
         self.lost: int | None = None
         self.collapsed = 0
 
@@ -406,22 +408,22 @@ def _check_factors(n1: RCNode, n2: RCNode, point: bool, m: int, p: int,
 
 def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
                               forest: RCForest | None = None,
-                              collapse: Callable[[RCForest], Collapse | None] | None = None,
+                              collapse: Callable[..., Collapse | None] | None = None,
                               ) -> RCTree:
     """Fold the tree cross product over a parse tree, leaves to root.
 
     Returns the reduced characteristic tree of the generated graph, built
     for the move budget (a depth q means every m + p <= q), in time
     linear in the parse tree for a fixed budget and t.  collapse, if
-    given, makes the fold's collapse test for the forest (None for no
-    test); model checking passes games.check_collapse, and the tree then
-    has the lost node in place of the subtrees its sentence has lost.
+    given, makes the fold's collapse test from the forest and the caps
+    (None for no test); model checking passes games.check_collapse(phi),
+    and the tree then has the lost node in place of what phi has lost.
     """
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
     leaf = reduced_char_tree_direct(forest, leaf_vertex(tree.t), caps)
-    test = None if collapse is None else collapse(forest)
+    test = None if collapse is None else collapse(forest, caps)
 
     def combine_for(op: CompositionOp):
         get = forest.cross_memo_for(caps, op, test).get

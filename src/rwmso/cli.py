@@ -89,8 +89,7 @@ def cmd_check(args) -> int:
     q = quantifier_rank(phi)
     start = time.perf_counter()
     # games.model_check, with the tree kept for the report
-    caps = move_budget(phi)
-    rc = char_tree_from_parse_tree(tree, caps, RCForest(), check_collapse(phi, caps))
+    rc = char_tree_from_parse_tree(tree, move_budget(phi), RCForest(), check_collapse(phi))
     answer = game_on_tree(rc, phi)
     elapsed = time.perf_counter() - start
     print("true" if answer else "false")

@@ -130,16 +130,23 @@ def _binder(names: tuple[str, ...], v: str) -> int:
 
 
 def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
-             sets: tuple[str, ...], caps, table: list) -> dict[int, tuple]:
+             sets: tuple[str, ...], caps, table: list) -> tuple[dict, list, list]:
     """Append phi's positions to table in pre-order; return its atoms,
-    position -> (formula class, object indices read, innermost object index).
+    position -> (formula class, object indices read, innermost object
+    index), each position's level (m, p), and per position whether some
+    verdict of it can be BOTTOM (see Verdicts).
 
     A negation flips the polarity and takes no position, so the table
     holds exactly the positions of phi's negation normal form.  Each
     variable resolves here to its innermost binder's index, and each
-    quantifier's move is checked against the tree's budget caps.
+    quantifier's move is checked against the tree's budget caps.  One
+    walk does it all: a position's level is the variables placed on
+    entry, and whether it can fail is set in post-order, once its
+    subtree is in the table.
     """
     atoms: dict[int, tuple] = {}
+    levels: list[tuple[int, int]] = []
+    fail: list[bool] = []
 
     def walk(psi: Formula, positive: bool, objs: tuple[str, ...],
              sets: tuple[str, ...]) -> int:
@@ -147,10 +154,14 @@ def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
             return walk(psi.sub, not positive, objs, sets)
         pos = len(table)
         table.append(None)
+        levels.append((len(objs), len(sets)))
+        fail.append(False)
         if isinstance(psi, (And, Or)):
             kind = _AND if isinstance(psi, And) == positive else _OR
-            left = walk(psi.left, positive, objs, sets)
-            table[pos] = (kind, left, walk(psi.right, positive, objs, sets))
+            a = walk(psi.left, positive, objs, sets)
+            b = walk(psi.right, positive, objs, sets)
+            table[pos] = (kind, a, b)
+            fail[pos] = (fail[a] or fail[b]) if kind == _AND else (fail[a] and fail[b])
         elif isinstance(psi, (ExistsObj, ForallObj, ExistsSet, ForallSet)):
             point = isinstance(psi, (ExistsObj, ForallObj))
             if point:
@@ -164,16 +175,24 @@ def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
                     f"the tree's move budget {list(caps)}: build the tree for the "
                     "formula's budget")
             kind = _EXISTS if isinstance(psi, (ExistsObj, ExistsSet)) == positive else _FORALL
-            table[pos] = (kind, walk(psi.sub, positive, objs, sets), int(point))
+            a = walk(psi.sub, positive, objs, sets)
+            table[pos] = (kind, a, int(point))
+            if kind == _FORALL:
+                fail[pos] = fail[a]
+            elif point:  # see Verdicts for a point existential move
+                fail[pos] = fail[a] and _outside(
+                    table, atoms, a, lambda q: BOTTOM if fail[q] else UNKNOWN, None) == BOTTOM
         else:
             test, reads = _atom_test(psi, objs, sets)
-            table[pos] = (_LABEL if isinstance(psi, Label) else _ATOM, test, positive)
+            label = isinstance(psi, Label)
+            table[pos] = (_LABEL if label else _ATOM, test, positive)
             atoms[pos] = (type(psi), reads, len(objs) - 1)
+            fail[pos] = not label or positive  # a frozen vertex has no label
         return pos
 
     try:
         walk(phi, positive, objs, sets)
-        return atoms
+        return atoms, levels, fail
     finally:
         del walk  # walk reaches itself through its closure cell
 
@@ -201,12 +220,12 @@ def _atom_test(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]):
 
 
 def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...],
-          caps) -> tuple[list[tuple], dict[int, bool], dict[int, tuple]]:
+          caps) -> tuple[list[tuple], dict[int, bool], dict, list, list]:
     """The forest's compiled game for phi: its position table, its memo
-    from nid * len(table) + position to the winner, and its atoms (see
-    _compile).
+    from nid * len(table) + position to the winner, and its atoms, levels
+    and fail flags (see _compile).
 
-    All three are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
+    All are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
     caps), so every game on one forest compiles phi once and shares one
     memo; nodes are immutable, so an entry never goes stale.
     """
@@ -214,8 +233,8 @@ def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...]
     game = forest.game_memo.get(key)
     if game is None:
         table: list[tuple] = []
-        atoms = _compile(phi, True, x_vars, X_vars, caps, table)
-        game = forest.game_memo[key] = (table, {}, atoms)
+        game = forest.game_memo[key] = (table, {}, *_compile(phi, True, x_vars, X_vars,
+                                                             caps, table))
     return game
 
 
@@ -233,7 +252,8 @@ def game_on_tree(tree: RCTree, phi: Formula,
     forest, so games on several roots of one forest share their work;
     stats, if given, receives the memo's growth.  Before playing, raises
     RwmsoError for an unlisted free variable or a set-set equality
-    anywhere in phi, and DepthBudgetError for a quantifier whose move
+    anywhere in phi or a tree holding another sentence's lost node
+    (check_collapse), and DepthBudgetError for a quantifier whose move
     the tree was not built for.
     """
     if not isinstance(tree, RCTree):
@@ -248,8 +268,11 @@ def game_on_tree(tree: RCTree, phi: Formula,
         raise RwmsoError(
             f"tree was built for m={root.m}, p={root.p}; "
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
-    table, memo, _ = _game(forest, phi, tuple(x_vars), tuple(X_vars), tree.budget)
+    table, memo, *_ = _game(forest, phi, tuple(x_vars), tuple(X_vars), tree.budget)
     size = len(table)
+    lost = forest.lost
+    if lost is not None and memo.get(lost * size) is None and lost in forest.reachable(tree.root):
+        raise RwmsoError("the tree holds another sentence's lost node: fold it for this one")
 
     def rec(nid: int, pos: int) -> bool:
         mk = nid * size + pos
@@ -345,17 +368,16 @@ class Verdicts:
     is read as the position table of the forest's compiled game for
     budget, a caps tuple, so the verdicts and the games at the root
     compile phi once; verdicts are memoized per (node id, position).
-    fail is the static pass, per position whether any verdict of it can
-    be BOTTOM; can_fail is its value at position 0, and when it is False
-    LinEMSO skips the verdicts, which would cost it time and drop nothing.
+    fail, recorded by that compile, says per position whether any
+    verdict of it can be BOTTOM; when fail[0] is False LinEMSO skips the
+    verdicts, which would cost it time and drop nothing.
     """
 
     def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...], budget):
-        self.table, _, self.atoms = _game(forest, phi, (), tuple(X_vars), budget)
+        self.table, _, self.atoms, _, self.fail = _game(forest, phi, (), tuple(X_vars),
+                                                        budget)
         self.nodes = forest.nodes
         self.memo: dict[int, int] = {}
-        self.fail = _fails(self.table, self.atoms)
-        self.can_fail = self.fail[0]
 
     def at(self, nid: int, pos: int = 0) -> int:
         """The verdict of position pos at node nid."""
@@ -396,7 +418,7 @@ def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
     """The value of position pos, in the body of a point existential
     move, for every vertex outside the subgraph as its new variable (see
     Verdicts): verdict gives an atom without it, and o is the move's
-    ordered structure, or None for the static pass."""
+    ordered structure, or None for _compile's fail flags."""
     kind, a, b = table[pos]
     if kind == _AND or kind == _OR:
         pair = (_outside(table, atoms, a, verdict, o), _outside(table, atoms, b, verdict, o))
@@ -416,66 +438,29 @@ def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
     return TOP if test == b else BOTTOM
 
 
-def _fails(table: list[tuple], atoms: dict[int, tuple]) -> list[bool]:
-    """Per position, whether some verdict of it can be BOTTOM.  Children
-    follow their parent in the pre-order table, so one backward scan does."""
-    fail = [False] * len(table)
-    for pos in range(len(table) - 1, -1, -1):
-        kind, a, b = table[pos]
-        if kind <= _ATOM:
-            fail[pos] = kind == _ATOM or b  # a frozen vertex has no label
-        elif kind == _AND:
-            fail[pos] = fail[a] or fail[b]
-        elif kind == _OR:
-            fail[pos] = fail[a] and fail[b]
-        elif kind == _FORALL:
-            fail[pos] = fail[a]
-        elif b:  # a point existential move
-            fail[pos] = fail[a] and _outside(
-                table, atoms, a, lambda q: BOTTOM if fail[q] else UNKNOWN, None) == BOTTOM
-    return fail
-
-
-def _lost_levels(table: list[tuple], fail: list[bool]) -> dict[int, tuple[int, ...]]:
-    """The set-only levels a sentence's collapse can use: each p whose
-    positions at level (0, p) can all fail, mapped to those positions.
-
-    Empty unless the table is set-first.  Children follow their parent in
-    the pre-order table, so one forward scan gives every level.
-    """
-    level = [(0, 0)] * len(table)
-    for pos, (kind, a, b) in enumerate(table):
-        m, p = level[pos]
-        if kind == _AND or kind == _OR:
-            level[a] = level[b] = (m, p)
-        elif kind >= _EXISTS:
-            if not b and m:
-                return {}  # a set move after a point move
-            level[a] = (m + 1, p) if b else (m, p + 1)
-    at_level: dict[int, list[int]] = {}
-    for pos, (m, p) in enumerate(level):
-        if not m:
-            at_level.setdefault(p, []).append(pos)
-    return {p: tuple(ps) for p, ps in at_level.items() if all(fail[q] for q in ps)}
-
-
-def _collapse_test(forest, phi: Formula, caps) -> Collapse | None:
-    """The fold's collapse test for sentence phi on forest, or None when
-    phi is not set-first or no level of it can collapse.
+def _collapse_test(forest, caps, phi: Formula) -> Collapse | None:
+    """The fold's collapse test for sentence phi on forest and caps, or
+    None when phi is not set-first or no level of it can collapse.
 
     The test calls a node at level (0, p) lost when its verdict is BOTTOM
-    at every position of that level.  Interns the forest's lost node
-    first and seeds it as lost at every position in phi's game and
-    verdict memos, so neither ever reads its placeholder label.  Made
-    here rather than at the test's first loss: seeding it there would
-    make the test reach the forest, which keys a cross memo by the test,
-    and so leave a reference cycle.
+    at every position of that level, each of which can fail.  Interns
+    the forest's lost node first and seeds it as lost at every position
+    in phi's game and verdict memos, so neither ever reads its
+    placeholder label.  Made here rather than at the test's first loss:
+    seeding it there would make the test reach the forest, which keys a
+    cross memo by the test, and so leave a reference cycle.
     """
-    verdicts = Verdicts(forest, phi, (), caps)
-    levels = _lost_levels(verdicts.table, verdicts.fail)
-    if not levels:
+    table, memo, _, levels, fail = _game(forest, phi, (), (), caps)
+    at_level: dict[int, list[int]] = {}
+    for pos, (m, p) in enumerate(levels):
+        if not m:
+            at_level.setdefault(p, []).append(pos)
+        elif table[pos][0] >= _EXISTS and not table[pos][2]:
+            return None  # a set move after a point move
+    positions_at = {p: ps for p, ps in at_level.items() if all(fail[q] for q in ps)}
+    if not positions_at:
         return None
-    table, memo, _ = _game(forest, phi, (), (), caps)
+    verdicts = Verdicts(forest, phi, (), caps)
     size = len(table)
     first = forest.lost_node() * size
     for key in range(first, first + size):
@@ -484,24 +469,25 @@ def _collapse_test(forest, phi: Formula, caps) -> Collapse | None:
     at, nodes = verdicts.at, forest.nodes
 
     def lost(nid: int) -> bool:
-        positions = levels.get(nodes[nid].p)
+        positions = positions_at.get(nodes[nid].p)
         return positions is not None and all(at(nid, pos) == BOTTOM for pos in positions)
 
     return lost
 
 
-def check_collapse(phi: Formula, caps) -> Callable[..., Collapse | None]:
+def check_collapse(phi: Formula) -> Callable[..., Collapse | None]:
     """The collapse maker that model checking folds sentence phi's tree
-    with, for phi's move budget caps.
+    with; the fold calls it with its forest and its own caps.
 
-    Model checking is char_tree_from_parse_tree(tree, caps,
-    collapse=check_collapse(phi, caps)), then the game.  When phi is
-    set-first, the fold collapses the (0, p) products phi has lost into
-    the forest's one lost node (see Verdicts for why the game's winner
-    stays the same), and the forest's collapsed attribute counts them;
-    otherwise the tree is the one the fold builds without a maker.
+    Model checking is char_tree_from_parse_tree(tree, move_budget(phi),
+    collapse=check_collapse(phi)), then the game.  When phi is set-first,
+    the fold collapses the (0, p) products phi has lost into the forest's
+    one lost node (see Verdicts for why the game's winner stays the
+    same), and the forest's collapsed attribute counts them; otherwise
+    the tree is the one the fold builds without a maker.  Only phi's
+    game can read the lost node; game_on_tree refuses any other.
     """
-    return functools.partial(_collapse_test, phi=phi, caps=caps)
+    return functools.partial(_collapse_test, phi=phi)
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:
@@ -513,8 +499,7 @@ def model_check(tree: ParseTree, phi: Formula) -> bool:
     """
     if not is_sentence(phi):
         raise RwmsoError("model checking requires a sentence (no free variables)")
-    caps = move_budget(phi)
-    rc = char_tree_from_parse_tree(tree, caps, collapse=check_collapse(phi, caps))
+    rc = char_tree_from_parse_tree(tree, move_budget(phi), collapse=check_collapse(phi))
     return game_on_tree(rc, phi)
 
 

@@ -103,7 +103,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
         stats = DPStats()
 
     def survivors(states: dict) -> dict:
-        if verdicts.can_fail:
+        if verdicts.fail[0]:
             verdict = verdicts.at
             kept = {rid: s for rid, s in states.items() if verdict(rid) != BOTTOM}
             stats.states_dropped += len(states) - len(kept)

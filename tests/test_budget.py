@@ -12,7 +12,7 @@ from rwmso import (CATALOG, FAMILIES, build_structure, char_tree_from_parse_tree
 from rwmso import chartree
 from rwmso.chartree import RCForest, RCTree, as_budget, reduced_char_tree_direct
 from rwmso.errors import DepthBudgetError, RwmsoError
-from rwmso.games import _AND, _EXISTS, _FORALL, _OR, _compile
+from rwmso.games import _compile
 from rwmso.logic import move_budget
 
 from common import (catalog, cross_misses, random_sentence, small_parse_trees,
@@ -57,31 +57,24 @@ def test_a_depth_is_its_staircase():
 
 def _visited_levels(phi, objects=0, sets=0):
     """caps[p] = the largest m of a level (m, p) of phi's compiled game,
-    0 below sets: a forward scan of the pre-order position table, where
-    every child follows its parent, compiled against a staircase deep
-    enough for every move."""
+    0 below sets: the levels the compile records for its positions,
+    compiled against a staircase deep enough for every move."""
     fv = free_variables(phi)
     x_vars = tuple(f"_x{i}" for i in range(objects - len(fv.objects))) + fv.objects
     X_vars = tuple(f"_X{i}" for i in range(sets - len(fv.sets))) + fv.sets
-    table = []
-    _compile(phi, True, x_vars, X_vars, as_budget(quantifier_rank(phi) + objects + sets),
-             table)
-    level = [(objects, sets)] * len(table)
+    _, levels, _ = _compile(phi, True, x_vars, X_vars,
+                            as_budget(quantifier_rank(phi) + objects + sets), [])
     most = {}
-    for pos, (kind, a, b) in enumerate(table):
-        m, p = level[pos]
+    for m, p in levels:
         most[p] = max(m, most.get(p, m))
-        if kind in (_AND, _OR):
-            level[a] = level[b] = (m, p)
-        elif kind in (_EXISTS, _FORALL):
-            level[a] = (m + 1, p) if b else (m, p + 1)
     return tuple(most.get(p, 0) for p in range(max(most) + 1))
 
 
 def test_move_budget_matches_the_compiled_game_levels():
-    # independent route: the budget read off phi's position table, for
-    # every catalog sentence, the optimize problems with their one free
-    # set, and random sentences
+    # independent routes: move_budget walks phi's syntax tree, and the
+    # compile records the level of each position of phi's game; for every
+    # catalog sentence, the optimize problems with their one free set,
+    # and random sentences
     cases = [(phi, 0) for _, phi in catalog(t=2)]
     cases += [(parse_formula(text, 2), 1) for text in OPTIMIZE_PROBLEMS]
     rng = random.Random(17)

@@ -3,10 +3,14 @@
 The collapsing route must give the same answers as the game on the plain
 reduced tree and as the brute-force semantics, intern a node count that
 stays flat in n, and build byte for byte the plain tree for every
-sentence it cannot collapse.
+sentence it cannot collapse.  A collapsed tree answers only for its own
+sentence: the game refuses any other.
 """
 
+import hashlib
 import random
+
+import pytest
 
 from rwmso import (FAMILIES, evaluate, family_tree, game_on_tree, generate_graph,
                    model_check, parse_formula, quantifier_rank)
@@ -19,10 +23,11 @@ from common import catalog, random_parse_tree, random_sentence, small_parse_tree
 
 TWO_COLORABLE = next(e.text for e in CATALOG if e.name == "two-colorable")
 
+COLLAPSED_RC_DUMP_SHA256 = "42f91f856aee02ea7e24ab29e4cc24e09c63063683512f954f631bbcabb86c3d"
+
 
 def _collapsed(tree, phi, forest=None):
-    caps = move_budget(phi)
-    return char_tree_from_parse_tree(tree, caps, forest, check_collapse(phi, caps))
+    return char_tree_from_parse_tree(tree, move_budget(phi), forest, check_collapse(phi))
 
 
 def _plain(tree, phi, forest=None):
@@ -134,6 +139,50 @@ def test_the_lost_node_below_point_moves_stays_off_the_game():
         assert got == evaluate(generate_graph(tree), phi), (family, n)
         if n < 9:
             assert got == game_on_tree(_plain(tree, phi), phi), (family, n)
+
+
+def test_a_collapsed_tree_plays_its_own_sentence_at_the_fold_budget():
+    # two-colorable is false on cycle 9.  The fold hands the maker its own
+    # caps, so a tree folded for more than phi's budget collapses for that
+    # budget and still answers False.  Only phi's game has the lost node
+    # seeded: another sentence, phi with its set renamed included, would
+    # read the lost node's placeholder label, so the game refuses it
+    phi = parse_formula(TWO_COLORABLE, 2)
+    tree = family_tree("cycle", 9, 2)
+    g = generate_graph(tree)
+    assert not evaluate(g, phi)
+    others = [parse_formula(TWO_COLORABLE.replace("C", "D"), 2),
+              parse_formula(next(e.text for e in CATALOG
+                                 if e.name == "independent-set-meets-all-edges"), 2)]
+    for caps in ((0, 2), (0, 3), (1, 2)):
+        rc = char_tree_from_parse_tree(tree, caps, None, check_collapse(phi))
+        assert rc.forest.collapsed > 0, caps
+        assert game_on_tree(rc, phi) is False, caps
+        for psi in others:
+            assert not evaluate(g, psi)
+            with pytest.raises(RwmsoError, match="lost node"):
+                game_on_tree(rc, psi)
+
+
+def test_collapsed_rc_dump_is_byte_identical():
+    # every catalog sentence at t=2, folded by check_collapse for its own
+    # move budget into one forest per (family, n), as
+    # test_chartree.test_rc_dump_is_byte_identical does for the plain
+    # fold: the collapsing fold's nodes, ids and child order stay fixed
+    digest = hashlib.sha256()
+    lines = collapsed = 0
+    for family in ("path", "cycle", "star", "cograph-join"):
+        for n in (5, 17):
+            forest = RCForest()
+            tree = family_tree(family, n, 2)
+            for _, phi in catalog(t=2):
+                rc = _collapsed(tree, phi, forest)
+                text = rc_dump(forest, rc.root)
+                lines += text.count("\n")
+                digest.update(text.encode())
+            collapsed += forest.collapsed
+    assert (lines, collapsed) == (898, 256)
+    assert digest.hexdigest() == COLLAPSED_RC_DUMP_SHA256
 
 
 def test_sentences_it_cannot_collapse_build_the_plain_tree():

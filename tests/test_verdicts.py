@@ -106,7 +106,7 @@ def test_static_pass():
                            ("Ax x. (X(x) | (Ex y. (y = y & adj(x,y))))", True),
                            ("Ax x. (X(x) | (Ex y. (label1(y) & adj(x,y))))", True),
                            ("Ax x. (X(x) | (Ex y. (label1(y) | adj(x,y))))", False)):
-        assert _verdicts(RCForest(), parse_formula(text, 2)).can_fail is can_fail, text
+        assert _verdicts(RCForest(), parse_formula(text, 2)).fail[0] is can_fail, text
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
