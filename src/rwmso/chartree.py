@@ -186,8 +186,8 @@ class RCForest:
         Each collection of children must hold distinct ids (a set, or
         ()): it is sorted, not deduplicated, into the key.
         """
-        point = tuple(sorted(point_children))
-        set_kids = tuple(sorted(set_children))
+        point = tuple(sorted(point_children)) if point_children else ()
+        set_kids = tuple(sorted(set_children)) if set_children else ()
         key = (label, point, set_kids)
         nid = self._ids.get(key)
         if nid is None:
@@ -362,7 +362,7 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
             return lost
         n1, n2 = nodes[i1], nodes[i2]
         o1, o2 = n1.ord, n2.ord
-        m, p = len(d), o1.p
+        m, p = len(d), len(o1.set_traces)
         lkey = (n1.label, n2.label, d)
         root = labels.get(lkey)
         if root is None:
@@ -370,14 +370,16 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         point = set_kids = ()
         # in_budget(caps, m + 1, p) and in_budget(caps, m, p + 1), inlined
         if p < ncaps and m < caps[p]:
-            _check_factors(n1, n2, True, m, p, caps)
+            if not (n1.point_children and n2.point_children):
+                _check_factors(n1, n2, True, m, p, caps)
             d1, d2 = d + (1,), d + (2,)
             point = {h if (h := get((u, i2, d1))) is not None else rec(u, i2, d1)
                      for u in n1.point_children}
             point.update(h if (h := get((i1, u, d2))) is not None else rec(i1, u, d2)
                          for u in n2.point_children)
         if p + 1 < ncaps and m <= caps[p + 1]:
-            _check_factors(n1, n2, False, m, p, caps)
+            if not (n1.set_children and n2.set_children):
+                _check_factors(n1, n2, False, m, p, caps)
             set_kids = {h if (h := get((u1, u2, d))) is not None else rec(u1, u2, d)
                         for u1 in n1.set_children for u2 in n2.set_children}
         out = forest.intern(root, point, set_kids)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -250,6 +249,8 @@ def _fit(rows: list[BenchRow]) -> tuple[float, float]:
 
 
 def cmd_bench(args) -> int:
+    import statistics  # here, its one user, so no other command pays its import
+
     try:
         n_list = [int(x) for x in args.n_list.split(",")]
     except ValueError:

@@ -370,7 +370,8 @@ class Verdicts:
     compile phi once; verdicts are memoized per (node id, position).
     fail, recorded by that compile, says per position whether any
     verdict of it can be BOTTOM; when fail[0] is False LinEMSO skips the
-    verdicts, which would cost it time and drop nothing.
+    verdicts, which would cost it time and drop nothing.  Otherwise it
+    filters each parse node's states with alive(), one call per node.
     """
 
     def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...], budget):
@@ -411,6 +412,14 @@ class Verdicts:
                 out = BOTTOM
         self.memo[key] = out
         return out
+
+    def alive(self, states: dict) -> dict:
+        """The entries of states, a dict keyed by node id, whose verdict at
+        position 0 is not BOTTOM, in order.  One call per parse node: it
+        reads the memo itself and calls at() only for ids it has not seen."""
+        get, size, at = self.memo.get, len(self.table), self.at
+        return {nid: s for nid, s in states.items()
+                if (v := get(nid * size)) != BOTTOM and (v is not None or at(nid) != BOTTOM)}
 
 
 def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,

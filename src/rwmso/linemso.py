@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
                        tree_cross_product)
 from .errors import RwmsoError
-from .games import BOTTOM, Verdicts, game_on_tree
+from .games import Verdicts, game_on_tree
 from .logic import Formula, free_variables, move_budget
 from .parsetree import ParseTree, fold, leaf_vertex
 
@@ -104,8 +104,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     def survivors(states: dict) -> dict:
         if verdicts.fail[0]:
-            verdict = verdicts.at
-            kept = {rid: s for rid, s in states.items() if verdict(rid) != BOTTOM}
+            kept = verdicts.alive(states)
             stats.states_dropped += len(states) - len(kept)
             states = kept
         stats.peak_states = max(stats.peak_states, len(states))

@@ -124,43 +124,32 @@ def _check_width(*widths: int) -> int:
     return widths[0]
 
 
-def _cross_rows(g1: Structure, g2_labels: Sequence[int]) -> list[int]:
-    """For each u in g1, the bitmask of g2 vertices joined to u."""
-    out = []
-    for lab1 in g1.labels:
-        row = 0
-        for v, lab2 in enumerate(g2_labels):
-            if (lab1 & lab2).bit_count() & 1:
-                row |= 1 << v
-        out.append(row)
-    return out
-
-
-def _union_adj(g1: Structure, g2: Structure, cross: Sequence[int]) -> tuple[int, ...]:
-    n1 = g1.n
-    adj = [g1.adj[u] | (cross[u] << n1) for u in range(n1)]
-    col = [0] * g2.n
-    for u in range(n1):
-        row = cross[u]
-        while row:
-            v = (row & -row).bit_length() - 1
-            col[v] |= 1 << u
-            row &= row - 1
-    adj.extend((g2.adj[v] << n1) | col[v] for v in range(g2.n))
-    return tuple(adj)
-
-
 def compose(g1: Structure, g2: Structure, g: Relabeling, f1: Relabeling,
             f2: Relabeling) -> Structure:
     """Join g1 with g(g2), then relabel the two parts by f1 and f2.
 
     Cross edges: {u,v} iff lab1(u) . (lab2(v) x T_g) = 1.  Not commutative.
     """
-    t = _check_width(g1.t, g2.t, g.t, f1.t, f2.t)
-    cross = _cross_rows(g1, [g.apply(lab) for lab in g2.labels])
-    labels = tuple(f1.apply(lab) for lab in g1.labels) + \
-        tuple(f2.apply(lab) for lab in g2.labels)
-    return _unchecked(g1.n + g2.n, t, _union_adj(g1, g2, cross), labels)
+    vtm = gf2.vec_times_matrix
+    rows, rows1, rows2 = g.rows, f1.rows, f2.rows
+    t = g1.t
+    if not t == g2.t == len(rows) == len(rows1) == len(rows2):
+        _check_width(g1.t, g2.t, g.t, f1.t, f2.t)
+    n1 = g1.n
+    labels2 = [vtm(lab, rows) for lab in g2.labels]
+    adj = list(g1.adj)
+    col = [0] * g2.n  # per g2 vertex, the bitmask of g1 vertices joined to it
+    for u, lab1 in enumerate(g1.labels):
+        row = 0
+        for v, lab2 in enumerate(labels2):
+            if (lab1 & lab2).bit_count() & 1:
+                row |= 1 << v
+                col[v] |= 1 << u
+        adj[u] |= row << n1
+    adj.extend(row << n1 | c for row, c in zip(g2.adj, col))
+    labels = tuple([vtm(lab, rows1) for lab in g1.labels]
+                   + [vtm(lab, rows2) for lab in g2.labels])
+    return _unchecked(n1 + g2.n, t, tuple(adj), labels)
 
 
 @dataclass(frozen=True)
@@ -217,27 +206,28 @@ def ordered_induced(a: Structure, c: Sequence[int],
     Sets may be given as iterables of element ids or as bitmasks.
     """
     masks = _as_masks(a.n, sets)
+    n, adj_rows = a.n, a.adj
     seen: dict[int, int] = {}
     elems: list[int] = []
     positions = []
     for e in c:
-        if not 0 <= e < a.n:
-            raise RwmsoError(f"element {e} outside universe")
         cls = seen.get(e)
         if cls is None:
-            cls = len(elems)
-            seen[e] = cls
+            if not 0 <= e < n:
+                raise RwmsoError(f"element {e} outside universe")
+            cls = seen[e] = len(elems)
             elems.append(e)
         positions.append(cls)
     k = len(elems)
     adj = []
     for e in elems:
+        row_e = adj_rows[e]
         row = 0
         for j, e2 in enumerate(elems):
-            if (a.adj[e] >> e2) & 1:
+            if (row_e >> e2) & 1:
                 row |= 1 << j
         adj.append(row)
-    labels = tuple(a.labels[e] for e in elems)
+    labels = tuple(map(a.labels.__getitem__, elems))
     traces = []
     for mask in masks:
         tr = 0

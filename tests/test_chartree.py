@@ -310,10 +310,18 @@ def test_tcp_exhaustive_small_parse_trees():
 
 
 def test_tcp_depth_budget_error():
+    # a factor folded for a smaller budget lacks a move the product needs:
+    # the depth-1 tree has no point moves at (1, 0), the points-only tree
+    # no set moves at (0, 0)
     forest = RCForest()
     shallow = reduced_char_tree_direct(forest, VERTEX, 1)
-    with pytest.raises(DepthBudgetError):
+    with pytest.raises(DepthBudgetError,
+                       match=r"no point moves at m=1, p=0 for budget \[2, 1, 0\]"):
         tree_cross_product(forest, shallow, shallow, 2, (IDENT, IDENT, IDENT))
+    points_only = reduced_char_tree_direct(forest, VERTEX, (1,))
+    with pytest.raises(DepthBudgetError,
+                       match=r"no set moves at m=0, p=0 for budget \[1, 0\]"):
+        tree_cross_product(forest, points_only, points_only, (1, 0), (IDENT, IDENT, IDENT))
 
 
 def test_char_tree_single_leaf():

@@ -7,8 +7,8 @@ from rwmso import (Relabeling, Structure, build_structure, compose,
 from rwmso.errors import RwmsoError, WidthMismatchError
 from rwmso.gf2 import rank
 
-from common import (generated_subspace, induced, is_partial_isomorphism, mat_mul,
-                    naive_rank, permuted, random_structure, relabel,
+from common import (dot, generated_subspace, induced, is_partial_isomorphism, mat_mul,
+                    naive_rank, permuted, random_relabeling, random_structure, relabel,
                     subspaces_orthogonal)
 
 
@@ -109,6 +109,70 @@ def test_compose_width_mismatch():
     with pytest.raises(WidthMismatchError):
         compose(g1, g2, Relabeling.identity(1), Relabeling.identity(1),
                 Relabeling.identity(1))
+
+
+def _image(lab, rows):
+    """lab x T for the matrix with these rows, summed row by row."""
+    out = 0
+    for i, row in enumerate(rows):
+        if (lab >> i) & 1:
+            out ^= row
+    return out
+
+
+def test_compose_matches_its_definition():
+    # random t <= 3, n <= 4: the edges of both parts, a cross edge {u, v}
+    # iff lab1(u) . (lab2(v) x T_g) is odd, then f1 and f2 on the labels;
+    # the output is also rebuilt through the validating constructor
+    rng = random.Random(41)
+    for _ in range(300):
+        t = rng.randint(1, 3)
+        g1, g2 = (random_structure(rng, rng.randint(0, 4), t) for _ in range(2))
+        op = [random_relabeling(rng, t) for _ in range(3)]
+        g, f1, f2 = op
+        out = compose(g1, g2, g, f1, f2)
+        n1 = g1.n
+        edges = g1.edges() + [(n1 + u, n1 + v) for u, v in g2.edges()]
+        edges += [(u, n1 + v) for u in range(n1) for v in range(g2.n)
+                  if dot(g1.labels[u], _image(g2.labels[v], g.rows))]
+        labels = ([_image(lab, f1.rows) for lab in g1.labels]
+                  + [_image(lab, f2.rows) for lab in g2.labels])
+        assert out == build_structure(n1 + g2.n, edges, t, labels)
+        assert Structure(out.n, out.t, out.adj, out.labels) == out
+        # any one of the five widths off by one is refused
+        args = [g1, g2, *op]
+        i = rng.randrange(5)
+        args[i] = (random_structure(rng, args[i].n, t + 1) if i < 2
+                   else random_relabeling(rng, t + 1))
+        with pytest.raises(WidthMismatchError):
+            compose(*args)
+
+
+def test_ordered_induced_matches_brute_force():
+    # random t <= 3, n <= 4, vectors with repeated and out-of-range
+    # entries: the first entry outside the universe is refused; otherwise
+    # the classes, the induced structure and the traces follow first
+    # occurrence in the vector
+    rng = random.Random(43)
+    for _ in range(300):
+        n, t = rng.randint(0, 4), rng.randint(1, 3)
+        a = random_structure(rng, n, t)
+        c = [rng.randrange(n) if n and rng.random() < 0.9 else rng.choice((-1, n, n + 1))
+             for _ in range(rng.randint(0, 5))]
+        if c and rng.random() < 0.5:
+            c.append(rng.choice(c))
+        sets = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2))]
+        bad = [e for e in c if not 0 <= e < n]
+        if bad:
+            with pytest.raises(RwmsoError, match=rf"^element {bad[0]} outside universe$"):
+                ordered_induced(a, c, sets)
+            continue
+        o = ordered_induced(a, c, sets)
+        elems = list(dict.fromkeys(c))
+        assert o.structure == induced(a, c)
+        assert o.positions == tuple(elems.index(e) for e in c)
+        assert o.set_traces == tuple(sum(1 << j for j, e in enumerate(elems) if (s >> e) & 1)
+                                     for s in sets)
 
 
 def test_induced():

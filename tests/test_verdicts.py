@@ -7,12 +7,13 @@ whole graph, for every extension of the chosen sets outside the
 subtree.
 """
 
+import copy
 import itertools
 import random
 
 import pytest
 
-from rwmso import (Assignment, LinEMSOProblem, RCForest, evaluate,
+from rwmso import (Assignment, LinEMSOProblem, RCForest, evaluate, family_tree,
                    free_variables, generate_graph, parse_formula, solve_linemso,
                    tree_cross_product)
 from rwmso.chartree import reduced_char_tree_direct
@@ -176,3 +177,34 @@ def test_decided_verdicts_hold_in_the_whole_graph():
                         assert evaluate(g, phi, Assignment(sets=sets)) == (verdict == TOP), \
                             (text, tree, first, k, masks)
     assert decided[TOP] > 0 and decided[BOTTOM] > 0
+
+
+def test_alive_keeps_what_at_keeps_in_order(monkeypatch):
+    # every state map that min dominating set's solve filters, on path 40
+    # and cycle 8: the one-call filter keeps the entries whose verdict at
+    # position 0 is not BOTTOM, keys, values and order, against at() on a
+    # copy of the verdicts with an empty memo
+    alive, fresh = Verdicts.alive, {}
+    calls, dropped = [], 0
+
+    def checked(self, states):
+        nonlocal dropped
+        given = list(states.items())
+        kept = alive(self, states)
+        if self not in fresh:
+            fresh[self] = copy.copy(self)
+            fresh[self].memo = {}
+        at = fresh[self].at
+        assert list(kept.items()) == [(k, v) for k, v in given if at(k) != BOTTOM]
+        calls.append(len(given))
+        dropped += len(given) - len(kept)
+        return kept
+
+    monkeypatch.setattr(Verdicts, "alive", checked)
+    problem = LinEMSOProblem(parse_formula(DOMIN, 2), (1,), "min")
+    for family, n in (("path", 40), ("cycle", 8)):
+        calls.clear()
+        solve_linemso(family_tree(family, n, 2), problem)
+        # the leaf states once, then one state map per composition
+        assert len(calls) == n
+    assert dropped > 0
