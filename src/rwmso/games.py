@@ -377,12 +377,12 @@ class Verdicts:
     def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...], budget):
         self.table, _, self.atoms, _, self.fail = _game(forest, phi, (), tuple(X_vars),
                                                         budget)
-        self.nodes = forest.nodes
+        self.nodes, self.size = forest.nodes, len(self.table)
         self.memo: dict[int, int] = {}
 
     def at(self, nid: int, pos: int = 0) -> int:
         """The verdict of position pos at node nid."""
-        key = nid * len(self.table) + pos
+        key = nid * self.size + pos
         out = self.memo.get(key)
         if out is not None:
             return out
@@ -402,12 +402,13 @@ class Verdicts:
             if out != TOP:
                 out = max(out, self.at(nid, b))
         else:
+            at = self.at  # once for the child loops
             moves = node.point_children if b else node.set_children
             decided = TOP if kind == _EXISTS else BOTTOM
-            out = decided if any(self.at(ch, a) == decided for ch in moves) else UNKNOWN
+            out = decided if any(at(ch, a) == decided for ch in moves) else UNKNOWN
             if (out == UNKNOWN and kind == _EXISTS and self.fail[pos]  # a point move
-                    and all(self.at(ch, a) == BOTTOM for ch in moves)
-                    and _outside(self.table, self.atoms, a, functools.partial(self.at, nid), o)
+                    and all(at(ch, a) == BOTTOM for ch in moves)
+                    and _outside(self.table, self.atoms, a, functools.partial(at, nid), o)
                     == BOTTOM):
                 out = BOTTOM
         self.memo[key] = out
@@ -417,7 +418,7 @@ class Verdicts:
         """The entries of states, a dict keyed by node id, whose verdict at
         position 0 is not BOTTOM, in order.  One call per parse node: it
         reads the memo itself and calls at() only for ids it has not seen."""
-        get, size, at = self.memo.get, len(self.table), self.at
+        get, size, at = self.memo.get, self.size, self.at
         return {nid: s for nid, s in states.items()
                 if (v := get(nid * size)) != BOTTOM and (v is not None or at(nid) != BOTTOM)}
 

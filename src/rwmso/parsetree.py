@@ -62,6 +62,16 @@ class ParseTree:
         return len(self.code)
 
 
+def _unchecked(t: int, ops: tuple[CompositionOp, ...], code: tuple[int, ...]) -> ParseTree:
+    """A ParseTree from fields known to be valid, skipping ``__post_init__``'s walk
+    as structures._unchecked does: the text reader's scan checks all the walk does,
+    and family codes are valid by construction; other trees use ``ParseTree(...)``."""
+    tree = object.__new__(ParseTree)
+    for name, value in (("t", t), ("ops", ops), ("code", code)):  # __init__'s order
+        object.__setattr__(tree, name, value)
+    return tree
+
+
 def fold(tree: ParseTree, leaf: T,
          combine_for: Callable[[CompositionOp], Callable[[T, T], T]]) -> T:
     """Evaluate the tree leaves-to-root, in post-order: every leaf is
@@ -69,11 +79,12 @@ def fold(tree: ParseTree, leaf: T,
     ``step = combine_for(op)`` is made once per operator of the table."""
     steps = [combine_for(op) for op in tree.ops]
     results: list[T] = []
+    push, pop = results.append, results.pop
     for c in tree.code:
-        if c == LEAF:
-            results.append(leaf)
+        if c < 0:   # LEAF
+            push(leaf)
         else:
-            right = results.pop()
+            right = pop()
             results[-1] = steps[c](results[-1], right)
     return results[0]
 
@@ -157,6 +168,8 @@ def parse_tree_from_text(text: str) -> ParseTree:
         t = int(lines[0].strip()[2:])
     except ValueError:
         raise RwmsoError("bad width in header") from None
+    if t < 1:
+        raise RwmsoError("width must be at least 1")
     # Split at "(", each chunk is one node, read once per distinct text.
     # The scan then appends each node to the code where it ends, keeping
     # ints only: the open inner nodes as 2 * head + (left child done).
@@ -192,8 +205,8 @@ def parse_tree_from_text(text: str) -> ParseTree:
         raise RwmsoError("unexpected end of tree")
     if next(chunks, None) is not None:
         raise RwmsoError("trailing input after tree")
-    ops = list(heads)
-    return ParseTree(t, tuple(ops[h] for h in index), tuple(code))
+    ops = list(heads)   # distinct; index numbers them by post-order first use
+    return _unchecked(t, tuple(ops[h] for h in index), tuple(code))
 
 
 # --- standard families --------------------------------------------------
@@ -215,8 +228,7 @@ def family_tree(family: str, n: int, t: int | None = None) -> ParseTree:
     if family == "cycle" and n < 3:
         raise RwmsoError("cycles need n >= 3")
     native = 2 if family == "cycle" else 1
-    if t is None:
-        t = native
+    t = native if t is None else t
     if t < native:
         raise RwmsoError(f"family {family!r} needs width >= {native}")
 
@@ -227,7 +239,7 @@ def family_tree(family: str, n: int, t: int | None = None) -> ParseTree:
         code: list[int] = []
         _balanced(n, code)
         op = (zero, ident, ident) if family == "cograph-union" else (one, one, one)
-        return ParseTree(t, (op,) if n > 1 else (), tuple(code))
+        return _unchecked(t, (op,) if n > 1 else (), tuple(code))
     if family == "cycle":
         # invariant: start {1}, active end {2}, interior unlabeled
         to_end = _pad((2,), t)           # new vertex becomes the end
@@ -244,7 +256,7 @@ def family_tree(family: str, n: int, t: int | None = None) -> ParseTree:
     code = [LEAF]
     for k, (_, count) in enumerate(runs):
         code += (LEAF, k) * count
-    return ParseTree(t, tuple(op for op, _ in runs), tuple(code))
+    return _unchecked(t, tuple(op for op, _ in runs), tuple(code))
 
 
 def _balanced(n: int, code: list[int]):

@@ -68,6 +68,18 @@ def test_parse_malformed_text(body):
         parse_tree_from_text("t=1\n" + body)
 
 
+@pytest.mark.parametrize("body", [
+    "(o 1 1 1 (v) (v)",                  # unclosed node
+    "(o 1 1 1 (v) (v) (v))",             # a third child where ')' belongs
+    "(o 1 1 1 (o 1 1 1 (v) (v) (v)))",   # the inner node's ')' comes too late
+])
+def test_missing_close_is_named(body):
+    # where a node's ')' belongs, both readers name the missing ')' there
+    for read in (parse_tree_from_text, reference_parse_tree_from_text):
+        with pytest.raises(RwmsoError, match=r"^expected '\)'"):
+            read("t=1\n" + body)
+
+
 _ONE = (Relabeling((1,)),) * 3
 _ZERO = (Relabeling((0,)),) * 3
 
@@ -143,6 +155,23 @@ def test_family_tree_shape():
     assert family_tree("cycle", 3).code == (-1, -1, 0, -1, 1)
     assert family_tree("cycle", 5).code == (-1, -1, 0, -1, 1, -1, 1, -1, 2)
     assert family_tree("cograph-join", 4).code == (-1, -1, 0, -1, -1, 0, 0)
+
+
+def test_family_trees_pass_the_validating_constructor():
+    # family_tree builds without __post_init__'s walk, so every family it
+    # allows, at its native width and two more, is rebuilt through
+    # ParseTree(...), which must accept it and give an equal tree
+    built = 0
+    for family in FAMILIES:
+        native = 2 if family == "cycle" else 1
+        for n in (1, 2, 3, 4, 9, 64):
+            if family == "cycle" and n < 3:
+                continue
+            for t in (native, native + 2):
+                tree = family_tree(family, n, t)
+                assert tree == ParseTree(tree.t, tree.ops, tree.code), (family, n, t)
+                built += 1
+    assert built == (len(FAMILIES) - 1) * 6 * 2 + 4 * 2
 
 
 def test_family_padding_keeps_graph():
@@ -263,6 +292,9 @@ def test_chunk_reader_agrees_with_the_token_reader():
     for text in texts:
         new, old = _read_both(text)
         assert new == old, text
+        # the reader builds without __post_init__'s walk: the validating
+        # constructor must accept what it returns and give an equal tree
+        assert new is RwmsoError or new == ParseTree(new.t, new.ops, new.code), text
         read += new is not RwmsoError
         failed += new is RwmsoError
     assert read > len(trees) * 5 and failed > 1000, (read, failed)
