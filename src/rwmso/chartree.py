@@ -22,12 +22,12 @@ model checking builds the smaller tree of the moves its formula's game
 can take (logic.move_budget).
 
 Model checking can also pass the fold a collapse maker; called with the
-forest and the fold's budget, it makes a test that marks product nodes
-at the set-only levels (0, p) that its sentence has already lost.  The
-fold puts the forest's one childless lost node in their place and in
-place of every product with a lost factor, and never multiplies their
-subtrees.  games.Verdicts says when that is sound.  Without a maker the
-fold builds the reduced tree itself.
+forest, it makes a test that marks product nodes at the set-only levels
+(0, p) that its sentence has already lost.  The fold puts the forest's
+one childless lost node in their place and in place of every product
+with a lost factor, and never multiplies their subtrees.  games.Verdicts
+says when that is sound.  Without a maker the fold builds the reduced
+tree itself.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ MAX_NODES = 500_000
 Budget = tuple[int, ...]
 
 # A collapse test says whether a product node at a set-only level (0, p)
-# is lost; a fold makes one from its forest and caps by its caller's maker.
+# is lost; a fold makes one from its forest by its caller's maker.
 Collapse = Callable[[int], bool]
 
 
@@ -130,7 +130,7 @@ class RCForest:
     operators parsed from text share entries, and the inner keys are
     ints and the indicator vector only.  A collapsing fold keys its own
     cross_memo dicts by its collapse test too.  game_memo maps (phi,
-    x_vars, X_vars, caps) to the game's compiled position table, its memo
+    x_vars, X_vars) to the game's compiled position table, its memo
     from (node id, position) to the winner, and what games._compile
     records: games.game_on_tree plays from it and games.Verdicts reads it,
     so all the games on one forest compile phi once and share what they
@@ -236,12 +236,13 @@ class RCForest:
 
 @dataclass(frozen=True)
 class RCTree:
-    """A root id, the forest that owns it, and the move budget it was
-    built for (a depth q is normalised to its staircase)."""
+    """A root id, its forest, the move budget it was built for (a depth q
+    is normalised to its staircase) and its fold's collapse maker, if any."""
 
     forest: RCForest
     root: int
     budget: Budget
+    collapse: Callable[..., Collapse | None] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "budget", as_budget(self.budget))
@@ -417,15 +418,15 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     Returns the reduced characteristic tree of the generated graph, built
     for the move budget (a depth q means every m + p <= q), in time
     linear in the parse tree for a fixed budget and t.  collapse, if
-    given, makes the fold's collapse test from the forest and the caps
-    (None for no test); model checking passes games.check_collapse(phi),
-    and the tree then has the lost node in place of what phi has lost.
+    given, makes the fold's collapse test from the forest (None for no
+    test); model checking passes games.check_collapse(phi), and the tree
+    then has the lost node in place of what phi has lost.
     """
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
     leaf = reduced_char_tree_direct(forest, leaf_vertex(tree.t), caps)
-    test = None if collapse is None else collapse(forest, caps)
+    test = None if collapse is None else collapse(forest)
 
     def combine_for(op: CompositionOp):
         get = forest.cross_memo_for(caps, op, test).get
@@ -434,7 +435,7 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
                                                             test))
 
     root = fold(tree, leaf, combine_for)
-    return RCTree(forest, root, caps)
+    return RCTree(forest, root, caps, collapse)
 
 
 def rc_dump(forest: RCForest, root: int) -> str:

@@ -130,7 +130,7 @@ def _binder(names: tuple[str, ...], v: str) -> int:
 
 
 def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
-             sets: tuple[str, ...], caps, table: list) -> tuple[dict, list, list]:
+             sets: tuple[str, ...], table: list) -> tuple[dict, list, list]:
     """Append phi's positions to table in pre-order; return its atoms,
     position -> (formula class, object indices read, innermost object
     index), each position's level (m, p), and per position whether some
@@ -138,11 +138,10 @@ def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
 
     A negation flips the polarity and takes no position, so the table
     holds exactly the positions of phi's negation normal form.  Each
-    variable resolves here to its innermost binder's index, and each
-    quantifier's move is checked against the tree's budget caps.  One
-    walk does it all: a position's level is the variables placed on
-    entry, and whether it can fail is set in post-order, once its
-    subtree is in the table.
+    variable resolves here to its innermost binder's index.  One walk
+    does it all: a position's level is the variables placed on entry,
+    and whether it can fail is set in post-order, once its subtree is in
+    the table.
     """
     atoms: dict[int, tuple] = {}
     levels: list[tuple[int, int]] = []
@@ -168,12 +167,6 @@ def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
                 objs += (psi.var,)
             else:
                 sets += (psi.set_var,)
-            m, p = len(objs), len(sets)
-            if not in_budget(caps, m, p):
-                raise DepthBudgetError(
-                    f"a {'point' if point else 'set'} move to m={m}, p={p} is outside "
-                    f"the tree's move budget {list(caps)}: build the tree for the "
-                    "formula's budget")
             kind = _EXISTS if isinstance(psi, (ExistsObj, ExistsSet)) == positive else _FORALL
             a = walk(psi.sub, positive, objs, sets)
             table[pos] = (kind, a, int(point))
@@ -219,22 +212,21 @@ def _atom_test(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]):
     raise RwmsoError(f"unknown formula node {psi!r}")
 
 
-def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...],
-          caps) -> tuple[list[tuple], dict[int, bool], dict, list, list]:
+def _game(forest, phi: Formula, x_vars: tuple[str, ...],
+          X_vars: tuple[str, ...]) -> tuple[list[tuple], dict[int, bool], dict, list, list]:
     """The forest's compiled game for phi: its position table, its memo
     from nid * len(table) + position to the winner, and its atoms, levels
     and fail flags (see _compile).
 
-    All are kept in forest.game_memo, keyed by (phi, x_vars, X_vars,
-    caps), so every game on one forest compiles phi once and shares one
-    memo; nodes are immutable, so an entry never goes stale.
+    All are kept in forest.game_memo, keyed by (phi, x_vars, X_vars), so
+    every game on one forest, at any budget, compiles phi once and shares
+    one memo; nodes are immutable, so an entry never goes stale.
     """
-    key = (phi, x_vars, X_vars, caps)
+    key = (phi, x_vars, X_vars)
     game = forest.game_memo.get(key)
     if game is None:
         table: list[tuple] = []
-        game = forest.game_memo[key] = (table, {}, *_compile(phi, True, x_vars, X_vars,
-                                                             caps, table))
+        game = forest.game_memo[key] = (table, {}, *_compile(phi, True, x_vars, X_vars, table))
     return game
 
 
@@ -252,9 +244,9 @@ def game_on_tree(tree: RCTree, phi: Formula,
     forest, so games on several roots of one forest share their work;
     stats, if given, receives the memo's growth.  Before playing, raises
     RwmsoError for an unlisted free variable or a set-set equality
-    anywhere in phi or a tree holding another sentence's lost node
-    (check_collapse), and DepthBudgetError for a quantifier whose move
-    the tree was not built for.
+    anywhere in phi, DepthBudgetError for a quantifier whose move the
+    tree's budget lacks, and RwmsoError for a tree holding another
+    sentence's lost node (check_collapse).
     """
     if not isinstance(tree, RCTree):
         raise RwmsoError(f"the game needs an RCTree, got {type(tree).__name__}")
@@ -268,11 +260,19 @@ def game_on_tree(tree: RCTree, phi: Formula,
         raise RwmsoError(
             f"tree was built for m={root.m}, p={root.p}; "
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
-    table, memo, *_ = _game(forest, phi, tuple(x_vars), tuple(X_vars), tree.budget)
-    size = len(table)
+    table, memo, _, levels, _ = _game(forest, phi, tuple(x_vars), tuple(X_vars))
+    caps = tree.budget
+    for (kind, _, point), (m, p) in zip(table, levels):  # a quantifier moves from (m, p)
+        if kind >= _EXISTS and not in_budget(caps, m + point, p + 1 - point):
+            raise DepthBudgetError(
+                f"a {'point' if point else 'set'} move to m={m + point}, p={p + 1 - point} "
+                f"is outside the tree's move budget {list(caps)}: build the tree for the "
+                "formula's budget")
     lost = forest.lost
-    if lost is not None and memo.get(lost * size) is None and lost in forest.reachable(tree.root):
+    if (lost is not None and tree.collapse != check_collapse(phi)
+            and lost in forest.reachable(tree.root)):
         raise RwmsoError("the tree holds another sentence's lost node: fold it for this one")
+    size = len(table)
 
     def rec(nid: int, pos: int) -> bool:
         mk = nid * size + pos
@@ -364,19 +364,17 @@ class Verdicts:
     moves and then real nodes by point moves only, so those products are
     off its move paths.
 
-    phi, with free set variables X_vars and no free object variables,
-    is read as the position table of the forest's compiled game for
-    budget, a caps tuple, so the verdicts and the games at the root
-    compile phi once; verdicts are memoized per (node id, position).
+    phi, with free set variables X_vars and no free object variables, is
+    read as the forest's compiled game for it, so the verdicts and the root
+    games compile phi once; verdicts are memoized per (node id, position).
     fail, recorded by that compile, says per position whether any
     verdict of it can be BOTTOM; when fail[0] is False LinEMSO skips the
     verdicts, which would cost it time and drop nothing.  Otherwise it
     filters each parse node's states with alive(), one call per node.
     """
 
-    def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...], budget):
-        self.table, _, self.atoms, _, self.fail = _game(forest, phi, (), tuple(X_vars),
-                                                        budget)
+    def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...]):
+        self.table, _, self.atoms, _, self.fail = _game(forest, phi, (), tuple(X_vars))
         self.nodes, self.size = forest.nodes, len(self.table)
         self.memo: dict[int, int] = {}
 
@@ -448,9 +446,9 @@ def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
     return TOP if test == b else BOTTOM
 
 
-def _collapse_test(forest, caps, phi: Formula) -> Collapse | None:
-    """The fold's collapse test for sentence phi on forest and caps, or
-    None when phi is not set-first or no level of it can collapse.
+def _collapse_test(forest, phi: Formula) -> Collapse | None:
+    """The fold's collapse test for sentence phi on forest, or None when
+    phi is not set-first or no level of it can collapse.
 
     The test calls a node at level (0, p) lost when its verdict is BOTTOM
     at every position of that level, each of which can fail.  Interns
@@ -460,7 +458,7 @@ def _collapse_test(forest, caps, phi: Formula) -> Collapse | None:
     seeding it there would make the test reach the forest, which keys a
     cross memo by the test, and so leave a reference cycle.
     """
-    table, memo, _, levels, fail = _game(forest, phi, (), (), caps)
+    table, memo, _, levels, fail = _game(forest, phi, (), ())
     at_level: dict[int, list[int]] = {}
     for pos, (m, p) in enumerate(levels):
         if not m:
@@ -470,7 +468,7 @@ def _collapse_test(forest, caps, phi: Formula) -> Collapse | None:
     positions_at = {p: ps for p, ps in at_level.items() if all(fail[q] for q in ps)}
     if not positions_at:
         return None
-    verdicts = Verdicts(forest, phi, (), caps)
+    verdicts = Verdicts(forest, phi, ())
     size = len(table)
     first = forest.lost_node() * size
     for key in range(first, first + size):
@@ -485,19 +483,27 @@ def _collapse_test(forest, caps, phi: Formula) -> Collapse | None:
     return lost
 
 
+@dataclass(frozen=True)
+class _CollapseMaker:  # equal for equal sentences
+    phi: Formula
+
+    def __call__(self, forest) -> Collapse | None:
+        return _collapse_test(forest, self.phi)
+
+
 def check_collapse(phi: Formula) -> Callable[..., Collapse | None]:
     """The collapse maker that model checking folds sentence phi's tree
-    with; the fold calls it with its forest and its own caps.
+    with; the fold calls it with its forest.
 
     Model checking is char_tree_from_parse_tree(tree, move_budget(phi),
     collapse=check_collapse(phi)), then the game.  When phi is set-first,
     the fold collapses the (0, p) products phi has lost into the forest's
     one lost node (see Verdicts for why the game's winner stays the
     same), and the forest's collapsed attribute counts them; otherwise
-    the tree is the one the fold builds without a maker.  Only phi's
-    game can read the lost node; game_on_tree refuses any other.
+    the tree is the one the fold builds without a maker.  The tree keeps
+    the maker, and game_on_tree plays no other sentence on its lost node.
     """
-    return functools.partial(_collapse_test, phi=phi)
+    return _CollapseMaker(phi)
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:

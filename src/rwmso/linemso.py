@@ -98,7 +98,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     budget = problem.budget
     set_vars = problem.set_vars
     forest = RCForest()
-    verdicts = Verdicts(forest, problem.phi, set_vars, budget)
+    verdicts = Verdicts(forest, problem.phi, set_vars)
     if stats is None:
         stats = DPStats()
 

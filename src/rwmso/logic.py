@@ -345,16 +345,6 @@ def _operand(sub: Formula, bare: tuple[type, ...]) -> str:
     return text if isinstance(sub, bare) else f"({text})"
 
 
-def quantifier_rank(phi: Formula) -> int:
-    if is_atomic(phi):
-        return 0
-    if isinstance(phi, Not):
-        return quantifier_rank(phi.sub)
-    if isinstance(phi, (And, Or)):
-        return max(quantifier_rank(phi.left), quantifier_rank(phi.right))
-    return quantifier_rank(phi.sub) + 1
-
-
 def move_budget(phi: Formula, objects: int = 0, sets: int = 0) -> tuple[int, ...]:
     """The moves the game on phi can take, as caps[p] = the most point
     moves after p set moves (see chartree.as_budget).
@@ -381,6 +371,11 @@ def move_budget(phi: Formula, objects: int = 0, sets: int = 0) -> tuple[int, ...
         elif isinstance(psi, Not):
             stack.append((psi.sub, m, p))
     return tuple(most.get(p, 0) for p in range(max(most) + 1))
+
+
+def quantifier_rank(phi: Formula) -> int:
+    """The most quantifiers on a branch of phi: its move budget's depth."""
+    return max(m + p for p, m in enumerate(move_budget(phi)))
 
 
 def free_variables(phi: Formula) -> VariableList:

@@ -106,9 +106,6 @@ class Relabeling:
     def t(self) -> int:
         return len(self.rows)
 
-    def apply(self, label_row: int) -> int:
-        return gf2.vec_times_matrix(label_row, self.rows)
-
     @staticmethod
     def identity(t: int) -> "Relabeling":
         return Relabeling(gf2.identity(t))

@@ -7,7 +7,8 @@ subset enumeration, the LinEMSO dynamic program without state
 pruning, and the parse-tree text read one token at a time.
 
 The last section holds helpers that came from the library: the
-negation normal form (to_nnf, is_nnf), relabel, partial isomorphism,
+negation normal form (to_nnf, is_nnf), the quantifier rank by structural
+recursion (reference_quantifier_rank), relabel, partial isomorphism,
 label subspaces (generated_subspace, subspaces_orthogonal, dot),
 decomposition_width, the counting bound of criterion 7 (exp_tower,
 tower_at_least, SizeBound, size_bound) and catalog().  They live here
@@ -461,6 +462,18 @@ def reference_parse_tree_from_text(text: str) -> ParseTree:
 
 # --- helpers moved from the library: only tests call them ---------------
 
+def reference_quantifier_rank(phi: Formula) -> int:
+    """The quantifier rank by its definition: 0 at an atom, the max over
+    the operands of a connective, one more than the body at a quantifier."""
+    if is_atomic(phi):
+        return 0
+    if isinstance(phi, Not):
+        return reference_quantifier_rank(phi.sub)
+    if isinstance(phi, (And, Or)):
+        return max(reference_quantifier_rank(phi.left), reference_quantifier_rank(phi.right))
+    return reference_quantifier_rank(phi.sub) + 1
+
+
 def to_nnf(phi: Formula) -> Formula:
     """Push negations to the atoms; preserves quantifier rank.
 
@@ -507,7 +520,8 @@ def is_nnf(phi: Formula) -> bool:
 def relabel(g: Structure, f: Relabeling) -> Structure:
     """Apply the relabeling to every label row; edges are untouched."""
     _check_width(g.t, f.t)
-    return Structure(g.n, g.t, g.adj, tuple(f.apply(lab) for lab in g.labels))
+    return Structure(g.n, g.t, g.adj, tuple(gf2.vec_times_matrix(lab, f.rows)
+                                           for lab in g.labels))
 
 
 def is_partial_isomorphism(a: Structure, b: Structure,

@@ -12,7 +12,7 @@ from rwmso import (CATALOG, FAMILIES, build_structure, char_tree_from_parse_tree
 from rwmso import chartree
 from rwmso.chartree import RCForest, RCTree, as_budget, reduced_char_tree_direct
 from rwmso.errors import DepthBudgetError, RwmsoError
-from rwmso.games import _compile
+from rwmso.games import _compile, check_collapse
 from rwmso.logic import move_budget
 
 from common import (catalog, cross_misses, random_sentence, small_parse_trees,
@@ -57,13 +57,11 @@ def test_a_depth_is_its_staircase():
 
 def _visited_levels(phi, objects=0, sets=0):
     """caps[p] = the largest m of a level (m, p) of phi's compiled game,
-    0 below sets: the levels the compile records for its positions,
-    compiled against a staircase deep enough for every move."""
+    0 below sets: the levels the compile records for its positions."""
     fv = free_variables(phi)
     x_vars = tuple(f"_x{i}" for i in range(objects - len(fv.objects))) + fv.objects
     X_vars = tuple(f"_X{i}" for i in range(sets - len(fv.sets))) + fv.sets
-    _, levels, _ = _compile(phi, True, x_vars, X_vars,
-                            as_budget(quantifier_rank(phi) + objects + sets), [])
+    _, levels, _ = _compile(phi, True, x_vars, X_vars, [])
     most = {}
     for m, p in levels:
         most[p] = max(m, most.get(p, m))
@@ -206,6 +204,22 @@ def test_game_rejects_a_move_kind_the_tree_was_not_built_for():
     deep = to_nnf(parse_formula("Ex a. Ex b. Ex c. Ex d. adj(a,d)", 2))
     with pytest.raises(DepthBudgetError, match="point move"):
         game_on_tree(rc, deep)
+
+
+def test_one_sentence_keeps_one_game_record_across_budgets():
+    # the game record is keyed by the sentence and its listed variables,
+    # not by a budget: a plain and a collapsing fold for two-colorable's
+    # budget and a full depth-3 fold in one forest all play one record
+    tree = family_tree("path", 6, t=2)
+    phi = dict(catalog(t=2))["two-colorable"]
+    want = evaluate(generate_graph(tree), phi)
+    forest = RCForest()
+    trees = [char_tree_from_parse_tree(tree, move_budget(phi), forest),
+             char_tree_from_parse_tree(tree, 3, forest),
+             char_tree_from_parse_tree(tree, move_budget(phi), forest, check_collapse(phi))]
+    for rc in trees:
+        assert game_on_tree(rc, phi) == want, rc.budget
+    assert list(forest.game_memo) == [(phi, (), ())]
 
 
 def test_quantifiers_over_an_empty_universe_are_vacuous():

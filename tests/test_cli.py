@@ -1,11 +1,15 @@
 import json
+import random
 
 import pytest
 
-from rwmso import format_graph, format_parse_tree, family_tree, generate_graph
+from rwmso import (LinEMSOProblem, format_graph, format_parse_tree, family_tree,
+                   free_variables, generate_graph, parse_formula, pretty_print)
 from rwmso import chartree, cli
 from rwmso.chartree import RCForest, char_tree_from_parse_tree
 from rwmso.cli import main
+
+from common import random_formula
 
 
 @pytest.fixture
@@ -244,6 +248,30 @@ def test_optimize_two_set_variables(tmp_path, capsys):
     assert x | y == set(range(64)) and not x & y
     for u in range(63):
         assert (u in x) != (u + 1 in x)
+
+
+def test_optimize_reports_the_depth_of_its_move_budget(tmp_path, capsys):
+    # q, the rank plus the l preloaded sets, is the depth of the budget
+    # the trees are built for: on the three optimize problems and on
+    # seeded random formulas over one or two free sets
+    path = tmp_path / "path3.pt"
+    path.write_text(format_parse_tree(family_tree("path", 3, 2)))
+    formulas = [parse_formula(text, 2) for text in (
+        "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", "Ax x. Ax y. (!adj(x,y) | X(x) | X(y))",
+        "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))")]
+    rng = random.Random(7)
+    while len(formulas) < 40:
+        phi = random_formula(rng, rng.randint(1, 3), [], ["X", "Y"][:rng.randint(1, 2)])
+        if free_variables(phi).sets:
+            formulas.append(phi)
+    for phi in formulas:
+        problem = LinEMSOProblem(phi, (1,) * len(free_variables(phi).sets), "max")
+        weights = ",".join(map(str, problem.weights))
+        assert main(["optimize", "--parse-tree", str(path), "--formula", pretty_print(phi),
+                     "--weights", weights, "--json"]) in (0, 1)
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report["moveBudget"] == list(problem.budget), str(phi)
+        assert report["q"] == max(m + p for p, m in enumerate(problem.budget)), str(phi)
 
 
 def test_optimize_bad_weights(p4_file, capsys):

@@ -142,11 +142,12 @@ def test_the_lost_node_below_point_moves_stays_off_the_game():
 
 
 def test_a_collapsed_tree_plays_its_own_sentence_at_the_fold_budget():
-    # two-colorable is false on cycle 9.  The fold hands the maker its own
-    # caps, so a tree folded for more than phi's budget collapses for that
-    # budget and still answers False.  Only phi's game has the lost node
-    # seeded: another sentence, phi with its set renamed included, would
-    # read the lost node's placeholder label, so the game refuses it
+    # two-colorable is false on cycle 9.  The fold hands the maker its
+    # forest alone, and phi's verdicts hold at any budget, so a tree folded
+    # for more than phi's budget still collapses and answers False.  The
+    # tree keeps its fold's maker: another sentence, phi with its set
+    # renamed included, would read the lost node's placeholder label, so
+    # the game refuses it
     phi = parse_formula(TWO_COLORABLE, 2)
     tree = family_tree("cycle", 9, 2)
     g = generate_graph(tree)
@@ -162,6 +163,23 @@ def test_a_collapsed_tree_plays_its_own_sentence_at_the_fold_budget():
             assert not evaluate(g, psi)
             with pytest.raises(RwmsoError, match="lost node"):
                 game_on_tree(rc, psi)
+
+
+def test_a_tree_refuses_another_sentence_that_shares_its_lost_node():
+    # both sentences collapse in one forest and so seed its one lost node
+    # in both their games; the tree folded for two-colorable (false on
+    # cycle 9) must still refuse the other sentence, which holds (S = {})
+    forest = RCForest()
+    tree = family_tree("cycle", 9, 2)
+    phi = parse_formula(TWO_COLORABLE, 2)
+    psi = parse_formula("EX S. Ax x. Ax y. (!adj(x,y) | !S(x) | !S(y))", 2)
+    assert evaluate(generate_graph(tree), psi)
+    rc = _collapsed(tree, phi, forest)
+    assert forest.lost in forest.reachable(rc.root)
+    other = _collapsed(tree, psi, forest)
+    assert game_on_tree(other, psi) and not game_on_tree(rc, phi)
+    with pytest.raises(RwmsoError, match="lost node"):
+        game_on_tree(rc, psi)
 
 
 def test_collapsed_rc_dump_is_byte_identical():

@@ -254,7 +254,7 @@ def test_root_games_share_one_memo(monkeypatch):
     for name, text, direction in (("mis", INDEP, "max"), ("mds", DOMIN, "min")):
         problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
         table = []
-        games._compile(problem.phi, True, (), problem.set_vars, problem.budget, table)
+        games._compile(problem.phi, True, (), problem.set_vars, table)
         evaluations = []
         for size in (64, 70):
             stats.evaluations = 0
@@ -274,10 +274,10 @@ def test_phi_is_compiled_once_per_solve(monkeypatch):
     compile_ = games._compile
     compiles = []
 
-    def counting(psi, positive, objs, sets, caps, table):
+    def counting(psi, positive, objs, sets, table):
         if not table:
             compiles.append(psi)
-        return compile_(psi, positive, objs, sets, caps, table)
+        return compile_(psi, positive, objs, sets, table)
 
     monkeypatch.setattr(games, "_compile", counting)
     for text, direction in ((INDEP, "max"), (VCOVER, "min"), (DOMIN, "min")):

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from rwmso import (FormulaSyntaxError, evaluate, family_tree, free_variables,
-                   model_check, parse_formula, pretty_print, quantifier_rank)
+from rwmso import (Assignment, FormulaSyntaxError, evaluate, family_tree,
+                   free_variables, model_check, parse_formula, pretty_print,
+                   quantifier_rank)
 from rwmso.games import CATALOG
 from rwmso.logic import (MAX_NESTING, Adj, And, Equal, ExistsObj,
-                         ForallObj, ForallSet, In, Label, Not, Or, SetEqual)
+                         ForallObj, ForallSet, In, Label, Not, Or, SetEqual,
+                         move_budget)
 
-from common import all_structures, catalog, is_nnf, random_formula, to_nnf
+from common import (all_structures, catalog, is_nnf, random_formula,
+                    random_sentence, reference_quantifier_rank, to_nnf)
 
 
 def test_parse_basic():
@@ -86,6 +89,40 @@ def test_quantifier_rank():
     assert quantifier_rank(both) == 2
     for entry in CATALOG:
         assert quantifier_rank(parse_formula(entry.text, 2)) == entry.qr
+
+
+def test_quantifier_rank_is_the_move_budget_depth():
+    # seeded fuzz against the recursive definition, on formulas with free
+    # object and set variables and on sentences; the budget of a game
+    # started at (objects, sets) is that much deeper
+    rng = random.Random(24)
+    for i in range(3000):
+        if i % 3:
+            objs = [f"y{k}" for k in range(rng.randint(0, 2))]
+            sets = [f"X{k}" for k in range(rng.randint(0, 2))]
+            phi = random_formula(rng, rng.randint(0, 5), objs, sets)
+        else:
+            phi = random_sentence(rng)
+        qr = reference_quantifier_rank(phi)
+        assert quantifier_rank(phi) == qr, str(phi)
+        fv = free_variables(phi)
+        caps = move_budget(phi, len(fv.objects), len(fv.sets))
+        assert max(m + p for p, m in enumerate(caps)) == qr + len(fv.objects) + len(fv.sets)
+
+
+def test_the_set_equality_rewrite_agrees_with_set_equality():
+    # the rewrite of S = T by membership atoms, which the tree game can
+    # play: equal on every structure with n <= 3 and every pair of sets
+    rewrite = parse_formula("Ax z. ((S(z) & T(z)) | (!S(z) & !T(z)))")
+    equal = parse_formula("S = T")
+    assert free_variables(rewrite).sets == ("S", "T")
+    for n in range(4):
+        subsets = [frozenset(v for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+        for g in all_structures(n):
+            for s in subsets:
+                for t in subsets:
+                    alpha = Assignment(sets={"S": s, "T": t})
+                    assert evaluate(g, rewrite, alpha) == evaluate(g, equal, alpha) == (s == t)
 
 
 def test_to_nnf_examples():

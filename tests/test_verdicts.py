@@ -72,7 +72,7 @@ PROBLEMS = {
 
 def _verdicts(forest, phi):
     sets = free_variables(phi).sets
-    return Verdicts(forest, phi, sets, move_budget(phi, sets=len(sets)))
+    return Verdicts(forest, phi, sets)
 
 
 def _trees(seed, count, max_leaves):
