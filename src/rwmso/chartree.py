@@ -37,7 +37,9 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
-from .structures import OrderedStructure, Structure, _as_masks, compose, ordered_induced
+from .gf2 import vec_times_matrix as vtm
+from .structures import (OrderedStructure, Structure, _as_masks, _check_width, _unchecked,
+                         compose, ordered_induced)  # compose: kept for perfbench's tracer
 
 # the most nodes one forest interns: ~1.3-2.1 KB each, ~0.7-1.1 GB at the cap
 MAX_NODES = 500_000
@@ -121,21 +123,21 @@ class RCForest:
     with ScaleGuardError, and every construction goes through it.
 
     cross_memo holds tree_cross_product's results, one dict per move
-    budget and operator, which cross_memo_for gives, from (id1, id2, d)
-    to the product's id: a fold answers its hits from it.  label_memo
-    maps (g.rows, f1.rows, f2.rows) to a dict from (label1, label2, d) to
-    the id of the product label, so rename_combine runs once per distinct
-    label product: a label product depends on neither the budget nor the
-    children.  Operators are keyed by their matrix rows, so equal
-    operators parsed from text share entries, and the inner keys are
-    ints and the indicator vector only.  A collapsing fold keys its own
-    cross_memo dicts by its collapse test too.  game_memo maps (phi,
-    x_vars, X_vars) to the game's compiled position table, its memo
-    from (node id, position) to the winner, and what games._compile
-    records: games.game_on_tree plays from it and games.Verdicts reads it,
-    so all the games on one forest compile phi once and share what they
-    evaluate.  The memos live here because ids mean nothing outside their
-    forest.
+    budget, operator and collapse test (cross_memo_for gives it), from
+    (id1, id2, d) to the product's id: a fold answers its hits from it.
+    collapse_tests keeps the one test each collapse maker made here, so
+    refolds of a sentence share them.  label_memo maps (g.rows, f1.rows,
+    f2.rows) to a dict from (label1, label2, d) to the id of the product
+    label, so rename_combine runs once per distinct label product: a label
+    product depends on neither the budget nor the children.  Operators are
+    keyed by their matrix rows, so equal operators parsed from text share
+    entries, and the inner keys are ints and the indicator vector only.
+    game_memo maps (phi, x_vars, X_vars) to the game's compiled position
+    table, its memo from (node id, position) to the winner, and what
+    games._compile records: games.game_on_tree plays from it and
+    games.Verdicts reads it, so all the games on one forest compile phi
+    once and share what they evaluate.  The memos live here because ids
+    mean nothing outside their forest.
 
     lost_node() interns the forest's one lost node, a sink that stands
     for a lost subtree at every level: childless, under a label id of
@@ -153,6 +155,7 @@ class RCForest:
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
         self.game_memo: dict[tuple, tuple] = {}
+        self.collapse_tests: dict[Callable, Collapse | None] = {}
         self.lost: int | None = None
         self.collapsed = 0
 
@@ -287,13 +290,13 @@ def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budge
 IndicatorVector = tuple[int, ...]  # the side, 1 or 2, of each position
 
 
-def _check_indicator(d: IndicatorVector, m1: int, m2: int):
-    if not set(d) <= {1, 2}:
-        raise RwmsoError(f"bad indicator sides {sorted(set(d) - {1, 2})}")
-    counts = [d.count(1), d.count(2)]
-    if counts != [m1, m2]:
-        raise RwmsoError(
-            f"indicator covers {counts} positions, operands have {[m1, m2]}")
+def _spread(mask: int, bits: Sequence[int]) -> int:
+    out = 0  # the OR of bits[j] over the set bits j of mask
+    for bit in bits:
+        if mask & 1:
+            out |= bit
+        mask >>= 1
+    return out
 
 
 def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
@@ -302,20 +305,50 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
 
     Equals Ord(A1 (x) A2, c, C) whenever o_i = Ord(A_i, c[A_i], C n A_i)
     and d is the indicator vector of c, the side of each entry.  Each
-    label holds only the elements its side's part of c reaches, in
-    order, so composing the two labels and inducing on c, read off d,
-    gives the same result as composing the whole factors.  The fold
-    runs it once per distinct label product.
+    label holds just the classes its side's part of c reaches, numbered
+    by first occurrence, so one pass over d merges the two numberings.
+    A side's edges are its label's, a cross edge joins labels l1, l2 with
+    l1 . g(l2) odd, labels go through f1 and f2, and traces are merged.
+    The fold runs it once per distinct label product.
     """
-    if o1.p != o2.p:
-        raise RwmsoError(f"trace counts differ: {o1.p} vs {o2.p}")
-    _check_indicator(d, o1.m, o2.m)
-    # element e < k1 is class e of side 1, e >= k1 class e - k1 of side 2
-    k1 = o1.structure.n
+    s1, s2, tr1, tr2 = o1.structure, o2.structure, o1.set_traces, o2.set_traces
     it1, it2 = iter(o1.positions), iter(o2.positions)
-    c = [next(it1) if side == 1 else k1 + next(it2) for side in d]
-    traces = [tr1 | tr2 << k1 for tr1, tr2 in zip(o1.set_traces, o2.set_traces)]
-    return ordered_induced(compose(o1.structure, o2.structure, *op), c, traces)
+    m1, m2 = len(o1.positions), len(o2.positions)
+    if len(tr1) != len(tr2):
+        raise RwmsoError(f"trace counts differ: {len(tr1)} vs {len(tr2)}")
+    if d.count(1) != m1 or d.count(2) != m2 or len(d) != m1 + m2:
+        raise RwmsoError(f"indicator {d} must name side 1 {m1} and side 2 {m2} times")
+    (g, f1, f2), t = op, s1.t
+    if not t == s2.t == len(g.rows) == len(f1.rows) == len(f2.rows):
+        _check_width(t, s2.t, g.t, f1.t, f2.t)
+    bit1, bit2, positions, labels = [], [], [], []  # biti[a]: the bit of side i's class a
+    for side in d:
+        if side == 1:
+            a = next(it1)
+            if a == len(bit1):
+                bit1.append(1 << len(labels))
+                labels.append(vtm(s1.labels[a], f1.rows))
+            positions.append(bit1[a].bit_length() - 1)
+        else:
+            b = next(it2)
+            if b == len(bit2):
+                bit2.append(1 << len(labels))
+                labels.append(vtm(s2.labels[b], f2.rows))
+            positions.append(bit2[b].bit_length() - 1)
+    adj, cross2 = [0] * len(labels), [0] * len(bit2)  # cross2[b]: class b's cross edges
+    glab2 = [vtm(lab, g.rows) for lab in s2.labels]
+    for bit, lab, mask in zip(bit1, s1.labels, s1.adj):
+        row = _spread(mask, bit1)
+        for b, bit_b in enumerate(bit2):
+            if (lab & glab2[b]).bit_count() & 1:
+                row |= bit_b
+                cross2[b] |= bit
+        adj[bit.bit_length() - 1] = row
+    for bit, row, mask in zip(bit2, cross2, s2.adj):
+        adj[bit.bit_length() - 1] = row | _spread(mask, bit2)
+    traces = tuple([_spread(x, bit1) | _spread(y, bit2) for x, y in zip(tr1, tr2)])
+    return OrderedStructure(_unchecked(len(labels), t, tuple(adj), tuple(labels)),
+                            tuple(positions), traces)
 
 
 def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budget,
@@ -419,14 +452,17 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     for the move budget (a depth q means every m + p <= q), in time
     linear in the parse tree for a fixed budget and t.  collapse, if
     given, makes the fold's collapse test from the forest (None for no
-    test); model checking passes games.check_collapse(phi), and the tree
-    then has the lost node in place of what phi has lost.
+    test), once per forest and equal makers; model checking passes
+    games.check_collapse(phi), and the tree then has the lost node in
+    place of what phi has lost.
     """
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
     leaf = reduced_char_tree_direct(forest, leaf_vertex(tree.t), caps)
-    test = None if collapse is None else collapse(forest)
+    if collapse is not None and collapse not in forest.collapse_tests:
+        forest.collapse_tests[collapse] = collapse(forest)
+    test = forest.collapse_tests.get(collapse)
 
     def combine_for(op: CompositionOp):
         get = forest.cross_memo_for(caps, op, test).get

@@ -6,13 +6,15 @@ full move tree, the game played on that unmerged tree, optima by
 subset enumeration, the LinEMSO dynamic program without state
 pruning, and the parse-tree text read one token at a time.
 
-The last section holds helpers that came from the library: the
-negation normal form (to_nnf, is_nnf), the quantifier rank by structural
-recursion (reference_quantifier_rank), relabel, partial isomorphism,
-label subspaces (generated_subspace, subspaces_orthogonal, dot),
-decomposition_width, the counting bound of criterion 7 (exp_tower,
-tower_at_least, SizeBound, size_bound) and catalog().  They live here
-because only tests call them; the package keeps what its commands use.
+The last section holds helpers that came from the library: the negation
+normal form (to_nnf, is_nnf), the quantifier rank by structural
+recursion (reference_quantifier_rank), the label product by composing
+the two labels and inducing on the vector (reference_rename_combine),
+relabel, partial isomorphism, label subspaces (generated_subspace,
+subspaces_orthogonal, dot), decomposition_width, the counting bound of
+criterion 7 (exp_tower, tower_at_least, SizeBound, size_bound) and
+catalog().  They live here because only tests call them; the package
+keeps what its commands use.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from rwmso import (CATALOG, Assignment, BranchDecomposition, Formula,
                    LinEMSOResult, ParseTree, RCForest, RCTree, Relabeling,
-                   Structure, build_structure, cut_rank, evaluate,
+                   Structure, build_structure, compose, cut_rank, evaluate,
                    game_on_tree, ordered_induced, parse_formula,
                    tree_cross_product)
 from rwmso import gf2
@@ -472,6 +474,17 @@ def reference_quantifier_rank(phi: Formula) -> int:
     if isinstance(phi, (And, Or)):
         return max(reference_quantifier_rank(phi.left), reference_quantifier_rank(phi.right))
     return reference_quantifier_rank(phi.sub) + 1
+
+
+def reference_rename_combine(o1, o2, d, op):
+    """chartree.rename_combine by composing the two labels with compose,
+    then inducing on the vector c that d reads off the labels' positions,
+    with the traces placed side by side."""
+    k1 = o1.structure.n
+    it1, it2 = iter(o1.positions), iter(o2.positions)
+    c = [next(it1) if side == 1 else k1 + next(it2) for side in d]
+    traces = [tr1 | tr2 << k1 for tr1, tr2 in zip(o1.set_traces, o2.set_traces)]
+    return ordered_induced(compose(o1.structure, o2.structure, *op), c, traces)
 
 
 def to_nnf(phi: Formula) -> Formula:

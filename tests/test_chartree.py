@@ -4,24 +4,32 @@ import random
 
 import pytest
 
-from rwmso import (ParseTree, Relabeling, Structure, build_structure,
-                   char_tree_from_parse_tree, compose, family_tree,
-                   generate_graph, ordered_induced, rename_combine,
-                   tree_cross_product)
+from rwmso import (LinEMSOProblem, ParseTree, Relabeling, Structure, build_structure,
+                   char_tree_from_parse_tree, chartree, compose, family_tree,
+                   generate_graph, linemso, ordered_induced, parse_formula,
+                   rename_combine, solve_linemso, tree_cross_product)
 from rwmso.chartree import (RCForest, RCTree, in_budget, rc_dump,
                             reduced_char_tree_direct)
 from rwmso.errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
                           WidthMismatchError)
+from rwmso.games import check_collapse
 from rwmso.logic import move_budget
 from rwmso.parsetree import leaf_vertex
 
 from common import (all_structures, catalog, cross_misses, down_closure, exp_tower,
                     full_char_tree, full_tree_size, indicator_vector, merge_full_tree,
-                    permuted, random_relabeling, random_structure, size_bound,
-                    small_parse_trees, tower_at_least, unfold_rc)
+                    permuted, random_relabeling, random_structure,
+                    reference_rename_combine, size_bound, small_parse_trees,
+                    tower_at_least, unfold_rc)
 
 IDENT = Relabeling.identity(1)
 VERTEX = leaf_vertex(1)
+# the sentences of perfbench's check-deep workload, and the optimize
+# problems (max independent set, min vertex cover, min dominating set)
+CHECK_DEEP = ("two-colorable", "independent-set-meets-all-edges", "has-triangle")
+OPTIMIZE = (("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", "max"),
+            ("Ax x. Ax y. (!adj(x,y) | X(x) | X(y))", "min"),
+            ("Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))", "min"))
 
 
 # --- full characteristic trees -------------------------------------------
@@ -199,14 +207,15 @@ def _split_vector(rng, n1, n2, m):
 
 
 def test_rename_combine_matches_composition():
-    # rename_combine composes only the two labels; composing the whole
-    # factors, then inducing on c, must give the same ordered structure.
-    # c mixes both sides or takes one side only, and either side may be
+    # rename_combine merges the two labels, and reference_rename_combine
+    # composes them and induces on c; composing the whole factors, then
+    # inducing on c, must give the same ordered structure as both.  c
+    # mixes both sides or takes one side only, and either side may be
     # empty.
     rng = random.Random(23)
     for mode in ("interleaved", "left", "right"):
-        for _ in range(200):
-            t = rng.choice((1, 2, 3))
+        for _ in range(300):
+            t = rng.randint(1, 4)
             n1, n2 = rng.randint(0, 3), rng.randint(0, 3)
             if mode == "left":
                 n1 = max(n1, 1)
@@ -214,7 +223,7 @@ def test_rename_combine_matches_composition():
                 n2 = max(n2, 1)
             g1, g2 = random_structure(rng, n1, t), random_structure(rng, n2, t)
             op = tuple(random_relabeling(rng, t) for _ in range(3))
-            m = rng.randint(0, 4) if n1 or n2 else 0
+            m = rng.randint(0, 5) if n1 or n2 else 0
             if mode == "left":
                 c1 = [rng.randrange(n1) for _ in range(m)]
                 c, c2, d = list(c1), [], (1,) * m
@@ -224,13 +233,14 @@ def test_rename_combine_matches_composition():
             else:
                 c, c1, c2, d = _split_vector(rng, n1, n2, m)
             sets = [frozenset(v for v in range(n1 + n2) if rng.random() < 0.5)
-                    for _ in range(rng.randint(0, 2))]
+                    for _ in range(rng.randint(0, 3))]
             o1 = ordered_induced(g1, c1, [{e for e in s if e < n1} for s in sets])
             o2 = ordered_induced(g2, c2, [{e - n1 for e in s if e >= n1} for s in sets])
             h = compose(g1, g2, *op)
             slow = ordered_induced(h, c, sets)
             fast = rename_combine(o1, o2, d, op)
             assert fast == slow, (mode, t, n1, n2, d)
+            assert reference_rename_combine(o1, o2, d, op) == slow, (mode, t, n1, n2, d)
             # the library builds these without validation; the validating
             # constructor must accept every one of them
             for struct in (h, o1.structure, o2.structure, slow.structure,
@@ -269,13 +279,20 @@ def test_rename_combine_validation():
     with pytest.raises(RwmsoError):
         rename_combine(o1, o2, (1,), op)  # trace counts differ
     o2 = ordered_induced(VERTEX, [], [set()])
-    with pytest.raises(RwmsoError):
-        rename_combine(o1, o2, (3,), op)  # bad indicator side
-    with pytest.raises(RwmsoError):
+    for d in ((3,), (0,), (1, 3), (0, 1)):
+        with pytest.raises(RwmsoError, match="indicator"):
+            rename_combine(o1, o2, d, op)  # bad indicator side
+    with pytest.raises(RwmsoError, match="indicator"):
         rename_combine(o1, o2, (1, 1), op)  # wrong count on side 1
+    with pytest.raises(RwmsoError, match="indicator"):
+        rename_combine(o1, o2, (1, 2), op)  # wrong count on side 2
     wide = ordered_induced(Structure(1, 2, (0,), (1,)), [], [set()])
     with pytest.raises(WidthMismatchError):
         rename_combine(o1, wide, (1,), op)  # label widths differ
+    two = Relabeling.identity(2)
+    for i in range(3):  # a width mismatch in g, f1 or f2
+        with pytest.raises(WidthMismatchError):
+            rename_combine(o1, o2, (1,), op[:i] + (two,) + op[i + 1:])
 
 
 # --- tree cross product ---------------------------------------------------
@@ -361,21 +378,65 @@ def test_cross_products_are_memoized_in_the_forest():
     assert cross_misses(forest) == misses > 0
 
 
-def test_label_memo_entries_are_rename_combine():
-    # every stored label product is rename_combine of the stored labels
-    # under the operator its memo is keyed by
-    forest = RCForest()
+def test_label_memo_entries_are_rename_combine(monkeypatch):
+    # every stored label product is the reference product (compose, then
+    # induce) of the stored labels under the operator its memo is keyed
+    # by: on small parse trees at several budgets, on the collapsing folds
+    # of check-deep's three sentences, and on the forests of the three
+    # optimize problems, on path 40 and cycle 8
+    forests = []
+
+    class TrackedForest(RCForest):
+        def __init__(self):
+            super().__init__()
+            forests.append(self)
+
+    forest = TrackedForest()
     for budget in (2, (3,), (2, 2)):
         for tree in small_parse_trees():
             char_tree_from_parse_tree(tree, budget, forest)
-    assert forest.label_memo
-    for (g, f1, f2), memo in forest.label_memo.items():
-        op = (Relabeling(g), Relabeling(f1), Relabeling(f2))
-        for (l1, l2, d), lid in memo.items():
-            assert forest.label(lid) == rename_combine(forest.label(l1),
-                                                       forest.label(l2), d, op)
-    labels = [forest.label(lid) for lid in range(forest.num_labels())]
-    assert len(set(labels)) == len(labels)
+    monkeypatch.setattr(linemso, "RCForest", TrackedForest)
+    sentences = dict(catalog(t=2))
+    for tree in (family_tree("path", 40, t=2), family_tree("cycle", 8, t=2)):
+        for name in CHECK_DEEP:
+            phi = sentences[name]
+            char_tree_from_parse_tree(tree, move_budget(phi), forest, check_collapse(phi))
+        for text, direction in OPTIMIZE:
+            solve_linemso(tree, LinEMSOProblem(parse_formula(text, 2), (1,), direction))
+    assert len(forests) == 7
+    for forest in forests:
+        assert forest.label_memo
+        for (g, f1, f2), memo in forest.label_memo.items():
+            op = (Relabeling(g), Relabeling(f1), Relabeling(f2))
+            for (l1, l2, d), lid in memo.items():
+                assert forest.label(lid) == reference_rename_combine(
+                    forest.label(l1), forest.label(l2), d, op)
+        labels = [forest.label(lid) for lid in range(forest.num_labels())]
+        assert len(set(labels)) == len(labels)
+
+
+def test_misses_build_labels_without_composing(monkeypatch):
+    # deterministic gate: a fold's label products merge the two labels,
+    # so on check-deep's three sentences the fold calls compose never and
+    # ordered_induced only for its leaf tree, as a fold of one leaf does
+    calls = {"compose": 0, "ordered_induced": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(chartree, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(chartree, name, counting)
+    sentences = dict(catalog(t=2))
+    for name in CHECK_DEEP:
+        phi = sentences[name]
+        counts = []
+        for tree in (ParseTree(2, (), (-1,)), family_tree("path", 64, t=2)):
+            calls.update(compose=0, ordered_induced=0)
+            forest = RCForest()
+            char_tree_from_parse_tree(tree, move_budget(phi), forest, check_collapse(phi))
+            counts.append(dict(calls))
+        assert forest.label_memo, name
+        assert counts[1] == counts[0], (name, counts)
+        assert counts[0]["compose"] == 0 < counts[0]["ordered_induced"], (name, counts)
 
 
 def test_intern_keys_on_label_values():

@@ -14,6 +14,7 @@ import pytest
 
 from rwmso import (FAMILIES, evaluate, family_tree, game_on_tree, generate_graph,
                    model_check, parse_formula, quantifier_rank)
+from rwmso import chartree
 from rwmso.chartree import RCForest, char_tree_from_parse_tree, rc_dump
 from rwmso.errors import RwmsoError
 from rwmso.games import CATALOG, check_collapse
@@ -88,6 +89,29 @@ def test_collapsed_node_count_is_flat_in_n():
         assert rc.forest.collapsed > 0
         counts.append(len(rc.forest))
     assert counts == [102, 102], counts
+
+
+def test_refolds_of_one_sentence_share_the_forest_memos(monkeypatch):
+    # the forest makes one collapse test per maker, and makers are equal
+    # for equal sentences, so refolds of two-colorable into one forest
+    # reuse the first fold's cross-product memo (its three operators' dicts)
+    # and make no miss
+    misses = []
+    tcp = chartree.tree_cross_product
+
+    def counting(*args):
+        misses[-1] += 1
+        return tcp(*args)
+
+    monkeypatch.setattr(chartree, "tree_cross_product", counting)
+    phi = parse_formula(TWO_COLORABLE, 2)
+    tree = family_tree("cycle", 64, 2)
+    forest = RCForest()
+    for _ in range(3):
+        misses.append(0)
+        assert game_on_tree(_collapsed(tree, phi, forest), phi)  # an even cycle
+    assert misses == [10, 0, 0]
+    assert len(forest.cross_memo) == 3 and len(forest.collapse_tests) == 1
 
 
 def test_frozen_vertices_collapse_label1_dominates():
