@@ -132,12 +132,13 @@ class RCForest:
     product depends on neither the budget nor the children.  Operators are
     keyed by their matrix rows, so equal operators parsed from text share
     entries, and the inner keys are ints and the indicator vector only.
-    game_memo maps (phi, x_vars, X_vars) to the game's compiled position
-    table, its memo from (node id, position) to the winner, and what
-    games._compile records: games.game_on_tree plays from it and
-    games.Verdicts reads it, so all the games on one forest compile phi
-    once and share what they evaluate.  The memos live here because ids
-    mean nothing outside their forest.
+    game_memo maps (phi, x_vars, X_vars) to the game's compiled record
+    (games._game): the position table, what games._compile records and
+    the memo from (node id, position) to the winner, TOP or BOTTOM.
+    games.game_on_tree plays from it and games.Verdicts reads its table,
+    so all the games on one forest compile phi once and share what they
+    evaluate.  The memos live here because ids mean nothing outside
+    their forest.
 
     lost_node() interns the forest's one lost node, a sink that stands
     for a lost subtree at every level: childless, under a label id of
@@ -154,7 +155,7 @@ class RCForest:
         self._nodes: list[RCNode] = []
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
-        self.game_memo: dict[tuple, tuple] = {}
+        self.game_memo: dict[tuple, object] = {}
         self.collapse_tests: dict[Callable, Collapse | None] = {}
         self.lost: int | None = None
         self.collapsed = 0

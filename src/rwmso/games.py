@@ -12,10 +12,11 @@ each set variable to its binder's trace.  Set-set equality atoms are
 supported by the direct evaluator only; a tree node keeps just the
 trace of each chosen set, which cannot decide equality of the full
 sets, so the tree game refuses a formula containing one.
-Verdicts reads the game's compiled table for three-valued verdicts that
-no composition context can change; LinEMSO prunes its states by them,
-and model checking collapses the subtrees a set-first sentence has
-lost (check_collapse).
+Verdicts reads the compiled table for three-valued verdicts that no
+composition context can change; LinEMSO prunes its states by them, and
+model checking collapses the subtrees a set-first sentence has lost
+(check_collapse).  The game is the Verdicts whose verdicts are final,
+as nothing is composed into the whole graph: they are its winners.
 """
 
 from __future__ import annotations
@@ -212,21 +213,15 @@ def _atom_test(psi: Formula, objs: tuple[str, ...], sets: tuple[str, ...]):
     raise RwmsoError(f"unknown formula node {psi!r}")
 
 
-def _game(forest, phi: Formula, x_vars: tuple[str, ...],
-          X_vars: tuple[str, ...]) -> tuple[list[tuple], dict[int, bool], dict, list, list]:
-    """The forest's compiled game for phi: its position table, its memo
-    from nid * len(table) + position to the winner, and its atoms, levels
-    and fail flags (see _compile).
-
-    All are kept in forest.game_memo, keyed by (phi, x_vars, X_vars), so
-    every game on one forest, at any budget, compiles phi once and shares
-    one memo; nodes are immutable, so an entry never goes stale.
-    """
+def _game(forest, phi: Formula, x_vars: tuple[str, ...], X_vars: tuple[str, ...]) -> _Game:
+    """The forest's compiled game for phi, kept in forest.game_memo keyed
+    by (phi, x_vars, X_vars), so every game on one forest, at any budget,
+    compiles phi once and shares one memo; nodes are immutable, so an
+    entry never goes stale."""
     key = (phi, x_vars, X_vars)
     game = forest.game_memo.get(key)
     if game is None:
-        table: list[tuple] = []
-        game = forest.game_memo[key] = (table, {}, *_compile(phi, True, x_vars, X_vars, table))
+        game = forest.game_memo[key] = _Game(forest, phi, x_vars, X_vars)
     return game
 
 
@@ -240,13 +235,14 @@ def game_on_tree(tree: RCTree, phi: Formula,
     extensions, set quantifiers along set extensions, connectives stay
     on the node, and atoms are decided inside the node label, each
     variable at its innermost binder's position (or trace), after the
-    listed x_vars and X_vars.  Memoized per (node, position) in the
-    forest, so games on several roots of one forest share their work;
-    stats, if given, receives the memo's growth.  Before playing, raises
-    RwmsoError for an unlisted free variable or a set-set equality
-    anywhere in phi, DepthBudgetError for a quantifier whose move the
-    tree's budget lacks, and RwmsoError for a tree holding another
-    sentence's lost node (check_collapse).
+    listed x_vars and X_vars.  The winner is the root's final verdict
+    (_Game), memoized per (node, position) in the forest, so games on
+    several roots of one forest share their work; stats, if given,
+    receives the memo's growth.  Before playing, raises RwmsoError for
+    an unlisted free variable or a set-set equality anywhere in phi,
+    DepthBudgetError for a quantifier whose move the tree's budget
+    lacks, and RwmsoError for a tree holding another sentence's lost
+    node (check_collapse).
     """
     if not isinstance(tree, RCTree):
         raise RwmsoError(f"the game needs an RCTree, got {type(tree).__name__}")
@@ -254,15 +250,14 @@ def game_on_tree(tree: RCTree, phi: Formula,
         raise RwmsoError("duplicate variable names")
 
     forest = tree.forest
-    nodes = forest.nodes
-    root = nodes[tree.root]
+    root = forest.nodes[tree.root]
     if root.m != len(x_vars) or root.p != len(X_vars):
         raise RwmsoError(
             f"tree was built for m={root.m}, p={root.p}; "
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
-    table, memo, _, levels, _ = _game(forest, phi, tuple(x_vars), tuple(X_vars))
+    game = _game(forest, phi, tuple(x_vars), tuple(X_vars))
     caps = tree.budget
-    for (kind, _, point), (m, p) in zip(table, levels):  # a quantifier moves from (m, p)
+    for (kind, _, point), (m, p) in zip(game.table, game.levels):  # a quantifier moves from (m, p)
         if kind >= _EXISTS and not in_budget(caps, m + point, p + 1 - point):
             raise DepthBudgetError(
                 f"a {'point' if point else 'set'} move to m={m + point}, p={p + 1 - point} "
@@ -272,39 +267,11 @@ def game_on_tree(tree: RCTree, phi: Formula,
     if (lost is not None and tree.collapse != check_collapse(phi)
             and lost in forest.reachable(tree.root)):
         raise RwmsoError("the tree holds another sentence's lost node: fold it for this one")
-    size = len(table)
-
-    def rec(nid: int, pos: int) -> bool:
-        mk = nid * size + pos
-        hit = memo.get(mk)
-        if hit is not None:
-            return hit
-        kind, a, b = table[pos]
-        node = nodes[nid]
-        if kind <= _ATOM:
-            out = a(node.ord) == b
-        elif kind == _AND:
-            out = rec(nid, a) and rec(nid, b)
-        elif kind == _OR:
-            out = rec(nid, a) or rec(nid, b)
-        else:
-            moves = node.point_children if b else node.set_children
-            if kind == _EXISTS:
-                out = any(rec(ch, a) for ch in moves)
-            else:
-                out = all(rec(ch, a) for ch in moves)
-        memo[mk] = out
-        return out
-
-    before = len(memo)
-    try:
-        return rec(tree.root, 0)
-    finally:
-        if stats is not None:
-            stats.evaluations += len(memo) - before
-        # rec reaches itself through its closure cell; clearing the cell
-        # frees it now instead of leaving a cycle to the garbage collector
-        del rec
+    before = len(game.memo)
+    won = game.at(tree.root) == TOP
+    if stats is not None:
+        stats.evaluations += len(game.memo) - before
+    return won
 
 
 # --- stable verdicts ------------------------------------------------------
@@ -355,9 +322,10 @@ class Verdicts:
     winner at the root unchanged.  One lost node serves every level: a
     real node's label fixes its level, and so the level of each of its
     children, so sharing it merges no two real nodes that were distinct,
-    and its own label is never read, as phi's game and verdict memos
-    seed it as lost at every position.  Every other product with a lost
-    factor is a set child of a node at a level (m, p) with m >= 1, which
+    and its own label is never read, as phi's game seeds it as lost at
+    every position, and so does every verdict view made after that.
+    Every other product with a lost factor is a set child of a node at
+    a level (m, p) with m >= 1, which
     the fold builds only when some branch of phi reaches (m, p + 1) by
     point moves (logic.move_budget), and the game of a set-first sentence
     makes no set move there: from the root it walks (0, p) nodes by set
@@ -366,17 +334,23 @@ class Verdicts:
 
     phi, with free set variables X_vars and no free object variables, is
     read as the forest's compiled game for it, so the verdicts and the root
-    games compile phi once; verdicts are memoized per (node id, position).
-    fail, recorded by that compile, says per position whether any
-    verdict of it can be BOTTOM; when fail[0] is False LinEMSO skips the
-    verdicts, which would cost it time and drop nothing.  Otherwise it
-    filters each parse node's states with alive(), one call per node.
+    games compile phi once; verdicts are memoized per (node id, position)
+    in a memo of their own.  fail, recorded by that compile, says per
+    position whether any verdict of it can be BOTTOM; when fail[0] is
+    False LinEMSO skips the verdicts, which would cost it time and drop
+    nothing.  Otherwise it filters each parse node's states with alive(),
+    one call per node.
     """
 
+    # a move's verdict when no child decides it; label atoms await relabelings
+    _exists = _forall = UNKNOWN
+    _relabeled = True
+
     def __init__(self, forest, phi: Formula, X_vars: tuple[str, ...]):
-        self.table, _, self.atoms, _, self.fail = _game(forest, phi, (), tuple(X_vars))
-        self.nodes, self.size = forest.nodes, len(self.table)
-        self.memo: dict[int, int] = {}
+        game = _game(forest, phi, (), tuple(X_vars))
+        self.table, self.atoms, self.fail = game.table, game.atoms, game.fail
+        self.nodes, self.size = game.nodes, game.size
+        self.memo: dict[int, int] = dict(game.seed)
 
     def at(self, nid: int, pos: int = 0) -> int:
         """The verdict of position pos at node nid."""
@@ -387,28 +361,31 @@ class Verdicts:
         kind, a, b = self.table[pos]
         node = self.nodes[nid]
         o = node.ord
-        if kind == _LABEL and o.structure.labels[o.positions[self.atoms[pos][1][0]]]:
+        if (kind == _LABEL and self._relabeled
+                and o.structure.labels[o.positions[self.atoms[pos][1][0]]]):
             out = UNKNOWN  # not frozen
         elif kind <= _ATOM:
             out = TOP if a(o) == b else BOTTOM
         elif kind == _AND:
             out = self.at(nid, a)
-            if out != BOTTOM:
-                out = min(out, self.at(nid, b))
+            if out != BOTTOM and (right := self.at(nid, b)) < out:
+                out = right
         elif kind == _OR:
             out = self.at(nid, a)
-            if out != TOP:
-                out = max(out, self.at(nid, b))
+            if out != TOP and (right := self.at(nid, b)) > out:
+                out = right
         else:
             at = self.at  # once for the child loops
             moves = node.point_children if b else node.set_children
-            decided = TOP if kind == _EXISTS else BOTTOM
-            out = decided if any(at(ch, a) == decided for ch in moves) else UNKNOWN
-            if (out == UNKNOWN and kind == _EXISTS and self.fail[pos]  # a point move
-                    and all(at(ch, a) == BOTTOM for ch in moves)
-                    and _outside(self.table, self.atoms, a, functools.partial(at, nid), o)
-                    == BOTTOM):
-                out = BOTTOM
+            if kind == _FORALL:
+                out = BOTTOM if any(at(ch, a) == BOTTOM for ch in moves) else self._forall
+            else:
+                out = TOP if any(at(ch, a) == TOP for ch in moves) else self._exists
+                if (out == UNKNOWN and self.fail[pos]  # a point move
+                        and all(at(ch, a) == BOTTOM for ch in moves)
+                        and _outside(self.table, self.atoms, a, functools.partial(at, nid), o)
+                        == BOTTOM):
+                    out = BOTTOM
         self.memo[key] = out
         return out
 
@@ -419,6 +396,23 @@ class Verdicts:
         get, size, at = self.memo.get, self.size, self.at
         return {nid: s for nid, s in states.items()
                 if (v := get(nid * size)) != BOTTOM and (v is not None or at(nid) != BOTTOM)}
+
+
+class _Game(Verdicts):
+    """The forest's compiled game for phi: its table, what _compile
+    records, and final verdicts, as nothing is composed into the whole
+    graph: label atoms are decided, an existential move with no TOP
+    child is BOTTOM and a universal one with no BOTTOM child is TOP, so
+    its memo holds the game's winners.  seed holds the lost node's memo
+    entries once phi's collapse test has made it; views start from it."""
+
+    _exists, _forall, _relabeled = BOTTOM, TOP, False
+
+    def __init__(self, forest, phi: Formula, x_vars: tuple, X_vars: tuple):
+        self.table: list[tuple] = []
+        self.atoms, self.levels, self.fail = _compile(phi, True, x_vars, X_vars, self.table)
+        self.nodes, self.size = forest.nodes, len(self.table)
+        self.memo, self.seed = {}, {}
 
 
 def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
@@ -453,28 +447,26 @@ def _collapse_test(forest, phi: Formula) -> Collapse | None:
     The test calls a node at level (0, p) lost when its verdict is BOTTOM
     at every position of that level, each of which can fail.  Interns
     the forest's lost node first and seeds it as lost at every position
-    in phi's game and verdict memos, so neither ever reads its
-    placeholder label.  Made here rather than at the test's first loss:
-    seeding it there would make the test reach the forest, which keys a
-    cross memo by the test, and so leave a reference cycle.
+    in phi's game, and so in the test's verdicts and every later view,
+    so none ever reads its placeholder label.  Made here rather than at
+    the test's first loss: seeding it there would make the test reach
+    the forest, which keys a cross memo by the test, and so leave a
+    reference cycle.
     """
-    table, memo, _, levels, fail = _game(forest, phi, (), ())
+    game = _game(forest, phi, (), ())
     at_level: dict[int, list[int]] = {}
-    for pos, (m, p) in enumerate(levels):
+    for pos, (m, p) in enumerate(game.levels):
         if not m:
             at_level.setdefault(p, []).append(pos)
-        elif table[pos][0] >= _EXISTS and not table[pos][2]:
+        elif game.table[pos][0] >= _EXISTS and not game.table[pos][2]:
             return None  # a set move after a point move
-    positions_at = {p: ps for p, ps in at_level.items() if all(fail[q] for q in ps)}
+    positions_at = {p: ps for p, ps in at_level.items() if all(game.fail[q] for q in ps)}
     if not positions_at:
         return None
-    verdicts = Verdicts(forest, phi, ())
-    size = len(table)
-    first = forest.lost_node() * size
-    for key in range(first, first + size):
-        memo[key] = False
-        verdicts.memo[key] = BOTTOM
-    at, nodes = verdicts.at, forest.nodes
+    first = forest.lost_node() * game.size
+    game.seed = dict.fromkeys(range(first, first + game.size), BOTTOM)
+    game.memo.update(game.seed)
+    at, nodes = Verdicts(forest, phi, ()).at, forest.nodes
 
     def lost(nid: int) -> bool:
         positions = positions_at.get(nodes[nid].p)

@@ -164,14 +164,6 @@ class OrderedStructure:
     positions: tuple[int, ...]
     set_traces: tuple[int, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.positions)
-
-    @property
-    def p(self) -> int:
-        return len(self.set_traces)
-
     def encode(self) -> str:
         s = self.structure
         adj = ",".join(format(s.adj[u], f"0{max(s.n, 1)}b")[::-1] for u in range(s.n))

@@ -405,3 +405,13 @@ def test_bench_ratio_is_the_median_of_paired_ratios(monkeypatch, capsys):
 
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_oracle_refuses_free_variables(c5_graph, capsys):
+    assert main(["oracle", "--graph", c5_graph, "--formula", "Ex x. S(x)"]) == 2
+    assert capsys.readouterr().err == "error: the oracle checks sentences only\n"
+
+
+def test_gen_without_output_writes_to_stdout(capsys):
+    assert main(["gen", "--family", "cycle", "--n", "5"]) == 0
+    assert capsys.readouterr().out == format_parse_tree(family_tree("cycle", 5))

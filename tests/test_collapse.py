@@ -17,7 +17,7 @@ from rwmso import (FAMILIES, evaluate, family_tree, game_on_tree, generate_graph
 from rwmso import chartree
 from rwmso.chartree import RCForest, char_tree_from_parse_tree, rc_dump
 from rwmso.errors import RwmsoError
-from rwmso.games import CATALOG, check_collapse
+from rwmso.games import BOTTOM, CATALOG, Verdicts, check_collapse
 from rwmso.logic import move_budget
 
 from common import catalog, random_parse_tree, random_sentence, small_parse_trees
@@ -265,6 +265,16 @@ def test_lost_nodes():
                  and not node.point_children + node.set_children]
     assert childless
     assert lost.label not in {forest.node(nid).label for nid in childless}
+
+
+def test_every_verdict_view_reads_the_lost_node_as_lost():
+    # a view made after the collapsing fold starts from the game's seed,
+    # so it never reads the lost node's placeholder label
+    phi = parse_formula(TWO_COLORABLE, 2)
+    forest = _collapsed(family_tree("cycle", 9, 2), phi).forest
+    assert forest.lost is not None
+    verdicts = Verdicts(forest, phi, ())
+    assert all(verdicts.at(forest.lost, pos) == BOTTOM for pos in range(verdicts.size))
 
 
 def test_random_sentences_with_collapses_agree_with_evaluate():

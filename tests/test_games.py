@@ -11,7 +11,7 @@ from rwmso import (Assignment, GameStats, build_structure, evaluate,
 from rwmso.chartree import (RCForest, RCTree, char_tree_from_parse_tree,
                             reduced_char_tree_direct)
 from rwmso.errors import DepthBudgetError, RwmsoError
-from rwmso.games import CATALOG
+from rwmso.games import CATALOG, check_collapse
 from rwmso.logic import Not, free_variables, move_budget
 
 from common import (all_structures, catalog, full_char_tree, full_tree_game,
@@ -293,6 +293,29 @@ def _count_positions(phi):
     return 1 + _count_positions(phi.sub)
 
 
+# (node, position) pairs one game evaluates after a collapsing fold, t=2,
+# on path n=141 and cycle n=128: an evaluator that stops short-circuiting
+# and/or or a move raises them
+COLLAPSED_EVALUATIONS = {"two-colorable": (67, 36),
+                         "independent-set-meets-all-edges": (123, 66),
+                         "has-triangle": (188, 55)}
+
+
+def test_collapsed_games_evaluate_as_few_pairs_as_before():
+    for entry in CATALOG:
+        if entry.name not in COLLAPSED_EVALUATIONS:
+            continue
+        phi = parse_formula(entry.text, 2)
+        got = []
+        for family, n in (("path", 141), ("cycle", 128)):
+            rc = char_tree_from_parse_tree(family_tree(family, n, 2), move_budget(phi),
+                                           RCForest(), check_collapse(phi))
+            stats = GameStats()
+            game_on_tree(rc, phi, stats=stats)
+            got.append(stats.evaluations)
+        assert tuple(got) == COLLAPSED_EVALUATIONS[entry.name], entry.name
+
+
 def test_an_equal_formula_built_afresh_shares_one_game_memo_entry():
     # games are keyed by phi's value: a formula parsed again finds the
     # entry the first one compiled, and a different formula adds its own
@@ -347,3 +370,25 @@ def test_finished_calls_leave_no_cycles(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_assignment_error_messages():
+    with pytest.raises(RwmsoError) as err:
+        Assignment(objects={"x": 0}, sets={"x": frozenset()})
+    assert err.type is RwmsoError and str(err.value) == "variables assigned twice: ['x']"
+    with pytest.raises(RwmsoError) as err:
+        evaluate(K2, parse_formula("Ex x. S(x)"), Assignment(sets={"S": frozenset({2})}))
+    assert err.type is RwmsoError and str(err.value) == "assignment of S outside universe"
+
+
+def test_game_on_tree_refuses_duplicate_names_and_another_root_level():
+    forest = RCForest()
+    rc = RCTree(forest, reduced_char_tree_direct(forest, K2, 2, (0,), ()), 2)
+    phi = parse_formula("adj(x, y)")
+    with pytest.raises(RwmsoError) as err:
+        game_on_tree(rc, phi, ("x", "x"), ())
+    assert err.type is RwmsoError and str(err.value) == "duplicate variable names"
+    with pytest.raises(RwmsoError) as err:
+        game_on_tree(rc, phi, ("x", "y"), ())
+    assert err.type is RwmsoError and str(err.value) == (
+        "tree was built for m=1, p=0; got 2 object and 0 set variables")

@@ -5,6 +5,7 @@ import pytest
 from rwmso import (Assignment, FormulaSyntaxError, evaluate, family_tree,
                    free_variables, model_check, parse_formula, pretty_print,
                    quantifier_rank)
+from rwmso.errors import RwmsoError
 from rwmso.games import CATALOG
 from rwmso.logic import (MAX_NESTING, Adj, And, Equal, ExistsObj,
                          ForallObj, ForallSet, In, Label, Not, Or, SetEqual,
@@ -210,3 +211,29 @@ def test_print_groups_to_the_left():
     for phi in (And(a, And(b, c)), Or(And(a, b), c), And(Or(a, b), c),
                 Or(a, Or(b, c)), Not(Or(a, b))):
         assert parse_formula(pretty_print(phi)) == phi
+
+
+# (text, message): every syntax error the parser can raise, with its offset
+SYNTAX_ERRORS = [
+    ("x # y", "unexpected character '#' at offset 2"),
+    ("Ex x x = x", "expected '.' at offset 5"),
+    ("Ex X. X = X", "expected object variable at offset 3"),
+    ("EX s. Ex x. s(x)", "expected set variable at offset 3"),
+    ("x = x x", "unexpected token 'x' at offset 6"),
+    ("Ex x.", "expected atom at offset 5"),
+    ("Ex x. )", "unexpected token ')' at offset 6"),
+]
+
+
+@pytest.mark.parametrize("text, message", SYNTAX_ERRORS)
+def test_syntax_errors_name_the_offending_token(text, message):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
+def test_trailing_whitespace_and_negative_width():
+    assert parse_formula("Ex x. x = x \n\t ") == parse_formula("Ex x. x = x")
+    with pytest.raises(RwmsoError) as err:
+        parse_formula("x = x", -1)
+    assert err.type is RwmsoError and str(err.value) == "label width must be nonnegative"

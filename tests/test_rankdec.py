@@ -116,3 +116,9 @@ def test_exact_rankwidth_conventions_and_guard():
     assert exact_rankwidth(build_structure(0, []))[0] == 0
     with pytest.raises(ScaleGuardError):
         exact_rankwidth(build_structure(9, []))
+
+
+def test_cut_rank_refuses_a_vertex_outside_the_universe():
+    with pytest.raises(RwmsoError) as err:
+        cut_rank(build_structure(2, [(0, 1)]), [0, 2])
+    assert err.type is RwmsoError and str(err.value) == "vertex 2 outside universe"

@@ -6,6 +6,7 @@ from rwmso import (Relabeling, Structure, build_structure, compose,
                    format_graph, ordered_induced, parse_graph)
 from rwmso.errors import RwmsoError, WidthMismatchError
 from rwmso.gf2 import rank
+from rwmso.parsetree import leaf_vertex
 
 from common import (dot, generated_subspace, induced, is_partial_isomorphism, mat_mul,
                     naive_rank, permuted, random_relabeling, random_structure, relabel,
@@ -343,3 +344,40 @@ def test_graph_format_malformed_numbers(text, line):
 def test_graph_format_rejects_a_repeated_edge(second):
     with pytest.raises(RwmsoError, match="^line 3: .*line 2"):
         parse_graph(f"p graph 2 2 1\ne 0 1\n{second}\n")
+
+
+def test_graph_format_skips_blank_and_comment_lines():
+    text = "c a path\n\np graph 2 1 1\n  \nc its edge\ne 0 1\n"
+    assert parse_graph(text) == build_structure(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p graph 1 0 1\np graph 1 0 1\n", "line 2: duplicate header"),
+    ("p graph 1 0\n", "line 1: expected 'p graph <n> <m> <t>'"),
+    ("p digraph 1 0 1\n", "line 1: expected 'p graph <n> <m> <t>'"),
+    ("v 0 1\np graph 1 0 1\n", "line 1: vertex line before header"),
+    ("p graph 1 0 1\nv 0\n", "line 2: expected 'v <id> <bits>'"),
+    ("p graph 1 0 1\nv 1 1\n", "line 2: vertex 1 out of range"),
+    ("p graph 2 1 1\ne 0 2\n", "line 2: edge endpoint out of range"),
+    ("p graph 1 0 1\nx 0\n", "line 2: unknown line type 'x'"),
+    ("c nothing else\n", "missing 'p graph' header"),
+])
+def test_graph_format_error_messages(text, message):
+    with pytest.raises(RwmsoError) as err:
+        parse_graph(text)
+    assert err.type is RwmsoError and str(err.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Structure(-1, 1, (), ()), "negative size"),
+    (lambda: Structure(2, 1, (0,), (0, 0)), "row count does not match universe size"),
+    (lambda: Relabeling((2,)), "relabeling row wider than t"),
+    (lambda: build_structure(2, [(1, 1)]), "loop at vertex 1"),
+    (lambda: ordered_induced(build_structure(2), (0,), [{0, 2}]),
+     "set entry outside universe"),
+    (lambda: leaf_vertex(0), "leaf vertices carry label 1; need t >= 1"),
+])
+def test_constructor_error_messages(build, message):
+    with pytest.raises(RwmsoError) as err:
+        build()
+    assert err.type is RwmsoError and str(err.value) == message

@@ -14,14 +14,16 @@ import random
 import pytest
 
 from rwmso import (Assignment, LinEMSOProblem, RCForest, evaluate, family_tree,
-                   free_variables, generate_graph, parse_formula, solve_linemso,
-                   tree_cross_product)
-from rwmso.chartree import reduced_char_tree_direct
-from rwmso.games import BOTTOM, TOP, UNKNOWN, Verdicts
+                   free_variables, game_on_tree, generate_graph, parse_formula,
+                   solve_linemso, tree_cross_product)
+from rwmso.chartree import char_tree_from_parse_tree, reduced_char_tree_direct
+from rwmso.errors import RwmsoError
+from rwmso.games import BOTTOM, CATALOG, TOP, UNKNOWN, Verdicts
 from rwmso.logic import move_budget
 from rwmso.parsetree import fold, leaf_vertex
 
-from common import brute_force_linemso, random_parse_tree, unpruned_linemso
+from common import (brute_force_linemso, random_parse_tree, small_parse_trees,
+                    unpruned_linemso)
 
 INDEP = "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))"
 DOMIN = "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))"
@@ -177,6 +179,26 @@ def test_decided_verdicts_hold_in_the_whole_graph():
                         assert evaluate(g, phi, Assignment(sets=sets)) == (verdict == TOP), \
                             (text, tree, first, k, masks)
     assert decided[TOP] > 0 and decided[BOTTOM] > 0
+
+
+def test_a_decided_root_verdict_is_the_games_winner():
+    # nothing is composed into the whole graph, so where a fresh view
+    # decides a root, the game must have the same winner
+    cases = decided = 0
+    for tree in small_parse_trees():
+        forest = RCForest()
+        for entry in CATALOG:
+            try:
+                phi = parse_formula(entry.text, 1)
+            except RwmsoError:  # a label above t
+                continue
+            rc = char_tree_from_parse_tree(tree, move_budget(phi), forest)
+            verdict = Verdicts(forest, phi, ()).at(rc.root)
+            cases += 1
+            if verdict != UNKNOWN:
+                decided += 1
+                assert (verdict == TOP) == game_on_tree(rc, phi), (entry.name, tree)
+    assert (cases, decided) == (1904, 818)
 
 
 def test_alive_keeps_what_at_keeps_in_order(monkeypatch):
