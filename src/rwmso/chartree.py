@@ -60,6 +60,9 @@ Budget = tuple[int, ...]
 # is lost; a fold makes one from its forest by its caller's maker.
 Collapse = Callable[[int], bool]
 
+# the label of every forest's lost node, known by identity: lost everywhere
+LOST = OrderedStructure(Structure(0, 0, (), ()), (), ())
+
 
 def as_budget(budget: int | Sequence[int]) -> Budget:
     """Normalise a depth q to its staircase; validate a caps sequence."""
@@ -141,9 +144,9 @@ class RCForest:
     their forest.
 
     lost_node() interns the forest's one lost node, a sink that stands
-    for a lost subtree at every level: childless, under a label id of
-    its own that label_id() never returns, so it never merges with a
-    real node.  lost is its id, or None before it is made, and collapsed
+    for a lost subtree at every level: childless, under the label LOST,
+    whose id label_id() never returns, so it never merges with a real
+    node.  lost is its id, or None before it is made, and collapsed
     counts the (0, p) products a collapsing fold replaced by it.  Not
     thread-safe: confine construction to one thread.
     """
@@ -205,12 +208,10 @@ class RCForest:
         return nid
 
     def lost_node(self) -> int:
-        """The id of the lost node, interned on first use."""
+        """The id of the lost node, interned under LOST on first use."""
         if self.lost is None:
-            # a placeholder label; nothing reads it, as games seed their
-            # memos for the lost node
             lid = len(self._labels)
-            self._labels.append(OrderedStructure(Structure(0, 0, (), ()), (), ()))
+            self._labels.append(LOST)
             self.lost = self.intern(lid, (), ())
         return self.lost
 

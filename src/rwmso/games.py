@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .chartree import Collapse, RCTree, char_tree_from_parse_tree, in_budget
+from .chartree import LOST, Collapse, RCTree, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
 from .logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                     ForallSet, Formula, In, Label, Not, Or, SetEqual,
@@ -322,8 +322,9 @@ class Verdicts:
     winner at the root unchanged.  One lost node serves every level: a
     real node's label fixes its level, and so the level of each of its
     children, so sharing it merges no two real nodes that were distinct,
-    and its own label is never read, as phi's game seeds it as lost at
-    every position, and so does every verdict view made after that.
+    and its label, chartree.LOST, is read as lost at every position by
+    every view, made before or after the node: at() returns BOTTOM for
+    it and stores nothing, so the game memo counts real nodes only.
     Every other product with a lost factor is a set child of a node at
     a level (m, p) with m >= 1, which
     the fold builds only when some branch of phi reaches (m, p + 1) by
@@ -350,7 +351,7 @@ class Verdicts:
         game = _game(forest, phi, (), tuple(X_vars))
         self.table, self.atoms, self.fail = game.table, game.atoms, game.fail
         self.nodes, self.size = game.nodes, game.size
-        self.memo: dict[int, int] = dict(game.seed)
+        self.memo: dict[int, int] = {}
 
     def at(self, nid: int, pos: int = 0) -> int:
         """The verdict of position pos at node nid."""
@@ -358,9 +359,11 @@ class Verdicts:
         out = self.memo.get(key)
         if out is not None:
             return out
-        kind, a, b = self.table[pos]
         node = self.nodes[nid]
         o = node.ord
+        if o is LOST:
+            return BOTTOM
+        kind, a, b = self.table[pos]
         if (kind == _LABEL and self._relabeled
                 and o.structure.labels[o.positions[self.atoms[pos][1][0]]]):
             out = UNKNOWN  # not frozen
@@ -403,8 +406,7 @@ class _Game(Verdicts):
     records, and final verdicts, as nothing is composed into the whole
     graph: label atoms are decided, an existential move with no TOP
     child is BOTTOM and a universal one with no BOTTOM child is TOP, so
-    its memo holds the game's winners.  seed holds the lost node's memo
-    entries once phi's collapse test has made it; views start from it."""
+    its memo holds the game's winners."""
 
     _exists, _forall, _relabeled = BOTTOM, TOP, False
 
@@ -412,7 +414,7 @@ class _Game(Verdicts):
         self.table: list[tuple] = []
         self.atoms, self.levels, self.fail = _compile(phi, True, x_vars, X_vars, self.table)
         self.nodes, self.size = forest.nodes, len(self.table)
-        self.memo, self.seed = {}, {}
+        self.memo = {}
 
 
 def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
@@ -440,47 +442,35 @@ def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
     return TOP if test == b else BOTTOM
 
 
-def _collapse_test(forest, phi: Formula) -> Collapse | None:
-    """The fold's collapse test for sentence phi on forest, or None when
-    phi is not set-first or no level of it can collapse.
-
-    The test calls a node at level (0, p) lost when its verdict is BOTTOM
-    at every position of that level, each of which can fail.  Interns
-    the forest's lost node first and seeds it as lost at every position
-    in phi's game, and so in the test's verdicts and every later view,
-    so none ever reads its placeholder label.  Made here rather than at
-    the test's first loss: seeding it there would make the test reach
-    the forest, which keys a cross memo by the test, and so leave a
-    reference cycle.
-    """
-    game = _game(forest, phi, (), ())
-    at_level: dict[int, list[int]] = {}
-    for pos, (m, p) in enumerate(game.levels):
-        if not m:
-            at_level.setdefault(p, []).append(pos)
-        elif game.table[pos][0] >= _EXISTS and not game.table[pos][2]:
-            return None  # a set move after a point move
-    positions_at = {p: ps for p, ps in at_level.items() if all(game.fail[q] for q in ps)}
-    if not positions_at:
-        return None
-    first = forest.lost_node() * game.size
-    game.seed = dict.fromkeys(range(first, first + game.size), BOTTOM)
-    game.memo.update(game.seed)
-    at, nodes = Verdicts(forest, phi, ()).at, forest.nodes
-
-    def lost(nid: int) -> bool:
-        positions = positions_at.get(nodes[nid].p)
-        return positions is not None and all(at(nid, pos) == BOTTOM for pos in positions)
-
-    return lost
-
-
 @dataclass(frozen=True)
 class _CollapseMaker:  # equal for equal sentences
+    """Called with a forest, makes the fold's collapse test for sentence
+    phi, or None when phi is not set-first or no level of it can
+    collapse.  The test calls a node at level (0, p) lost when its
+    verdict is BOTTOM at every position of that level, each of which can
+    fail.  The lost node is interned first, so no node id moves."""
+
     phi: Formula
 
     def __call__(self, forest) -> Collapse | None:
-        return _collapse_test(forest, self.phi)
+        game = _game(forest, self.phi, (), ())
+        at_level: dict[int, list[int]] = {}
+        for pos, (m, p) in enumerate(game.levels):
+            if not m:
+                at_level.setdefault(p, []).append(pos)
+            elif game.table[pos][0] >= _EXISTS and not game.table[pos][2]:
+                return None  # a set move after a point move
+        positions_at = {p: ps for p, ps in at_level.items() if all(game.fail[q] for q in ps)}
+        if not positions_at:
+            return None
+        forest.lost_node()
+        at, nodes = Verdicts(forest, self.phi, ()).at, forest.nodes
+
+        def lost(nid: int) -> bool:
+            positions = positions_at.get(nodes[nid].p)
+            return positions is not None and all(at(nid, pos) == BOTTOM for pos in positions)
+
+        return lost
 
 
 def check_collapse(phi: Formula) -> Callable[..., Collapse | None]:
@@ -490,10 +480,11 @@ def check_collapse(phi: Formula) -> Callable[..., Collapse | None]:
     Model checking is char_tree_from_parse_tree(tree, move_budget(phi),
     collapse=check_collapse(phi)), then the game.  When phi is set-first,
     the fold collapses the (0, p) products phi has lost into the forest's
-    one lost node (see Verdicts for why the game's winner stays the
-    same), and the forest's collapsed attribute counts them; otherwise
-    the tree is the one the fold builds without a maker.  The tree keeps
-    the maker, and game_on_tree plays no other sentence on its lost node.
+    one lost node, which every view reads as lost by its label (see
+    Verdicts for why the game's winner stays the same), and the forest's
+    collapsed attribute counts them; otherwise the tree is the one the
+    fold builds without a maker.  The tree keeps the maker, and
+    game_on_tree plays no other sentence on its lost node.
     """
     return _CollapseMaker(phi)
 

@@ -130,7 +130,7 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
         def combine(left, right):
             (states1, n1), (states2, n2) = left, right
             stats.pair_products += len(states1) * len(states2)
-            # the best pair per product; witnesses are built for survivors only
+            shift = n1 * l
             pairs = {}
             for id1, (v1, w1) in states1.items():
                 for id2, (v2, w2) in states2.items():
@@ -140,11 +140,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
                     value = v1 + v2
                     old = pairs.get(rid)
                     if old is None or value > old[0]:
-                        pairs[rid] = (value, w1, w2)
-            shift = n1 * l
-            combined = {rid: (value, w1 | w2 << shift)
-                        for rid, (value, w1, w2) in survivors(pairs).items()}
-            return combined, n1 + n2
+                        pairs[rid] = (value, w1 | w2 << shift)
+            return survivors(pairs), n1 + n2
         return combine
 
     classes, _ = fold(tree, (leaf_states, 1), combine_for)

@@ -170,7 +170,7 @@ def test_a_collapsed_tree_plays_its_own_sentence_at_the_fold_budget():
     # forest alone, and phi's verdicts hold at any budget, so a tree folded
     # for more than phi's budget still collapses and answers False.  The
     # tree keeps its fold's maker: another sentence, phi with its set
-    # renamed included, would read the lost node's placeholder label, so
+    # renamed included, would read the lost node as lost for itself, so
     # the game refuses it
     phi = parse_formula(TWO_COLORABLE, 2)
     tree = family_tree("cycle", 9, 2)
@@ -268,13 +268,22 @@ def test_lost_nodes():
 
 
 def test_every_verdict_view_reads_the_lost_node_as_lost():
-    # a view made after the collapsing fold starts from the game's seed,
-    # so it never reads the lost node's placeholder label
+    # the lost node is known by its label, chartree.LOST, so a view made
+    # before the collapsing fold reads it as lost as well as one made
+    # after; neither view nor the game stores those reads
     phi = parse_formula(TWO_COLORABLE, 2)
-    forest = _collapsed(family_tree("cycle", 9, 2), phi).forest
+    forest = RCForest()
+    before = Verdicts(forest, phi, ())
+    forest = _collapsed(family_tree("cycle", 9, 2), phi, forest).forest
     assert forest.lost is not None
+    assert forest.node(forest.lost).ord is chartree.LOST
     verdicts = Verdicts(forest, phi, ())
     assert all(verdicts.at(forest.lost, pos) == BOTTOM for pos in range(verdicts.size))
+    assert all(before.at(forest.lost, pos) == BOTTOM for pos in range(before.size))
+    game = forest.game_memo[phi, (), ()].memo
+    first = forest.lost * verdicts.size
+    for memo in (before.memo, verdicts.memo, game):
+        assert not set(range(first, first + verdicts.size)) & memo.keys()
 
 
 def test_random_sentences_with_collapses_agree_with_evaluate():

@@ -18,7 +18,7 @@ from rwmso import (Assignment, LinEMSOProblem, RCForest, evaluate, family_tree,
                    solve_linemso, tree_cross_product)
 from rwmso.chartree import char_tree_from_parse_tree, reduced_char_tree_direct
 from rwmso.errors import RwmsoError
-from rwmso.games import BOTTOM, CATALOG, TOP, UNKNOWN, Verdicts
+from rwmso.games import BOTTOM, CATALOG, TOP, UNKNOWN, Verdicts, check_collapse
 from rwmso.logic import move_budget
 from rwmso.parsetree import fold, leaf_vertex
 
@@ -199,6 +199,24 @@ def test_a_decided_root_verdict_is_the_games_winner():
                 decided += 1
                 assert (verdict == TOP) == game_on_tree(rc, phi), (entry.name, tree)
     assert (cases, decided) == (1904, 818)
+    # the same after collapsing folds, where a fresh view reads the lost
+    # node by its label; on a path, AX S. Ax x. S(x) is lost at the root
+    sentences = [(entry.name, parse_formula(entry.text, 2)) for entry in CATALOG]
+    sentences.append(("all-sets-full", parse_formula("AX S. Ax x. S(x)", 2)))
+    cases, decided, lost_roots, collapsed = 0, [], 0, 0
+    for family, n in (("path", 6), ("cycle", 9), ("star", 5)):
+        tree, forest = family_tree(family, n, 2), RCForest()
+        for name, phi in sentences:
+            rc = char_tree_from_parse_tree(tree, move_budget(phi), forest, check_collapse(phi))
+            verdict = Verdicts(forest, phi, ()).at(rc.root)
+            cases += 1
+            lost_roots += rc.root == forest.lost
+            if verdict != UNKNOWN:
+                decided.append(name)
+                assert (verdict == TOP) == game_on_tree(rc, phi), (name, family)
+        collapsed += forest.collapsed
+    assert (cases, len(decided), lost_roots, collapsed) == (48, 23, 14, 126)
+    assert decided.count("all-sets-full") == 3
 
 
 def test_alive_keeps_what_at_keeps_in_order(monkeypatch):
