@@ -407,7 +407,7 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         # in_budget(caps, m + 1, p) and in_budget(caps, m, p + 1), inlined
         if p < ncaps and m < caps[p]:
             if not (n1.point_children and n2.point_children):
-                _check_factors(n1, n2, True, m, p, caps)
+                raise _too_shallow("point", m, p, caps)
             d1, d2 = d + (1,), d + (2,)
             point = {h if (h := get((u, i2, d1))) is not None else rec(u, i2, d1)
                      for u in n1.point_children}
@@ -415,7 +415,7 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
                          for u in n2.point_children)
         if p + 1 < ncaps and m <= caps[p + 1]:
             if not (n1.set_children and n2.set_children):
-                _check_factors(n1, n2, False, m, p, caps)
+                raise _too_shallow("set", m, p, caps)
             set_kids = {h if (h := get((u1, u2, d))) is not None else rec(u1, u2, d)
                         for u1 in n1.set_children for u2 in n2.set_children}
         out = forest.intern(root, point, set_kids)
@@ -433,15 +433,11 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         del rec
 
 
-def _check_factors(n1: RCNode, n2: RCNode, point: bool, m: int, p: int,
-                   caps: Budget):
+def _too_shallow(kind: str, m: int, p: int, caps: Budget) -> DepthBudgetError:
     # factors are parse-tree compositions of single vertices, so a missing
-    # point move means the factor was built for a smaller budget
-    if not (n1.has_children(point) and n2.has_children(point)):
-        kind = "point" if point else "set"
-        raise DepthBudgetError(
-            f"factor tree too shallow: no {kind} moves at m={m}, p={p} "
-            f"for budget {list(caps)}")
+    # move means the factor was built for a smaller budget
+    return DepthBudgetError(
+        f"factor tree too shallow: no {kind} moves at m={m}, p={p} for budget {list(caps)}")
 
 
 def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,

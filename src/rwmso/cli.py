@@ -25,7 +25,7 @@ from .logic import (Formula, free_variables, is_sentence, move_budget,
 from .parsetree import (FAMILIES, ParseTree, family_tree, format_parse_tree,
                         parse_tree_from_text)
 from .rankdec import MAX_EXACT_N, exact_rankwidth
-from .structures import parse_graph
+from .structures import read_graph
 
 SCHEMA = "rwmso-report/1"
 ORACLE_MAX_N = 12
@@ -52,7 +52,7 @@ def _read_parse_tree(path: str) -> tuple[ParseTree, float]:
 
 
 def _read_graph(path: str):
-    return parse_graph(_read_text(path))
+    return read_graph(_read_text(path))
 
 
 def _report(args, payload: dict) -> None:
@@ -99,14 +99,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    graph = _read_graph(args.graph)
-    phi = _read_formula(args, graph.t)
+    text = _read_graph(args.graph)
+    phi = _read_formula(args, text.t)
     if not is_sentence(phi):
         raise RwmsoError("the oracle checks sentences only")
     # evaluate's cost multiplies by 2^n per set quantifier nested on a path
     nsq = len(move_budget(phi)) - 1
-    _guard(args, graph.n > ORACLE_MAX_N or nsq > ORACLE_MAX_SET_QUANTIFIERS,
-           f"brute force on n={graph.n} with {nsq} nested set quantifiers is too big")
+    _guard(args, text.n > ORACLE_MAX_N or nsq > ORACLE_MAX_SET_QUANTIFIERS,
+           f"brute force on n={text.n} with {nsq} nested set quantifiers is too big")
+    graph = text.build()
     start = time.perf_counter()
     answer = evaluate(graph, phi)
     elapsed = time.perf_counter() - start
@@ -150,9 +151,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_rankwidth(args) -> int:
-    graph = _read_graph(args.graph)
-    _guard(args, graph.n > MAX_EXACT_N,
-           f"exhaustive rankwidth search on n={graph.n} vertices is too big")
+    text = _read_graph(args.graph)
+    _guard(args, text.n > MAX_EXACT_N, f"exact rankwidth on n={text.n} vertices is too big")
+    graph = text.build()
     start = time.perf_counter()
     width, witness = exact_rankwidth(graph, force=True)
     elapsed = time.perf_counter() - start
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("rankwidth", help="exact rankwidth (exhaustive, tiny graphs)")
+    p = sub.add_parser("rankwidth", help="exact rankwidth (set DP, small graphs)")
     p.add_argument("--graph", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--force", action="store_true")

@@ -1,7 +1,7 @@
-"""Cut-rank and an exact-rankwidth oracle.
+"""Cut-rank and exact rankwidth.
 
-The oracle enumerates every leaf-labeled subcubic tree (there are
-(2n-5)!! of them), so it is only meant for verification on tiny graphs.
+exact_rankwidth is a dynamic program over the 2^n vertex sets and their
+splits (about 3^n steps), so it is meant for small graphs.
 """
 
 from __future__ import annotations
@@ -46,83 +46,46 @@ def cut_rank(g: Structure, y: Iterable[int]) -> int:
     return gf2.rank(rows)
 
 
-def _side_masks(d: BranchDecomposition) -> list[int]:
-    """Per tree edge, the bitmask of graph vertices on the child side."""
-    adj: dict[int, list[int]] = {i: [] for i in range(d.num_nodes)}
-    for a, b in d.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    leaf_of = {node: v for v, node in d.leaf_map.items()}
-    masks = []
-    for a, b in d.edges:
-        # vertices on b's side of the edge (a, b)
-        mask = 0
-        stack = [(b, a)]
-        while stack:
-            node, parent = stack.pop()
-            if node in leaf_of:
-                mask |= 1 << leaf_of[node]
-            stack.extend((nxt, node) for nxt in adj[node] if nxt != parent)
-        masks.append(mask)
-    return masks
-
-
-def _subcubic_trees(n: int):
-    """Yield every leaf-labeled subcubic tree on leaves 0..n-1.
-
-    Trees are grown by inserting leaf k into each edge of every tree on
-    the first k leaves; each tree is reported as (num_nodes, edges) with
-    leaf i being node i.
-    """
-    if n == 1:
-        yield 1, []
-        return
-    trees = [(n, [(0, 1)])]
-    for k in range(2, n):
-        grown = []
-        for num_nodes, edges in trees:
-            for i, (a, b) in enumerate(edges):
-                mid = num_nodes
-                new_edges = edges[:i] + edges[i + 1:] + [(a, mid), (mid, b), (mid, k)]
-                grown.append((num_nodes + 1, new_edges))
-        trees = grown
-    yield from trees
-
-
 def exact_rankwidth(g: Structure, force: bool = False) -> tuple[int, BranchDecomposition]:
     """Minimum width over all branch-decompositions, with a witness.
 
-    Exhaustive search; guarded to n <= 8 unless forced.
+    A dynamic program over vertex sets in increasing order, so both halves
+    of a set come first: width[s], the narrowest rooted tree on the leaves
+    of s, is the max of s's cut rank and the least max over its two halves
+    (kept in half[s]).  Every tree is leaf 0 joined by one edge to a rooted
+    tree on the rest.  About 3^n steps; guarded to n <= 8 unless forced.
     """
     if g.n > MAX_EXACT_N and not force:
         raise ScaleGuardError(
-            f"exact rankwidth is exhaustive; n = {g.n} exceeds {MAX_EXACT_N}")
+            f"exact rankwidth takes ~3^n steps; n = {g.n} exceeds {MAX_EXACT_N}")
     if g.n <= 1:
         # no cut exists; width 0 by convention
-        leaf_map = {0: 0} if g.n == 1 else {}
-        return 0, BranchDecomposition(g.n, [], leaf_map)
+        return 0, BranchDecomposition(g.n, [], {v: v for v in range(g.n)})
 
-    rank_memo: dict[int, int] = {}
-    full = (1 << g.n) - 1
+    n, full = g.n, (1 << g.n) - 1
+    width, half = [0] * full, [0] * full
+    for s in range(1, full):
+        # splits (a, s ^ a) with a holding the lowest vertex of s, once each
+        low = s & -s
+        rest = b = s ^ low
+        best = n if rest else 0
+        while b:
+            b = (b - 1) & rest
+            w = max(width[low | b], width[s ^ low ^ b])
+            if w < best:
+                best, half[s] = w, low | b
+        width[s] = max(best, cut_rank(g, [u for u in range(n) if s >> u & 1]))
 
-    def masked_rank(mask: int) -> int:
-        key = min(mask, full & ~mask)
-        r = rank_memo.get(key)
-        if r is None:
-            r = cut_rank(g, [u for u in range(g.n) if (key >> u) & 1])
-            rank_memo[key] = r
-        return r
-
-    best_width = g.n + 1
-    best = None
-    for num_nodes, edges in _subcubic_trees(g.n):
-        d = BranchDecomposition(num_nodes, edges, {v: v for v in range(g.n)})
-        width = 0
-        for mask in _side_masks(d):
-            width = max(width, masked_rank(mask))
-            if width >= best_width:
-                break
-        if width < best_width:
-            best_width = width
-            best = d
-    return best_width, best
+    # read the tree back: each entry is a set and the node it hangs from;
+    # vertex v is leaf node v, a larger set a new inner node
+    edges, num_nodes = [], n
+    stack = [(full ^ 1, 0)]
+    while stack:
+        s, parent = stack.pop()
+        if s & (s - 1):
+            node, num_nodes = num_nodes, num_nodes + 1
+            stack += (half[s], node), (s ^ half[s], node)
+        else:
+            node = s.bit_length() - 1
+        edges.append((parent, node))
+    return width[full ^ 1], BranchDecomposition(num_nodes, edges, {v: v for v in range(n)})

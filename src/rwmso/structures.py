@@ -241,9 +241,24 @@ def _int(token: str, lineno: int) -> int:
         raise RwmsoError(f"line {lineno}: expected an integer, got {token!r}") from None
 
 
-def parse_graph(text: str) -> Structure:
+@dataclass(frozen=True)
+class GraphText:
+    """Graph text checked line by line, with no row built yet: a caller
+    can refuse a large header n before build() makes n rows."""
+
+    n: int
+    t: int
+    edges: dict[tuple[int, int], int]   # (min, max) -> line
+    labels: dict[int, tuple[int, int]]  # vertex -> (label, line)
+
+    def build(self) -> Structure:
+        labels = [self.labels[u][0] if u in self.labels else 0 for u in range(self.n)]
+        return build_structure(self.n, self.edges, self.t, labels)
+
+
+def read_graph(text: str) -> GraphText:
     n = m = t = None
-    labels: list[int] = []
+    labels: dict[int, tuple[int, int]] = {}
     edges: dict[tuple[int, int], int] = {}  # (min, max) -> line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -256,7 +271,6 @@ def parse_graph(text: str) -> Structure:
             if len(parts) != 5 or parts[1] != "graph":
                 raise RwmsoError(f"line {lineno}: expected 'p graph <n> <m> <t>'")
             n, m, t = (_int(tok, lineno) for tok in parts[2:])
-            labels = [0] * n
         elif parts[0] == "v":
             if n is None:
                 raise RwmsoError(f"line {lineno}: vertex line before header")
@@ -268,7 +282,10 @@ def parse_graph(text: str) -> Structure:
                 raise RwmsoError(f"line {lineno}: vertex {u} out of range")
             if len(bits) != t or set(bits) - {"0", "1"}:
                 raise RwmsoError(f"line {lineno}: label must be {t} bits")
-            labels[u] = sum(1 << i for i, ch in enumerate(bits) if ch == "1")
+            if u in labels:
+                raise RwmsoError(
+                    f"line {lineno}: vertex {u} repeats the label on line {labels[u][1]}")
+            labels[u] = (sum(1 << i for i, ch in enumerate(bits) if ch == "1"), lineno)
         elif parts[0] == "e":
             if n is None:
                 raise RwmsoError(f"line {lineno}: edge line before header")
@@ -288,7 +305,11 @@ def parse_graph(text: str) -> Structure:
         raise RwmsoError("missing 'p graph' header")
     if len(edges) != m:
         raise RwmsoError(f"header declares {m} edges, found {len(edges)}")
-    return build_structure(n, edges, t, labels)
+    return GraphText(n, t, edges, labels)
+
+
+def parse_graph(text: str) -> Structure:
+    return read_graph(text).build()
 
 
 def format_graph(g: Structure) -> str:

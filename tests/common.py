@@ -11,9 +11,10 @@ normal form (to_nnf, is_nnf), the quantifier rank by structural
 recursion (reference_quantifier_rank), the label product by composing
 the two labels and inducing on the vector (reference_rename_combine),
 relabel, partial isomorphism, label subspaces (generated_subspace,
-subspaces_orthogonal, dot), decomposition_width, the counting bound of
-criterion 7 (exp_tower, tower_at_least, SizeBound, size_bound) and
-catalog().  They live here because only tests call them; the package
+subspaces_orthogonal, dot), decomposition_width, rankwidth as the
+minimum over every subcubic tree (reference_exact_rankwidth, the
+oracle of the library's set DP), the counting bound of criterion 7
+(exp_tower, tower_at_least, SizeBound, size_bound) and catalog().  They live here because only tests call them; the package
 keeps what its commands use.
 """
 
@@ -35,7 +36,6 @@ from rwmso.errors import RwmsoError, ScaleGuardError
 from rwmso.parsetree import LEAF, CompositionOp, _parse_matrix, fold, leaf_vertex
 from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
                          ForallSet, In, Label, Not, Or, is_atomic)
-from rwmso.rankdec import _side_masks
 from rwmso.structures import _as_masks, _check_width
 
 
@@ -597,6 +597,70 @@ def _validate(g: Structure, d: BranchDecomposition):
             raise RwmsoError(f"internal node {node} has degree {degree[node]}")
     if len(d.edges) != d.num_nodes - 1:
         raise RwmsoError("decomposition tree is not a tree")
+
+
+def _side_masks(d: BranchDecomposition) -> list[int]:
+    """Per tree edge, the bitmask of graph vertices on the child side."""
+    adj: dict[int, list[int]] = {i: [] for i in range(d.num_nodes)}
+    for a, b in d.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    leaf_of = {node: v for v, node in d.leaf_map.items()}
+    masks = []
+    for a, b in d.edges:
+        # vertices on b's side of the edge (a, b)
+        mask = 0
+        stack = [(b, a)]
+        while stack:
+            node, parent = stack.pop()
+            if node in leaf_of:
+                mask |= 1 << leaf_of[node]
+            stack.extend((nxt, node) for nxt in adj[node] if nxt != parent)
+        masks.append(mask)
+    return masks
+
+
+def _subcubic_trees(n: int):
+    """Yield every leaf-labeled subcubic tree on leaves 0..n-1.
+
+    Trees are grown by inserting leaf k into each edge of every tree on
+    the first k leaves; each tree is reported as (num_nodes, edges) with
+    leaf i being node i.
+    """
+    if n == 1:
+        yield 1, []
+        return
+    trees = [(n, [(0, 1)])]
+    for k in range(2, n):
+        grown = []
+        for num_nodes, edges in trees:
+            for i, (a, b) in enumerate(edges):
+                mid = num_nodes
+                new_edges = edges[:i] + edges[i + 1:] + [(a, mid), (mid, b), (mid, k)]
+                grown.append((num_nodes + 1, new_edges))
+        trees = grown
+    yield from trees
+
+
+def reference_exact_rankwidth(g: Structure) -> int:
+    """Rankwidth as the minimum width over every leaf-labeled subcubic
+    tree ((2n-5)!! of them), the oracle of exact_rankwidth's set DP;
+    0 for n <= 1, where no cut exists."""
+    if g.n <= 1:
+        return 0
+    rank_memo: dict[int, int] = {}
+    best = g.n
+    for num_nodes, edges in _subcubic_trees(g.n):
+        d = BranchDecomposition(num_nodes, edges, {v: v for v in range(g.n)})
+        width = 0
+        for mask in _side_masks(d):
+            if mask not in rank_memo:
+                rank_memo[mask] = cut_rank(g, [u for u in range(g.n) if (mask >> u) & 1])
+            width = max(width, rank_memo[mask])
+            if width >= best:
+                break
+        best = min(best, width)
+    return best
 
 
 def decomposition_width(g: Structure, d: BranchDecomposition) -> int:

@@ -1,15 +1,18 @@
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from rwmso import (LinEMSOProblem, format_graph, format_parse_tree, family_tree,
-                   free_variables, generate_graph, parse_formula, pretty_print)
+from rwmso import (BranchDecomposition, LinEMSOProblem, format_graph, format_parse_tree,
+                   family_tree, free_variables, generate_graph, parse_formula, parse_graph,
+                   pretty_print)
 from rwmso import chartree, cli
 from rwmso.chartree import RCForest, char_tree_from_parse_tree
 from rwmso.cli import main
 
-from common import random_formula
+from common import decomposition_width, random_formula, random_structure
 
 
 @pytest.fixture
@@ -173,6 +176,26 @@ def test_oracle_refuses_a_huge_header_only_graph(tmp_path, capsys):
     assert "brute force on n=200000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--formula", "Ex x. x = x"], "brute force on n=2000000 with 0 nested"),
+    (["rankwidth"], "exact rankwidth on n=2000000 vertices is too big"),
+], ids=["oracle", "rankwidth"])
+def test_a_huge_header_is_refused_before_any_row_is_built(tmp_path, capsys, argv, message):
+    # each command's guard reads the header's n, so none of the 2,000,000
+    # rows is made: a row list alone would take 16 MB
+    big = tmp_path / "big.graph"
+    big.write_text("p graph 2000000 0 1\n")
+    tracemalloc.start()
+    try:
+        code = main([argv[0], "--graph", str(big), *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert peak < 2_000_000, peak
+
+
 @pytest.mark.parametrize("text", [
     " & ".join(["x = x"] * 3000),
     "Ex x. " + "!" * 3000 + "x = x",
@@ -315,6 +338,22 @@ def test_optimize_infeasible(p4_file, capsys):
 def test_rankwidth(c5_graph, capsys):
     assert main(["rankwidth", "--graph", c5_graph]) == 0
     assert "rankwidth 2" in capsys.readouterr().out
+
+
+def test_rankwidth_json_reports_a_witness_of_its_width(c5_graph, tmp_path, capsys):
+    # the reported edges and leaf map rebuild into a decomposition whose
+    # width is the answer, on C5 and on a seeded random graph with n = 7
+    random_graph = tmp_path / "r7.graph"
+    random_graph.write_text(format_graph(random_structure(random.Random(28), 7)))
+    for path in (c5_graph, str(random_graph)):
+        assert main(["rankwidth", "--graph", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        graph = parse_graph(Path(path).read_text())
+        edges = [tuple(edge) for edge in report["decompositionEdges"]]
+        # JSON keys are strings: vertex "v" maps to its leaf node
+        leaf_map = {int(v): node for v, node in report["leafMap"].items()}
+        witness = BranchDecomposition(len(edges) + 1, edges, leaf_map)
+        assert decomposition_width(graph, witness) == report["answer"]
 
 
 def test_chartree_dump(p4_file, capsys):

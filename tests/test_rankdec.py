@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from rwmso import (BranchDecomposition, build_structure, cut_rank,
                    exact_rankwidth, family_tree, generate_graph)
 from rwmso.errors import RwmsoError, ScaleGuardError
 
-from common import all_structures, decomposition_width, naive_rank, random_structure
+from common import (all_structures, decomposition_width, naive_rank, random_structure,
+                    reference_exact_rankwidth)
 
 P4 = build_structure(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -109,6 +111,25 @@ def test_exact_rankwidth_le_parse_tree_width():
             tree = family_tree(family, n)
             g = generate_graph(tree)
             assert exact_rankwidth(g)[0] <= tree.t
+
+
+def test_exact_rankwidth_matches_exhaustive_search():
+    # the set DP against the minimum over every subcubic tree: each of the
+    # 1,100 graphs (edge sets) with n <= 5, and seeded random graphs with
+    # n = 6, 7; the DP's witness has the width it reports
+    graphs = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs += [build_structure(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                   for mask in range(1 << len(pairs))]
+    assert len(graphs) == 1100
+    rng = random.Random(28)
+    graphs += [random_structure(rng, n, 1) for n in (6, 7) for _ in range(10)]
+    for g in graphs:
+        width, witness = exact_rankwidth(g)
+        assert width == reference_exact_rankwidth(g), g
+        if g.n:  # a tree with no node has nothing to validate
+            assert decomposition_width(g, witness) == width
 
 
 def test_exact_rankwidth_conventions_and_guard():

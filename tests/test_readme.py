@@ -1,9 +1,13 @@
 """The README's library example runs and gives the results its comments
-state, so the example cannot drift from the library."""
+state, and its command-line lines run, so neither can drift from the
+package."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from rwmso import cli, family_tree, format_graph, generate_graph
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +33,28 @@ def test_the_library_example_gives_its_commented_results():
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
     assert [expected for _, expected in results] == ["True", "32"]
     assert [got for got, _ in results] == ["True", "32"]
+
+
+def _command_lines() -> list[list[str]]:
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    # join continuations, then drop each line's "#" comment
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_the_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # every line, bench included (it takes well under a second), against
+    # the files it names: g.graph is C5 and phi.mso a sentence that holds
+    # on it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.graph").write_text(format_graph(generate_graph(family_tree("cycle", 5))))
+    (tmp_path / "phi.mso").write_text("Ex x. Ex y. adj(x,y)\n")
+    argvs = _command_lines()
+    assert [argv[:2] for argv in argvs] == [
+        ["rwmso", cmd] for cmd in ("gen", "check", "optimize", "oracle", "rankwidth",
+                                   "chartree", "qrank", "bench")]
+    for argv in argvs:
+        code = cli.main(argv[1:])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (argv, err)

@@ -358,6 +358,8 @@ def test_graph_format_skips_blank_and_comment_lines():
     ("v 0 1\np graph 1 0 1\n", "line 1: vertex line before header"),
     ("p graph 1 0 1\nv 0\n", "line 2: expected 'v <id> <bits>'"),
     ("p graph 1 0 1\nv 1 1\n", "line 2: vertex 1 out of range"),
+    # a second label line is refused, as a second edge line is
+    ("p graph 2 0 1\nv 0 1\nv 0 0\n", "line 3: vertex 0 repeats the label on line 2"),
     ("p graph 2 1 1\ne 0 2\n", "line 2: edge endpoint out of range"),
     ("p graph 1 0 1\nx 0\n", "line 2: unknown line type 'x'"),
     ("c nothing else\n", "missing 'p graph' header"),
