@@ -21,13 +21,12 @@ that get children.  A depth q is the paper's tree (every m + p <= q);
 model checking builds the smaller tree of the moves its formula's game
 can take (logic.move_budget).
 
-Model checking can also pass the fold a collapse maker; called with the
-forest, it makes a test that marks product nodes at the set-only levels
-(0, p) that its sentence has already lost.  The fold puts the forest's
-one childless lost node in their place and in place of every product
-with a lost factor, and never multiplies their subtrees.  games.Verdicts
-says when that is sound.  Without a maker the fold builds the reduced
-tree itself.
+Model checking can also have the fold get a collapse test from its
+forest, one that marks product nodes at the set-only levels (0, p) that
+its sentence has already lost.  The fold puts the forest's one
+childless lost node in their place and in place of every product with a
+lost factor, and never multiplies their subtrees.  games.Verdicts says
+when that is sound.  Without a test the fold builds the reduced tree.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ MAX_NODES = 500_000
 Budget = tuple[int, ...]
 
 # A collapse test says whether a product node at a set-only level (0, p)
-# is lost; a fold makes one from its forest by its caller's maker.
+# is lost; a fold gets one from its forest (games.check_collapse).
 Collapse = Callable[[int], bool]
 
 # the label of every forest's lost node, known by identity: lost everywhere
@@ -128,16 +127,16 @@ class RCForest:
     cross_memo holds tree_cross_product's results, one dict per move
     budget, operator and collapse test (cross_memo_for gives it), from
     (id1, id2, d) to the product's id: a fold answers its hits from it.
-    collapse_tests keeps the one test each collapse maker made here, so
-    refolds of a sentence share them.  label_memo maps (g.rows, f1.rows,
-    f2.rows) to a dict from (label1, label2, d) to the id of the product
-    label, so rename_combine runs once per distinct label product: a label
-    product depends on neither the budget nor the children.  Operators are
-    keyed by their matrix rows, so equal operators parsed from text share
-    entries, and the inner keys are ints and the indicator vector only.
-    game_memo maps (phi, x_vars, X_vars) to the game's compiled record
-    (games._game): the position table, what games._compile records and
-    the memo from (node id, position) to the winner, TOP or BOTTOM.
+    label_memo maps (g.rows, f1.rows, f2.rows) to a dict from (label1,
+    label2, d) to the id of the product label, so rename_combine runs
+    once per distinct label product: a label product depends on neither
+    the budget nor the children.  Operators are keyed by their matrix
+    rows, so equal operators parsed from text share entries, and the
+    inner keys are ints and the indicator vector only.  game_memo maps
+    (phi, x_vars, X_vars) to the game's compiled record (games._game):
+    the position table, what games._compile records, the memo from
+    (node id, position) to the winner, TOP or BOTTOM, and a sentence's
+    collapse test, so refolds of one sentence share their cross memos.
     games.game_on_tree plays from it and games.Verdicts reads its table,
     so all the games on one forest compile phi once and share what they
     evaluate.  The memos live here because ids mean nothing outside
@@ -159,7 +158,6 @@ class RCForest:
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
         self.label_memo: dict[tuple, dict[tuple, int]] = {}
         self.game_memo: dict[tuple, object] = {}
-        self.collapse_tests: dict[Callable, Collapse | None] = {}
         self.lost: int | None = None
         self.collapsed = 0
 
@@ -242,12 +240,12 @@ class RCForest:
 @dataclass(frozen=True)
 class RCTree:
     """A root id, its forest, the move budget it was built for (a depth q
-    is normalised to its staircase) and its fold's collapse maker, if any."""
+    is normalised to its staircase) and its fold's collapse test, if any."""
 
     forest: RCForest
     root: int
     budget: Budget
-    collapse: Callable[..., Collapse | None] | None = None
+    collapse: Collapse | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "budget", as_budget(self.budget))
@@ -449,18 +447,16 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     Returns the reduced characteristic tree of the generated graph, built
     for the move budget (a depth q means every m + p <= q), in time
     linear in the parse tree for a fixed budget and t.  collapse, if
-    given, makes the fold's collapse test from the forest (None for no
-    test), once per forest and equal makers; model checking passes
-    games.check_collapse(phi), and the tree then has the lost node in
-    place of what phi has lost.
+    given, is called with the forest after the leaf and returns the
+    fold's collapse test (None for no test), which the tree keeps; model
+    checking passes games.check_collapse(phi), and the tree then has the
+    lost node in place of what phi has lost.
     """
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
     leaf = reduced_char_tree_direct(forest, leaf_vertex(tree.t), caps)
-    if collapse is not None and collapse not in forest.collapse_tests:
-        forest.collapse_tests[collapse] = collapse(forest)
-    test = forest.collapse_tests.get(collapse)
+    test = collapse(forest) if collapse is not None else None
 
     def combine_for(op: CompositionOp):
         get = forest.cross_memo_for(caps, op, test).get
@@ -469,7 +465,7 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
                                                             test))
 
     root = fold(tree, leaf, combine_for)
-    return RCTree(forest, root, caps, collapse)
+    return RCTree(forest, root, caps, test)
 
 
 def rc_dump(forest: RCForest, root: int) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -104,9 +105,18 @@ def cmd_oracle(args) -> int:
     if not is_sentence(phi):
         raise RwmsoError("the oracle checks sentences only")
     # evaluate's cost multiplies by 2^n per set quantifier nested on a path
-    nsq = len(move_budget(phi)) - 1
+    caps = move_budget(phi)
+    nsq = len(caps) - 1
     _guard(args, text.n > ORACLE_MAX_N or nsq > ORACLE_MAX_SET_QUANTIFIERS,
            f"brute force on n={text.n} with {nsq} nested set quantifiers is too big")
+    if text.n <= ORACLE_MAX_N:  # past it, only --force gets here, and the int is huge
+        # and by n per point quantifier: one branch reaching level (m, p)
+        # visits n^m 2^(n p) assignments, held to the set rule's worst case
+        steps = max(text.n ** m << text.n * p for p, m in enumerate(caps))
+        cap = ORACLE_MAX_N * ORACLE_MAX_SET_QUANTIFIERS
+        _guard(args, steps > 1 << cap,
+               f"brute force on n={text.n} visits 2^{math.log2(steps):.1f} assignments "
+               f"on one branch, more than 2^{cap}")
     graph = text.build()
     start = time.perf_counter()
     answer = evaluate(graph, phi)

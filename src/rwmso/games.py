@@ -241,8 +241,8 @@ def game_on_tree(tree: RCTree, phi: Formula,
     receives the memo's growth.  Before playing, raises RwmsoError for
     an unlisted free variable or a set-set equality anywhere in phi,
     DepthBudgetError for a quantifier whose move the tree's budget
-    lacks, and RwmsoError for a tree holding another sentence's lost
-    node (check_collapse).
+    lacks, and RwmsoError for a tree that reaches the lost node without
+    phi's own collapse test (check_collapse).
     """
     if not isinstance(tree, RCTree):
         raise RwmsoError(f"the game needs an RCTree, got {type(tree).__name__}")
@@ -264,7 +264,7 @@ def game_on_tree(tree: RCTree, phi: Formula,
                 f"is outside the tree's move budget {list(caps)}: build the tree for the "
                 "formula's budget")
     lost = forest.lost
-    if (lost is not None and tree.collapse != check_collapse(phi)
+    if (lost is not None and (tree.collapse is None or tree.collapse is not game.test)
             and lost in forest.reachable(tree.root)):
         raise RwmsoError("the tree holds another sentence's lost node: fold it for this one")
     before = len(game.memo)
@@ -406,7 +406,7 @@ class _Game(Verdicts):
     records, and final verdicts, as nothing is composed into the whole
     graph: label atoms are decided, an existential move with no TOP
     child is BOTTOM and a universal one with no BOTTOM child is TOP, so
-    its memo holds the game's winners."""
+    its memo holds the game's winners, and test phi's collapse test."""
 
     _exists, _forall, _relabeled = BOTTOM, TOP, False
 
@@ -414,7 +414,34 @@ class _Game(Verdicts):
         self.table: list[tuple] = []
         self.atoms, self.levels, self.fail = _compile(phi, True, x_vars, X_vars, self.table)
         self.nodes, self.size = forest.nodes, len(self.table)
-        self.memo = {}
+        self.memo, self.test = {}, None
+
+    def collapse(self, forest, phi: Formula) -> Collapse | None:
+        """Sentence phi's collapse test, kept in test: the first call makes
+        it and interns the lost node.  None when phi is not set-first or no
+        level of it can collapse, which each call finds again.  The test
+        calls a node at level (0, p) lost when its verdict is BOTTOM at
+        every position of that level, each of which can fail."""
+        if self.test is not None:
+            return self.test
+        at_level: dict[int, list[int]] = {}
+        for pos, (m, p) in enumerate(self.levels):
+            if not m:
+                at_level.setdefault(p, []).append(pos)
+            elif self.table[pos][0] >= _EXISTS and not self.table[pos][2]:
+                return None  # a set move after a point move
+        positions_at = {p: ps for p, ps in at_level.items() if all(self.fail[q] for q in ps)}
+        if not positions_at:
+            return None
+        forest.lost_node()
+        at, nodes = Verdicts(forest, phi, ()).at, self.nodes
+
+        def lost(nid: int) -> bool:
+            positions = positions_at.get(nodes[nid].p)
+            return positions is not None and all(at(nid, pos) == BOTTOM for pos in positions)
+
+        self.test = lost
+        return lost
 
 
 def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
@@ -442,40 +469,10 @@ def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
     return TOP if test == b else BOTTOM
 
 
-@dataclass(frozen=True)
-class _CollapseMaker:  # equal for equal sentences
-    """Called with a forest, makes the fold's collapse test for sentence
-    phi, or None when phi is not set-first or no level of it can
-    collapse.  The test calls a node at level (0, p) lost when its
-    verdict is BOTTOM at every position of that level, each of which can
-    fail.  The lost node is interned first, so no node id moves."""
-
-    phi: Formula
-
-    def __call__(self, forest) -> Collapse | None:
-        game = _game(forest, self.phi, (), ())
-        at_level: dict[int, list[int]] = {}
-        for pos, (m, p) in enumerate(game.levels):
-            if not m:
-                at_level.setdefault(p, []).append(pos)
-            elif game.table[pos][0] >= _EXISTS and not game.table[pos][2]:
-                return None  # a set move after a point move
-        positions_at = {p: ps for p, ps in at_level.items() if all(game.fail[q] for q in ps)}
-        if not positions_at:
-            return None
-        forest.lost_node()
-        at, nodes = Verdicts(forest, self.phi, ()).at, forest.nodes
-
-        def lost(nid: int) -> bool:
-            positions = positions_at.get(nodes[nid].p)
-            return positions is not None and all(at(nid, pos) == BOTTOM for pos in positions)
-
-        return lost
-
-
 def check_collapse(phi: Formula) -> Callable[..., Collapse | None]:
-    """The collapse maker that model checking folds sentence phi's tree
-    with; the fold calls it with its forest.
+    """The callable that model checking folds sentence phi's tree with:
+    called with the fold's forest, it returns phi's collapse test, kept
+    on the forest's compiled game for phi (_Game.collapse), or None.
 
     Model checking is char_tree_from_parse_tree(tree, move_budget(phi),
     collapse=check_collapse(phi)), then the game.  When phi is set-first,
@@ -483,10 +480,10 @@ def check_collapse(phi: Formula) -> Callable[..., Collapse | None]:
     one lost node, which every view reads as lost by its label (see
     Verdicts for why the game's winner stays the same), and the forest's
     collapsed attribute counts them; otherwise the tree is the one the
-    fold builds without a maker.  The tree keeps the maker, and
+    fold builds without a test.  The tree keeps the test, and
     game_on_tree plays no other sentence on its lost node.
     """
-    return _CollapseMaker(phi)
+    return lambda forest: _game(forest, phi, (), ()).collapse(forest, phi)
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:

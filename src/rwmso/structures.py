@@ -271,6 +271,8 @@ def read_graph(text: str) -> GraphText:
             if len(parts) != 5 or parts[1] != "graph":
                 raise RwmsoError(f"line {lineno}: expected 'p graph <n> <m> <t>'")
             n, m, t = (_int(tok, lineno) for tok in parts[2:])
+            if n < 0 or t < 0:
+                raise RwmsoError(f"line {lineno}: negative size (n={n}, t={t})")
         elif parts[0] == "v":
             if n is None:
                 raise RwmsoError(f"line {lineno}: vertex line before header")
@@ -294,6 +296,8 @@ def read_graph(text: str) -> GraphText:
             u, v = _int(parts[1], lineno), _int(parts[2], lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise RwmsoError(f"line {lineno}: edge endpoint out of range")
+            if u == v:
+                raise RwmsoError(f"line {lineno}: loop at vertex {u}")
             key = (min(u, v), max(u, v))
             if key in edges:
                 raise RwmsoError(

@@ -168,6 +168,28 @@ def test_oracle_guard_counts_nested_set_quantifiers(tmp_path, capsys):
     assert main(["oracle", "--graph", str(p3), "--formula", nested, "--force"]) == 0
 
 
+def test_oracle_guard_bounds_nested_point_quantifiers(tmp_path, monkeypatch, capsys):
+    # one branch of k nested point quantifiers visits n^k assignments:
+    # on 12 vertices 12^7 is over the set rule's worst case 2^(12 * 2),
+    # 12^6 is not.  evaluate is stubbed, so only the guard runs for real
+    def reached(*args):
+        raise AssertionError("evaluate reached")
+
+    monkeypatch.setattr(cli, "evaluate", reached)
+    empty = tmp_path / "empty.graph"
+    empty.write_text("p graph 12 0 1\n")
+
+    def nested(k):
+        return "".join(f"Ex x{i}. " for i in range(k)) + "!x0 = x0"
+
+    assert main(["oracle", "--graph", str(empty), "--formula", nested(7)]) == 2
+    err = capsys.readouterr().err
+    assert "2^25.1 assignments" in err and "--force" in err
+    for argv in ([nested(6)], [nested(7), "--force"]):
+        with pytest.raises(AssertionError, match="evaluate reached"):
+            main(["oracle", "--graph", str(empty), "--formula", *argv])
+
+
 def test_oracle_refuses_a_huge_header_only_graph(tmp_path, capsys):
     # validating the 200000 empty rows must not take quadratic time
     big = tmp_path / "big.graph"

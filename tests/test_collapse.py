@@ -92,10 +92,9 @@ def test_collapsed_node_count_is_flat_in_n():
 
 
 def test_refolds_of_one_sentence_share_the_forest_memos(monkeypatch):
-    # the forest makes one collapse test per maker, and makers are equal
-    # for equal sentences, so refolds of two-colorable into one forest
-    # reuse the first fold's cross-product memo (its three operators' dicts)
-    # and make no miss
+    # the forest's compiled game for two-colorable keeps its one collapse
+    # test, so refolds into one forest reuse the first fold's cross-product
+    # memo (its three operators' dicts, keyed by that test) and make no miss
     misses = []
     tcp = chartree.tree_cross_product
 
@@ -107,11 +106,15 @@ def test_refolds_of_one_sentence_share_the_forest_memos(monkeypatch):
     phi = parse_formula(TWO_COLORABLE, 2)
     tree = family_tree("cycle", 64, 2)
     forest = RCForest()
+    tests = set()
     for _ in range(3):
         misses.append(0)
-        assert game_on_tree(_collapsed(tree, phi, forest), phi)  # an even cycle
+        rc = _collapsed(tree, phi, forest)
+        tests.add(rc.collapse)
+        assert game_on_tree(rc, phi)  # an even cycle
     assert misses == [10, 0, 0]
-    assert len(forest.cross_memo) == 3 and len(forest.collapse_tests) == 1
+    assert len(forest.cross_memo) == 3 and len(tests) == 1 and None not in tests
+    assert {key[1] for key in forest.cross_memo} == tests
 
 
 def test_frozen_vertices_collapse_label1_dominates():
@@ -166,10 +169,10 @@ def test_the_lost_node_below_point_moves_stays_off_the_game():
 
 
 def test_a_collapsed_tree_plays_its_own_sentence_at_the_fold_budget():
-    # two-colorable is false on cycle 9.  The fold hands the maker its
+    # two-colorable is false on cycle 9.  The fold hands check_collapse its
     # forest alone, and phi's verdicts hold at any budget, so a tree folded
     # for more than phi's budget still collapses and answers False.  The
-    # tree keeps its fold's maker: another sentence, phi with its set
+    # tree keeps its fold's test: another sentence, phi with its set
     # renamed included, would read the lost node as lost for itself, so
     # the game refuses it
     phi = parse_formula(TWO_COLORABLE, 2)
@@ -204,6 +207,49 @@ def test_a_tree_refuses_another_sentence_that_shares_its_lost_node():
     assert game_on_tree(other, psi) and not game_on_tree(rc, phi)
     with pytest.raises(RwmsoError, match="lost node"):
         game_on_tree(rc, psi)
+
+
+def test_a_hand_built_tree_over_a_collapsed_root_is_refused():
+    # a tree built by hand carries no collapse test, so nothing vouches
+    # for its lost node: the game refuses every sentence on it, the one
+    # whose fold made it included
+    tree = family_tree("cycle", 9, 2)
+    phi = parse_formula(TWO_COLORABLE, 2)
+    rc = _collapsed(tree, phi)
+    forest = rc.forest
+    assert rc.collapse is not None and forest.lost in forest.reachable(rc.root)
+    bare = chartree.RCTree(forest, rc.root, rc.budget)
+    for psi in (phi, parse_formula("EX S. Ax x. Ax y. (!adj(x,y) | !S(x) | !S(y))", 2)):
+        with pytest.raises(RwmsoError, match="lost node"):
+            game_on_tree(bare, psi)
+    assert game_on_tree(rc, phi) is False
+
+
+def test_equal_sentences_parsed_apart_share_one_test(monkeypatch):
+    # two parses of two-colorable are equal but distinct objects; their
+    # folds into one forest share one collapse test (an object that
+    # compares by identity), and the second fold makes no miss
+    misses = []
+    tcp = chartree.tree_cross_product
+
+    def counting(*args):
+        misses[-1] += 1
+        return tcp(*args)
+
+    monkeypatch.setattr(chartree, "tree_cross_product", counting)
+    first, second = parse_formula(TWO_COLORABLE, 2), parse_formula(TWO_COLORABLE, 2)
+    assert first == second and first is not second
+    tree = family_tree("cycle", 64, 2)
+    forest = RCForest()
+    trees = []
+    for phi in (first, second):
+        misses.append(0)
+        trees.append(_collapsed(tree, phi, forest))
+    assert misses[0] > 0 and misses[1] == 0
+    # one test keys every cross-memo dict the folds used
+    assert len({key[1] for key in forest.cross_memo} - {None}) == 1
+    assert trees[0].collapse is not None and trees[0].collapse == trees[1].collapse
+    assert game_on_tree(trees[1], second) and game_on_tree(trees[0], first)
 
 
 def test_collapsed_rc_dump_is_byte_identical():

@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from rwmso import cli, family_tree, format_graph, generate_graph
+from rwmso import cli, family_tree, format_graph, generate_graph, parse_tree_from_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +58,18 @@ def test_the_command_line_block_runs(tmp_path, monkeypatch, capsys):
         code = cli.main(argv[1:])
         err = capsys.readouterr().err
         assert code in (0, 1), (argv, err)
+
+
+def test_the_parse_tree_example_gives_its_code():
+    # File formats: "`(o ...)` at `t=1` has `code = (...)`, where operator
+    # 0 is the all-ones triple and operator 1 the all-zeros one"
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    found = re.search(r"`(\(o [^`]*\))` at `t=(\d+)` has `code = (\([^`]*\))`, where "
+                      r"operator 0 is the all-ones triple and operator 1 the all-zeros one",
+                      text)
+    assert found, "the parse-tree example sentence is missing from README"
+    source, t, code = found.group(1), int(found.group(2)), ast.literal_eval(found.group(3))
+    tree = parse_tree_from_text(f"t={t}\n{source}\n")
+    assert tree.code == code == (-1, -1, 0, -1, 1)
+    ones, zeros = ((1 << t) - 1,) * t, (0,) * t
+    assert [[r.rows for r in op] for op in tree.ops] == [[ones] * 3, [zeros] * 3]

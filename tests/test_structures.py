@@ -361,6 +361,10 @@ def test_graph_format_skips_blank_and_comment_lines():
     # a second label line is refused, as a second edge line is
     ("p graph 2 0 1\nv 0 1\nv 0 0\n", "line 3: vertex 0 repeats the label on line 2"),
     ("p graph 2 1 1\ne 0 2\n", "line 2: edge endpoint out of range"),
+    # a negative size and a loop name their line, as every other error does
+    ("p graph -1 0 1\n", "line 1: negative size (n=-1, t=1)"),
+    ("p graph 2 0 -1\n", "line 1: negative size (n=2, t=-1)"),
+    ("p graph 2 1 1\ne 1 1\n", "line 2: loop at vertex 1"),
     ("p graph 1 0 1\nx 0\n", "line 2: unknown line type 'x'"),
     ("c nothing else\n", "missing 'p graph' header"),
 ])
