@@ -7,9 +7,10 @@ set traces) and equal sibling subtrees merged.  Reduced trees are
 hash-consed in an RCForest, so two subtrees are equal iff their
 interned ids are equal, and the number of distinct nodes is bounded by
 a function of q and the vocabulary only.  The unmerged full tree grows
-like (2^n + n)^q and is only built by the tests, as an oracle.  The
-leaf builder, reduced_char_tree_direct, walks every move as well: both
-folds call it only on the one vertex that a parse-tree leaf creates.
+like (2^n + n)^q; it and the brute-force reduced tree of a whole
+structure are built only by the tests, as oracles.  The library builds
+one tree from the definition, in reduced_char_tree_direct: that of the
+one vertex a parse-tree leaf creates.
 
 The tree cross product combines the reduced trees of two structures
 into the reduced tree of their labeled composition without touching the
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
 from .gf2 import vec_times_matrix as vtm
-from .structures import (OrderedStructure, Structure, _as_masks, _check_width, _unchecked,
+from .structures import (OrderedStructure, Structure, _check_width, _unchecked,
                          compose, ordered_induced)  # compose: kept for perfbench's tracer
 
 # the most nodes one forest interns: ~1.3-2.1 KB each, ~0.7-1.1 GB at the cap
@@ -103,11 +104,6 @@ class RCNode:
     @property
     def p(self) -> int:
         return len(self.ord.set_traces)
-
-    def has_children(self, point: bool) -> bool:
-        """Whether moves of this kind were built here.  A set move (the
-        empty set) always exists; a point move needs a nonempty universe."""
-        return bool(self.point_children if point else self.set_children)
 
 
 class RCForest:
@@ -254,33 +250,31 @@ class RCTree:
         return len(self.forest.reachable(self.root))
 
 
-def reduced_char_tree_direct(forest: RCForest, a: Structure, budget: int | Budget,
-                             c: Sequence[int] = (),
-                             sets: Sequence[Iterable[int] | int] = ()) -> int:
-    """Reduced characteristic tree straight from the definition.
+def reduced_char_tree_direct(forest: RCForest, t: int, budget: int | Budget,
+                             bits: Sequence[int] = ()) -> int:
+    """Reduced characteristic tree of a parse-tree leaf, from its definition.
 
-    Enumerates every move of the structure, about (2^n + n)^depth calls
-    on n elements, and has no size guard: both folds build their
-    one-vertex leaves with it, and the tests use it as their oracle.
-    The root sits at (len(c), len(sets)); below it, moves exist exactly
-    where the budget allows them.
+    The leaf is one vertex labeled {1} at width t, and bits[i] says
+    whether it is in the i-th preloaded set, so the root sits at
+    (0, len(bits)).  Below it, where the budget allows, each node has
+    one point move and two set moves (out, in).  Both folds build their
+    leaves with it; every larger tree comes from the tree cross product.
     """
     caps = as_budget(budget)
-    c = tuple(c)
-    masks = _as_masks(a.n, sets)
+    a = leaf_vertex(t)
 
     def rec(c: tuple[int, ...], masks: tuple[int, ...]) -> int:
         label = ordered_induced(a, c, masks)
         m, p = len(c), len(masks)
         point = set_kids = ()
         if in_budget(caps, m + 1, p):
-            point = {rec(c + (d,), masks) for d in range(a.n)}
+            point = {rec(c + (0,), masks)}
         if in_budget(caps, m, p + 1):
-            set_kids = {rec(c, masks + (x,)) for x in range(1 << a.n)}
+            set_kids = {rec(c, masks + (0,)), rec(c, masks + (1,))}
         return forest.intern(forest.label_id(label), point, set_kids)
 
     try:
-        return rec(c, tuple(masks))
+        return rec((), tuple(bits))
     finally:
         del rec  # rec reaches itself, and so the forest, through its cell
 
@@ -455,7 +449,7 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
-    leaf = reduced_char_tree_direct(forest, leaf_vertex(tree.t), caps)
+    leaf = reduced_char_tree_direct(forest, tree.t, caps)
     test = collapse(forest) if collapse is not None else None
 
     def combine_for(op: CompositionOp):

@@ -25,7 +25,7 @@ from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
 from .errors import RwmsoError
 from .games import Verdicts, game_on_tree
 from .logic import Formula, free_variables, move_budget
-from .parsetree import ParseTree, fold, leaf_vertex
+from .parsetree import ParseTree, fold
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,11 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     # states per subtree: interned tree id -> (weight, packed witness); ties
     # keep the first-found witness, so results are deterministic.  A leaf's
     # witness is its choice: bit i says that the vertex is in set i
-    leaf_struct = leaf_vertex(tree.t)
     leaf_states: dict[int, tuple[int, int]] = {}
     for choice in range(1 << l):
-        masks = tuple((choice >> i) & 1 for i in range(l))
-        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks)
-        value = sum(w for w, m in zip(weights, masks) if m)
+        bits = tuple((choice >> i) & 1 for i in range(l))
+        rid = reduced_char_tree_direct(forest, tree.t, budget, bits)
+        value = sum(w for w, bit in zip(weights, bits) if bit)
         old = leaf_states.get(rid)
         if old is None or value > old[0]:
             leaf_states[rid] = (value, choice)

@@ -113,10 +113,6 @@ _QUANT = {ExistsObj: "Ex", ForallObj: "Ax", ExistsSet: "EX", ForallSet: "AX"}
 _QUANT_OF = {tok: cls for cls, tok in _QUANT.items()}
 
 
-def is_atomic(phi: Formula) -> bool:
-    return isinstance(phi, ATOM_TYPES)
-
-
 @dataclass(frozen=True)
 class VariableList:
     objects: tuple[str, ...]

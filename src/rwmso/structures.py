@@ -257,7 +257,7 @@ class GraphText:
 
 
 def read_graph(text: str) -> GraphText:
-    n = m = t = None
+    n = m = t = header = None
     labels: dict[int, tuple[int, int]] = {}
     edges: dict[tuple[int, int], int] = {}  # (min, max) -> line
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -271,8 +271,11 @@ def read_graph(text: str) -> GraphText:
             if len(parts) != 5 or parts[1] != "graph":
                 raise RwmsoError(f"line {lineno}: expected 'p graph <n> <m> <t>'")
             n, m, t = (_int(tok, lineno) for tok in parts[2:])
+            header = lineno
             if n < 0 or t < 0:
                 raise RwmsoError(f"line {lineno}: negative size (n={n}, t={t})")
+            if m < 0:
+                raise RwmsoError(f"line {lineno}: negative edge count {m}")
         elif parts[0] == "v":
             if n is None:
                 raise RwmsoError(f"line {lineno}: vertex line before header")
@@ -308,7 +311,7 @@ def read_graph(text: str) -> GraphText:
     if n is None:
         raise RwmsoError("missing 'p graph' header")
     if len(edges) != m:
-        raise RwmsoError(f"header declares {m} edges, found {len(edges)}")
+        raise RwmsoError(f"line {header}: header declares {m} edges, found {len(edges)}")
     return GraphText(n, t, edges, labels)
 
 

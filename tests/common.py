@@ -6,16 +6,20 @@ full move tree, the game played on that unmerged tree, optima by
 subset enumeration, the LinEMSO dynamic program without state
 pruning, and the parse-tree text read one token at a time.
 
-The last section holds helpers that came from the library: the negation
+The last section holds helpers that came from the library: is_atomic,
+has_children (whether a node has point or set moves), the negation
 normal form (to_nnf, is_nnf), the quantifier rank by structural
 recursion (reference_quantifier_rank), the label product by composing
 the two labels and inducing on the vector (reference_rename_combine),
-relabel, partial isomorphism, label subspaces (generated_subspace,
-subspaces_orthogonal, dot), decomposition_width, rankwidth as the
-minimum over every subcubic tree (reference_exact_rankwidth, the
-oracle of the library's set DP), the counting bound of criterion 7
-(exp_tower, tower_at_least, SizeBound, size_bound) and catalog().  They live here because only tests call them; the package
-keeps what its commands use.
+the reduced tree of any structure straight from its definition
+(reference_char_tree, the oracle of the cross product and of the
+library's leaf builder), relabel, partial isomorphism, label subspaces
+(generated_subspace, subspaces_orthogonal, dot), decomposition_width,
+rankwidth as the minimum over every subcubic tree
+(reference_exact_rankwidth, the oracle of the library's set DP), the
+counting bound of criterion 7 (exp_tower, tower_at_least, SizeBound,
+size_bound) and catalog().  They live here because only tests call
+them; the package keeps what its commands use.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from rwmso import (CATALOG, Assignment, BranchDecomposition, Formula,
                    game_on_tree, ordered_induced, parse_formula,
                    tree_cross_product)
 from rwmso import gf2
-from rwmso.chartree import reduced_char_tree_direct
+from rwmso.chartree import Budget, as_budget, in_budget
 from rwmso.errors import RwmsoError, ScaleGuardError
 from rwmso.parsetree import LEAF, CompositionOp, _parse_matrix, fold, leaf_vertex
-from rwmso.logic import (Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
-                         ForallSet, In, Label, Not, Or, is_atomic)
+from rwmso.logic import (ATOM_TYPES, Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
+                         ForallSet, In, Label, Not, Or)
 from rwmso.structures import _as_masks, _check_width
 
 
@@ -372,7 +376,7 @@ def unpruned_linemso(tree, problem):
     leaf_states = {}
     for choice in range(1 << len(weights)):
         masks = tuple((choice >> i) & 1 for i in range(len(weights)))
-        rid = reduced_char_tree_direct(forest, leaf_struct, budget, (), masks)
+        rid = reference_char_tree(forest, leaf_struct, budget, (), masks)
         value = sum(w for w, m in zip(weights, masks) if m)
         old = leaf_states.get(rid)
         if old is None or sign * value > sign * old[0]:
@@ -464,6 +468,16 @@ def reference_parse_tree_from_text(text: str) -> ParseTree:
 
 # --- helpers moved from the library: only tests call them ---------------
 
+def is_atomic(phi: Formula) -> bool:
+    return isinstance(phi, ATOM_TYPES)
+
+
+def has_children(node, point: bool) -> bool:
+    """Whether an RCNode has moves of this kind.  A set move (the empty
+    set) always exists; a point move needs a nonempty universe."""
+    return bool(node.point_children if point else node.set_children)
+
+
 def reference_quantifier_rank(phi: Formula) -> int:
     """The quantifier rank by its definition: 0 at an atom, the max over
     the operands of a connective, one more than the body at a quantifier."""
@@ -485,6 +499,37 @@ def reference_rename_combine(o1, o2, d, op):
     c = [next(it1) if side == 1 else k1 + next(it2) for side in d]
     traces = [tr1 | tr2 << k1 for tr1, tr2 in zip(o1.set_traces, o2.set_traces)]
     return ordered_induced(compose(o1.structure, o2.structure, *op), c, traces)
+
+
+def reference_char_tree(forest: RCForest, a: Structure, budget: int | Budget,
+                        c: Sequence[int] = (),
+                        sets: Sequence[Iterable[int] | int] = ()) -> int:
+    """Reduced characteristic tree straight from the definition.
+
+    Enumerates every move of the structure, about (2^n + n)^depth calls
+    on n elements, and has no size guard: the oracle of the tree cross
+    product and of the library's leaf builder.  The root sits at
+    (len(c), len(sets)); below it, moves exist exactly where the budget
+    allows them.
+    """
+    caps = as_budget(budget)
+    c = tuple(c)
+    masks = _as_masks(a.n, sets)
+
+    def rec(c: tuple[int, ...], masks: tuple[int, ...]) -> int:
+        label = ordered_induced(a, c, masks)
+        m, p = len(c), len(masks)
+        point = set_kids = ()
+        if in_budget(caps, m + 1, p):
+            point = {rec(c + (d,), masks) for d in range(a.n)}
+        if in_budget(caps, m, p + 1):
+            set_kids = {rec(c, masks + (x,)) for x in range(1 << a.n)}
+        return forest.intern(forest.label_id(label), point, set_kids)
+
+    try:
+        return rec(c, tuple(masks))
+    finally:
+        del rec  # rec reaches itself, and so the forest, through its cell
 
 
 def to_nnf(phi: Formula) -> Formula:

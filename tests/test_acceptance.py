@@ -16,8 +16,7 @@ import time
 from rwmso import (Assignment, LinEMSOProblem, Structure, build_structure,
                    evaluate, family_tree, game_on_tree, generate_graph,
                    model_check, parse_formula, quantifier_rank, solve_linemso)
-from rwmso.chartree import (RCForest, RCTree, char_tree_from_parse_tree,
-                            reduced_char_tree_direct, tree_cross_product)
+from rwmso.chartree import RCForest, RCTree, char_tree_from_parse_tree, tree_cross_product
 from rwmso.cli import run_bench
 from rwmso.parsetree import FAMILIES
 from rwmso.rankdec import cut_rank, exact_rankwidth
@@ -26,7 +25,7 @@ from rwmso.structures import Relabeling, compose
 from common import (all_structures, brute_force_linemso, catalog, full_char_tree,
                     full_tree_game, merge_full_tree, permuted,
                     random_parse_tree, random_relabeling, random_structure,
-                    size_bound, to_nnf)
+                    reference_char_tree, size_bound, to_nnf)
 
 
 def _family_corpus(max_n, widths=(None, 2)):
@@ -81,7 +80,7 @@ def test_criterion_2_cross_product_soundness():
     def direct(g, q):
         key = (g, q)
         if key not in direct_cache:
-            direct_cache[key] = reduced_char_tree_direct(forest, g, q)
+            direct_cache[key] = reference_char_tree(forest, g, q)
         return direct_cache[key]
 
     rels = [Relabeling((0,)), Relabeling((1,))]
@@ -134,7 +133,7 @@ def test_criterion_3_game_chain_equivalence():
     for n in (0, 1, 2, 3):
         for g in all_structures(n, 1):
             for q in (1, 2):
-                rid = reduced_char_tree_direct(forest, g, q)
+                rid = reference_char_tree(forest, g, q)
                 full = full_char_tree(g, q)
                 for name, phi, nnf in sentences:
                     if quantifier_rank(phi) > q:
@@ -156,7 +155,7 @@ def test_criterion_3_game_chain_equivalence():
                         assert evaluate(g, nnf, alpha) == want
                         f = full_char_tree(g, 2, objs, sets)
                         assert full_tree_game(f, nnf, xs, Xs) == want
-                        r = reduced_char_tree_direct(forest, g, 2, objs, sets)
+                        r = reference_char_tree(forest, g, 2, objs, sets)
                         assert game_on_tree(RCTree(forest, r, 2), nnf, xs, Xs) == want
                         checked += 1
     elapsed = time.time() - start
@@ -171,8 +170,8 @@ def test_criterion_4_q_equivalence_characterization():
     forest = RCForest()
     k2 = build_structure(2, [(0, 1)])
     two = build_structure(2, [])
-    id_k2 = reduced_char_tree_direct(forest, k2, 2)
-    id_two = reduced_char_tree_direct(forest, two, 2)
+    id_k2 = reference_char_tree(forest, k2, 2)
+    id_two = reference_char_tree(forest, two, 2)
     assert id_k2 != id_two
     has_edge = parse_formula("Ex x. Ex y. adj(x,y)")
     assert evaluate(k2, has_edge) and not evaluate(two, has_edge)
@@ -187,8 +186,8 @@ def test_criterion_4_q_equivalence_characterization():
             for perm in itertools.permutations(range(n)):
                 h = permuted(g, list(perm))
                 for q in (1, 2):
-                    assert reduced_char_tree_direct(forest, g, q) == \
-                        reduced_char_tree_direct(forest, h, q)
+                    assert reference_char_tree(forest, g, q) == \
+                        reference_char_tree(forest, h, q)
                 pairs += 1
     print(f"\nACCEPTANCE 4 (q-equivalence characterization): PASS — "
           f"K2 vs 2.K1 separated; {pairs} isomorphic presentations identical")
@@ -201,13 +200,13 @@ def test_criterion_5_two_element_reduction():
     the full move tree."""
     forest = RCForest()
     a = Structure(2, 0, (0, 0), (0, 0))
-    root = reduced_char_tree_direct(forest, a, 2)
+    root = reference_char_tree(forest, a, 2)
     node = forest.node(root)
-    set_a1 = reduced_char_tree_direct(forest, a, 2, (), [{0}])
-    set_a2 = reduced_char_tree_direct(forest, a, 2, (), [{1}])
+    set_a1 = reference_char_tree(forest, a, 2, (), [{0}])
+    set_a2 = reference_char_tree(forest, a, 2, (), [{1}])
     assert set_a1 == set_a2, "redchar(eps,{a1}) must equal redchar(eps,{a2})"
-    pnt_a1 = reduced_char_tree_direct(forest, a, 2, (0,), [])
-    pnt_a2 = reduced_char_tree_direct(forest, a, 2, (1,), [])
+    pnt_a1 = reference_char_tree(forest, a, 2, (0,), [])
+    pnt_a2 = reference_char_tree(forest, a, 2, (1,), [])
     assert pnt_a1 == pnt_a2, "redchar(a1,eps) must equal redchar(a2,eps)"
     derived = len(node.point_children) + len(node.set_children)
     _, merged = merge_full_tree(a, full_char_tree(a, 2))

@@ -10,13 +10,13 @@ from rwmso import (CATALOG, FAMILIES, build_structure, char_tree_from_parse_tree
                    game_on_tree, generate_graph, model_check, parse_formula,
                    parse_tree_from_text, quantifier_rank)
 from rwmso import chartree
-from rwmso.chartree import RCForest, RCTree, as_budget, reduced_char_tree_direct
+from rwmso.chartree import RCForest, RCTree, as_budget
 from rwmso.errors import DepthBudgetError, RwmsoError
 from rwmso.games import _compile, check_collapse
 from rwmso.logic import move_budget
 
-from common import (catalog, cross_misses, random_sentence, small_parse_trees,
-                    to_nnf)
+from common import (catalog, cross_misses, random_sentence, reference_char_tree,
+                    small_parse_trees, to_nnf)
 
 # max independent set, min vertex cover and min dominating set, over X
 OPTIMIZE_PROBLEMS = ("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))",
@@ -226,7 +226,7 @@ def test_quantifiers_over_an_empty_universe_are_vacuous():
     # no point children, but point moves are in the budget: Ex is false
     # and Ax is true, not a budget error
     forest = RCForest()
-    rid = reduced_char_tree_direct(forest, build_structure(0, []), (1, 1))
+    rid = reference_char_tree(forest, build_structure(0, []), (1, 1))
     tree = RCTree(forest, rid, (1, 1))
     assert not game_on_tree(tree, parse_formula("Ex x. x = x"))
     assert game_on_tree(tree, to_nnf(parse_formula("Ax x. adj(x,x)")))

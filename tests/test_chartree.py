@@ -17,10 +17,10 @@ from rwmso.logic import move_budget
 from rwmso.parsetree import leaf_vertex
 
 from common import (all_structures, catalog, cross_misses, down_closure, exp_tower,
-                    full_char_tree, full_tree_size, indicator_vector, merge_full_tree,
-                    permuted, random_relabeling, random_structure,
-                    reference_rename_combine, size_bound, small_parse_trees,
-                    tower_at_least, unfold_rc)
+                    full_char_tree, full_tree_size, has_children, indicator_vector,
+                    merge_full_tree, permuted, random_relabeling, random_structure,
+                    reference_char_tree, reference_rename_combine, size_bound,
+                    small_parse_trees, tower_at_least, unfold_rc)
 
 IDENT = Relabeling.identity(1)
 VERTEX = leaf_vertex(1)
@@ -72,7 +72,7 @@ def test_direct_matches_merged_full_tree():
     cases.append((build_structure(5, [(0, 1), (1, 2), (2, 3), (3, 4)], 1,
                                   [1, 0, 1, 1, 0]), 2))
     for g, q in cases:
-        rid = reduced_char_tree_direct(forest, g, q)
+        rid = reference_char_tree(forest, g, q)
         want = merge_full_tree(g, full_char_tree(g, q))
         assert unfold_rc(forest, rid) == want, (g, q)
 
@@ -81,11 +81,11 @@ def test_two_indistinguishable_elements_merge():
     # two elements, empty vocabulary, depth 2
     forest = RCForest()
     a = Structure(2, 0, (0, 0), (0, 0))
-    root = reduced_char_tree_direct(forest, a, 2)
+    root = reference_char_tree(forest, a, 2)
     node = forest.node(root)
-    by_set = [reduced_char_tree_direct(forest, a, 2, (), [{v}]) for v in (0, 1)]
+    by_set = [reference_char_tree(forest, a, 2, (), [{v}]) for v in (0, 1)]
     assert by_set[0] == by_set[1]
-    by_point = [reduced_char_tree_direct(forest, a, 2, (v,), []) for v in (0, 1)]
+    by_point = [reference_char_tree(forest, a, 2, (v,), []) for v in (0, 1)]
     assert by_point[0] == by_point[1]
     derived = len(node.point_children) + len(node.set_children)
     _, merged_kids = merge_full_tree(a, full_char_tree(a, 2))
@@ -96,9 +96,9 @@ def test_two_indistinguishable_elements_merge():
 
 def test_leaf_tree():
     forest = RCForest()
-    leaf = forest.node(reduced_char_tree_direct(forest, VERTEX, 0))
-    assert not leaf.has_children(True) and not leaf.has_children(False)
-    nid = reduced_char_tree_direct(forest, VERTEX, 1)
+    leaf = forest.node(reduced_char_tree_direct(forest, 1, 0))
+    assert not has_children(leaf, True) and not has_children(leaf, False)
+    nid = reduced_char_tree_direct(forest, 1, 1)
     node = forest.node(nid)
     # full tree has 3 children (1 point, 2 set); the set children merge
     # because a trace is always intersected with the chosen elements
@@ -106,14 +106,49 @@ def test_leaf_tree():
     assert len(node.point_children) == 1 and len(node.set_children) == 1
     assert unfold_rc(forest, nid) == merge_full_tree(VERTEX, full_char_tree(VERTEX, 1))
     # interned: rebuilding gives the same id
-    assert reduced_char_tree_direct(forest, VERTEX, 1) == nid
+    assert reduced_char_tree_direct(forest, 1, 1) == nid
 
 
 def test_leaf_tree_size_within_3_to_the_q():
     forest = RCForest()
     for q in (0, 1, 2, 3):
-        rid = reduced_char_tree_direct(forest, VERTEX, q)
+        rid = reduced_char_tree_direct(forest, 1, q)
         assert RCTree(forest, rid, q).size() <= sum(3 ** i for i in range(q + 1))
+
+
+def _interned(forest):
+    return ([(n.label, n.point_children, n.set_children) for n in forest.nodes],
+            [forest.label(i) for i in range(forest.num_labels())])
+
+
+def test_leaf_builder_matches_the_definition():
+    # the one-vertex leaf, at every width t <= 3, every budget of 1 to 3
+    # levels with caps 0..2 (staircases and others) and every choice of
+    # up to two preloaded set bits, against the brute-force builder: the
+    # same id in one forest, the same nodes and labels in fresh ones
+    cases = 0
+    for t in (1, 2, 3):
+        for levels in (1, 2, 3):
+            for caps in itertools.product(range(3), repeat=levels):
+                for nbits in (0, 1, 2):
+                    for bits in itertools.product((0, 1), repeat=nbits):
+                        forest = RCForest()
+                        got = reduced_char_tree_direct(forest, t, caps, bits)
+                        assert got == reference_char_tree(forest, leaf_vertex(t), caps, (),
+                                                          bits), (t, caps, bits)
+                        mine, theirs = RCForest(), RCForest()
+                        reduced_char_tree_direct(mine, t, caps, bits)
+                        reference_char_tree(theirs, leaf_vertex(t), caps, (), bits)
+                        assert _interned(mine) == _interned(theirs), (t, caps, bits)
+                        cases += 1
+    assert cases == 3 * (3 + 9 + 27) * (1 + 2 + 4)
+
+
+def test_leaf_builder_refuses_a_bad_bit_and_width():
+    with pytest.raises(RwmsoError, match="^set entry outside universe$"):
+        reduced_char_tree_direct(RCForest(), 1, 1, (0, 2))
+    with pytest.raises(RwmsoError, match="need t >= 1"):
+        reduced_char_tree_direct(RCForest(), 0, 1)
 
 
 def test_interning_gives_structural_equality():
@@ -122,7 +157,7 @@ def test_interning_gives_structural_equality():
     ids = []
     for _ in range(25):
         g = random_structure(rng, rng.randint(1, 3), 1)
-        ids.append(reduced_char_tree_direct(forest, g, rng.choice((1, 2))))
+        ids.append(reference_char_tree(forest, g, rng.choice((1, 2))))
     memo = {}
     for i1 in ids:
         for i2 in ids:
@@ -138,8 +173,8 @@ def test_rc_ids_independent_of_presentation():
         perm = list(range(n))
         rng.shuffle(perm)
         h = permuted(g, perm)
-        assert reduced_char_tree_direct(forest, g, 2) == \
-            reduced_char_tree_direct(forest, h, 2)
+        assert reference_char_tree(forest, g, 2) == \
+            reference_char_tree(forest, h, 2)
 
 
 def test_budget_monotone():
@@ -149,11 +184,11 @@ def test_budget_monotone():
     forest = RCForest()
     g = build_structure(3, [(0, 1), (1, 2)])
     q = 2
-    root = reduced_char_tree_direct(forest, g, q)
+    root = reference_char_tree(forest, g, q)
     for nid in forest.reachable(root):
         node = forest.node(nid)
-        assert node.has_children(True) == (node.m + node.p + 1 <= q)
-        assert node.has_children(False) == (node.m + node.p + 1 <= q)
+        assert has_children(node, True) == (node.m + node.p + 1 <= q)
+        assert has_children(node, False) == (node.m + node.p + 1 <= q)
         for ch in node.point_children:
             child = forest.node(ch)
             assert child.m == node.m + 1 and child.p == node.p
@@ -161,11 +196,11 @@ def test_budget_monotone():
             child = forest.node(ch)
             assert child.m == node.m and child.p == node.p + 1
     for budget in ((2, 1), (3,), (1, 1, 1), (0, 0)):
-        root = reduced_char_tree_direct(forest, g, budget)
+        root = reference_char_tree(forest, g, budget)
         for nid in forest.reachable(root):
             node = forest.node(nid)
-            assert node.has_children(True) == in_budget(budget, node.m + 1, node.p)
-            assert node.has_children(False) == in_budget(budget, node.m, node.p + 1)
+            assert has_children(node, True) == in_budget(budget, node.m + 1, node.p)
+            assert has_children(node, False) == in_budget(budget, node.m, node.p + 1)
 
 
 # --- indicator vectors ----------------------------------------------------
@@ -300,19 +335,19 @@ def test_rename_combine_validation():
 def test_tcp_leaf_leaf_is_k2():
     forest = RCForest()
     op = (IDENT, IDENT, IDENT)
-    left = reduced_char_tree_direct(forest, VERTEX, 2)
+    left = reference_char_tree(forest, VERTEX, 2)
     got = tree_cross_product(forest, left, left, 2, op)
     k2 = build_structure(2, [(0, 1)], t=1, labels=[1, 1])
-    assert got == reduced_char_tree_direct(forest, k2, 2)
+    assert got == reference_char_tree(forest, k2, 2)
 
 
 def test_tcp_zero_budget_single_root():
     forest = RCForest()
     op = (IDENT, IDENT, IDENT)
-    left = reduced_char_tree_direct(forest, VERTEX, 0)
+    left = reference_char_tree(forest, VERTEX, 0)
     got = tree_cross_product(forest, left, left, 0, op)
     node = forest.node(got)
-    assert not node.has_children(True) and not node.has_children(False)
+    assert not has_children(node, True) and not has_children(node, False)
 
 
 def test_tcp_exhaustive_small_parse_trees():
@@ -322,7 +357,7 @@ def test_tcp_exhaustive_small_parse_trees():
     for budget in (1, 2, (3,), (2, 2), (1, 1, 1), (0, 0)):
         for tree in small_parse_trees():
             rc = char_tree_from_parse_tree(tree, budget, forest)
-            want = reduced_char_tree_direct(forest, generate_graph(tree), budget)
+            want = reference_char_tree(forest, generate_graph(tree), budget)
             assert rc.root == want
 
 
@@ -331,11 +366,11 @@ def test_tcp_depth_budget_error():
     # the depth-1 tree has no point moves at (1, 0), the points-only tree
     # no set moves at (0, 0)
     forest = RCForest()
-    shallow = reduced_char_tree_direct(forest, VERTEX, 1)
+    shallow = reference_char_tree(forest, VERTEX, 1)
     with pytest.raises(DepthBudgetError,
                        match=r"no point moves at m=1, p=0 for budget \[2, 1, 0\]"):
         tree_cross_product(forest, shallow, shallow, 2, (IDENT, IDENT, IDENT))
-    points_only = reduced_char_tree_direct(forest, VERTEX, (1,))
+    points_only = reference_char_tree(forest, VERTEX, (1,))
     with pytest.raises(DepthBudgetError,
                        match=r"no set moves at m=0, p=0 for budget \[1, 0\]"):
         tree_cross_product(forest, points_only, points_only, (1, 0), (IDENT, IDENT, IDENT))
@@ -346,7 +381,7 @@ def test_char_tree_single_leaf():
     tree = ParseTree(1, (), (-1,))
     for q in (0, 1, 2, 3):
         assert char_tree_from_parse_tree(tree, q, forest).root == \
-            reduced_char_tree_direct(forest, VERTEX, q)
+            reference_char_tree(forest, VERTEX, q)
 
 
 def test_char_tree_families_match_direct():
@@ -355,7 +390,7 @@ def test_char_tree_families_match_direct():
                       ("cycle", 4), ("cograph-join", 4)):
         tree = family_tree(family, n)
         rc = char_tree_from_parse_tree(tree, 2, forest)
-        want = reduced_char_tree_direct(forest, generate_graph(tree), 2)
+        want = reference_char_tree(forest, generate_graph(tree), 2)
         assert rc.root == want
 
 

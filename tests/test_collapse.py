@@ -18,9 +18,10 @@ from rwmso import chartree
 from rwmso.chartree import RCForest, char_tree_from_parse_tree, rc_dump
 from rwmso.errors import RwmsoError
 from rwmso.games import BOTTOM, CATALOG, Verdicts, check_collapse
-from rwmso.logic import move_budget
+from rwmso.logic import ExistsObj, ExistsSet, ForallObj, ForallSet, move_budget
 
-from common import catalog, random_parse_tree, random_sentence, small_parse_trees
+from common import (catalog, random_formula, random_parse_tree, random_sentence,
+                    small_parse_trees)
 
 TWO_COLORABLE = next(e.text for e in CATALOG if e.name == "two-colorable")
 
@@ -344,5 +345,36 @@ def test_random_sentences_with_collapses_agree_with_evaluate():
         rc = _collapsed(tree, phi)
         assert _point_moves_stay_real(rc), (str(phi), tree)
         assert game_on_tree(rc, phi) == evaluate(generate_graph(tree), phi), (str(phi), tree)
+        with_collapse += rc.forest.collapsed > 0
+    assert with_collapse >= 20, with_collapse
+
+
+def _two_set_sentence(rng):
+    """Two set quantifiers and one point quantifier in random order, so
+    some prefixes are not set-first, in front of a random_formula body of
+    depth 1 over their variables."""
+    prefix = [(rng.choice((ExistsSet, ForallSet)), "S0"),
+              (rng.choice((ExistsSet, ForallSet)), "S1"),
+              (rng.choice((ExistsObj, ForallObj)), "x0")]
+    rng.shuffle(prefix)
+    phi = random_formula(rng, 1, ["x0"], ["S0", "S1"])
+    for quant, v in reversed(prefix):
+        phi = quant(v, phi)
+    return phi
+
+
+def test_sentences_with_two_set_quantifiers_agree_with_the_plain_fold():
+    # seeded fuzz: the collapsing fold, the plain fold and evaluate agree
+    rng = random.Random(5)
+    with_collapse = 0
+    for _ in range(200):
+        phi = _two_set_sentence(rng)
+        tree = random_parse_tree(rng, rng.randint(2, 5), 2)
+        if quantifier_rank(phi) > 3:
+            continue
+        rc = _collapsed(tree, phi)
+        want = evaluate(generate_graph(tree), phi)
+        assert game_on_tree(rc, phi) == game_on_tree(_plain(tree, phi), phi) == want, \
+            (str(phi), tree)
         with_collapse += rc.forest.collapsed > 0
     assert with_collapse >= 20, with_collapse

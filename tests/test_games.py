@@ -8,14 +8,14 @@ import pytest
 from rwmso import (Assignment, GameStats, build_structure, evaluate,
                    family_tree, game_on_tree, generate_graph, model_check,
                    parse_formula, quantifier_rank)
-from rwmso.chartree import (RCForest, RCTree, char_tree_from_parse_tree,
-                            reduced_char_tree_direct)
+from rwmso.chartree import RCForest, RCTree, char_tree_from_parse_tree
 from rwmso.errors import DepthBudgetError, RwmsoError
 from rwmso.games import CATALOG, check_collapse
 from rwmso.logic import Not, free_variables, move_budget
 
-from common import (all_structures, catalog, full_char_tree, full_tree_game,
-                    random_parse_tree, random_sentence, random_structure, to_nnf)
+from common import (all_structures, catalog, full_char_tree, full_tree_game, is_atomic,
+                    random_parse_tree, random_sentence, random_structure,
+                    reference_char_tree, to_nnf)
 
 K2 = build_structure(2, [(0, 1)])
 TWO_ISOLATED = build_structure(2, [])
@@ -74,7 +74,7 @@ def _game(g, phi, xs=(), Xs=(), objs=(), sets=(), stats=None):
     """game_on_tree on g's direct reduced tree for phi's move budget."""
     forest = RCForest()
     budget = move_budget(phi, len(xs), len(Xs))
-    rid = reduced_char_tree_direct(forest, g, budget, objs, sets)
+    rid = reference_char_tree(forest, g, budget, objs, sets)
     return game_on_tree(RCTree(forest, rid, budget), phi, xs, Xs, stats)
 
 
@@ -152,9 +152,9 @@ def test_game_on_tree_rejects_other_trees():
 def test_game_on_tree_basic():
     forest = RCForest()
     nnf = to_nnf(HAS_EDGE)
-    rid = reduced_char_tree_direct(forest, K2, 2)
+    rid = reference_char_tree(forest, K2, 2)
     assert game_on_tree(RCTree(forest, rid, 2), nnf)
-    rid = reduced_char_tree_direct(forest, TWO_ISOLATED, 2)
+    rid = reference_char_tree(forest, TWO_ISOLATED, 2)
     assert not game_on_tree(RCTree(forest, rid, 2), nnf)
     assert full_tree_game(full_char_tree(K2, 2), nnf)
 
@@ -162,16 +162,16 @@ def test_game_on_tree_basic():
 def test_game_on_tree_q0_atomic_with_frees():
     forest = RCForest()
     phi = parse_formula("adj(x, y)")
-    rid = reduced_char_tree_direct(forest, K2, 0, (0, 1), ())
+    rid = reference_char_tree(forest, K2, 0, (0, 1), ())
     assert game_on_tree(RCTree(forest, rid, 0), phi, ("x", "y"), ())
-    rid = reduced_char_tree_direct(forest, K2, 0, (0, 0), ())
+    rid = reference_char_tree(forest, K2, 0, (0, 0), ())
     assert not game_on_tree(RCTree(forest, rid, 0), phi, ("x", "y"), ())
 
 
 def test_game_on_tree_rejects_set_equality():
     forest = RCForest()
     phi = parse_formula("S = T")
-    rid = reduced_char_tree_direct(forest, K2, 2, (), ({0}, {0}))
+    rid = reference_char_tree(forest, K2, 2, (), ({0}, {0}))
     with pytest.raises(RwmsoError, match="set-set equality"):
         game_on_tree(RCTree(forest, rid, 2), phi, (), ("S", "T"))
     # refused even where x = x decides the disjunction before the game
@@ -186,7 +186,7 @@ def test_game_on_tree_rejects_set_equality():
 
 def test_game_on_tree_depth_budget():
     forest = RCForest()
-    rid = reduced_char_tree_direct(forest, K2, 1)
+    rid = reference_char_tree(forest, K2, 1)
     with pytest.raises(DepthBudgetError):
         game_on_tree(RCTree(forest, rid, 1), to_nnf(HAS_EDGE))
 
@@ -218,7 +218,7 @@ def test_four_evaluators_agree_with_assignments():
                     assert evaluate(g, nnf, alpha) == want
                     full = full_char_tree(g, q, objs, sets)
                     assert full_tree_game(full, nnf, xs, Xs) == want
-                    rid = reduced_char_tree_direct(forest, g, q, objs, sets)
+                    rid = reference_char_tree(forest, g, q, objs, sets)
                     assert game_on_tree(RCTree(forest, rid, q), nnf, xs, Xs) == want
 
 
@@ -285,7 +285,7 @@ def test_memoized_game_visits_each_pair_at_most_once():
 
 
 def _count_positions(phi):
-    from rwmso.logic import And, Or, is_atomic, Not
+    from rwmso.logic import And, Or, Not
     if is_atomic(phi) or isinstance(phi, Not):
         return 1
     if isinstance(phi, (And, Or)):
@@ -320,7 +320,7 @@ def test_an_equal_formula_built_afresh_shares_one_game_memo_entry():
     # games are keyed by phi's value: a formula parsed again finds the
     # entry the first one compiled, and a different formula adds its own
     forest = RCForest()
-    rid = reduced_char_tree_direct(forest, K2, 2)
+    rid = reference_char_tree(forest, K2, 2)
     for _ in range(2):
         assert game_on_tree(RCTree(forest, rid, 2), parse_formula("Ex x. Ex y. adj(x,y)"))
     assert len(forest.game_memo) == 1
@@ -363,7 +363,7 @@ def test_finished_calls_leave_no_cycles(monkeypatch):
             parse_formula("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", 2), (1,), "max")
         assert solve_linemso(tree, problem).value == 3
         forest = RCForest()
-        rid = reduced_char_tree_direct(forest, K2, 2)
+        rid = reference_char_tree(forest, K2, 2)
         assert game_on_tree(RCTree(forest, rid, 2), to_nnf(HAS_EDGE))
         del forest
         assert len(forests) == 2 and all(ref() is None for ref in forests)
@@ -383,7 +383,7 @@ def test_assignment_error_messages():
 
 def test_game_on_tree_refuses_duplicate_names_and_another_root_level():
     forest = RCForest()
-    rc = RCTree(forest, reduced_char_tree_direct(forest, K2, 2, (0,), ()), 2)
+    rc = RCTree(forest, reference_char_tree(forest, K2, 2, (0,), ()), 2)
     phi = parse_formula("adj(x, y)")
     with pytest.raises(RwmsoError) as err:
         game_on_tree(rc, phi, ("x", "x"), ())

@@ -4,12 +4,13 @@ from rwmso import (FAMILIES, Assignment, GameStats, LinEMSOProblem, evaluate,
                    family_tree, generate_graph, parse_formula, quantifier_rank,
                    solve_linemso)
 from rwmso import games, linemso
-from rwmso.chartree import RCForest, reduced_char_tree_direct, tree_cross_product
+from rwmso.chartree import RCForest, tree_cross_product
 from rwmso.errors import RwmsoError
 from rwmso.linemso import DPStats
 from rwmso.parsetree import fold, leaf_vertex
 
-from common import brute_force_linemso, size_bound, tower_at_least, unpruned_linemso
+from common import (brute_force_linemso, reference_char_tree, size_bound, tower_at_least,
+                    unpruned_linemso)
 
 INDEP = "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))"
 DOMIN = "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))"
@@ -148,7 +149,7 @@ def test_class_count_bounded_and_stabilizes():
         # the DP's state space: distinct interned trees at the root
         forest = RCForest()
         leaf_struct = leaf_vertex(tree.t)
-        leaf_ids = {reduced_char_tree_direct(forest, leaf_struct, q, (), (m,))
+        leaf_ids = {reference_char_tree(forest, leaf_struct, q, (), (m,))
                     for m in (0, 1)}
         root_ids = fold(tree, leaf_ids, lambda op: lambda left, right: {
             tree_cross_product(forest, i1, i2, q, op) for i1 in left for i2 in right})

@@ -1,12 +1,15 @@
 """The README's library example runs and gives the results its comments
-state, and its command-line lines run, so neither can drift from the
-package."""
+state, its command-line lines run and the package names it gives
+resolve, so none of them can drift from the package."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import rwmso
 from rwmso import cli, family_tree, format_graph, generate_graph, parse_tree_from_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -73,3 +76,30 @@ def test_the_parse_tree_example_gives_its_code():
     assert tree.code == code == (-1, -1, 0, -1, 1)
     ones, zeros = ((1 << t) - 1,) * t, (0,) * t
     assert [[r.rows for r in op] for op in tree.ops] == [[ones] * 3, [zeros] * 3]
+
+
+def test_the_dotted_names_resolve():
+    # each dotted name that opens a backticked span (up to its end or a
+    # call's "(") and starts with rwmso, a package module or a name some
+    # module defines resolves by getattr, an instance attribute through
+    # a default-constructed instance (RCForest().lost)
+    modules = {info.name: importlib.import_module(f"rwmso.{info.name}")
+               for info in pkgutil.iter_modules(rwmso.__path__)}
+    roots = {"rwmso": rwmso, **modules}
+    for module in modules.values():
+        for name, value in vars(module).items():
+            roots.setdefault(name, value)
+    text = README.read_text(encoding="utf-8")
+    checked = []
+    for dotted in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[`(]", text))):
+        first, *rest = dotted.split(".")
+        if first not in roots:
+            continue  # a file name, such as pyproject.toml
+        obj = roots[first]
+        for attr in rest:
+            if not hasattr(obj, attr) and isinstance(obj, type):
+                obj = obj()
+            assert hasattr(obj, attr), f"README names {dotted}, which does not resolve"
+            obj = getattr(obj, attr)
+        checked.append(dotted)
+    assert len(checked) >= 20, checked  # 27 when this test was written

@@ -365,6 +365,9 @@ def test_graph_format_skips_blank_and_comment_lines():
     ("p graph -1 0 1\n", "line 1: negative size (n=-1, t=1)"),
     ("p graph 2 0 -1\n", "line 1: negative size (n=2, t=-1)"),
     ("p graph 2 1 1\ne 1 1\n", "line 2: loop at vertex 1"),
+    # the edge count names the header's line, after any comment lines
+    ("p graph 2 -1 1\n", "line 1: negative edge count -1"),
+    ("c one edge\np graph 2 1 1\n", "line 2: header declares 1 edges, found 0"),
     ("p graph 1 0 1\nx 0\n", "line 2: unknown line type 'x'"),
     ("c nothing else\n", "missing 'p graph' header"),
 ])

@@ -16,14 +16,14 @@ import pytest
 from rwmso import (Assignment, LinEMSOProblem, RCForest, evaluate, family_tree,
                    free_variables, game_on_tree, generate_graph, parse_formula,
                    solve_linemso, tree_cross_product)
-from rwmso.chartree import char_tree_from_parse_tree, reduced_char_tree_direct
+from rwmso.chartree import char_tree_from_parse_tree
 from rwmso.errors import RwmsoError
 from rwmso.games import BOTTOM, CATALOG, TOP, UNKNOWN, Verdicts, check_collapse
 from rwmso.logic import move_budget
 from rwmso.parsetree import fold, leaf_vertex
 
-from common import (brute_force_linemso, random_parse_tree, small_parse_trees,
-                    unpruned_linemso)
+from common import (brute_force_linemso, random_parse_tree, reference_char_tree,
+                    small_parse_trees, unpruned_linemso)
 
 INDEP = "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))"
 DOMIN = "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))"
@@ -131,7 +131,7 @@ def _subtree_states(forest, tree, budget, l):
     """Per subtree of the parse tree: (first vertex in the whole graph,
     vertex count, {trace masks: tree id}) over every trace tuple."""
     leaf = leaf_vertex(tree.t)
-    states = {masks: reduced_char_tree_direct(forest, leaf, budget, (), masks)
+    states = {masks: reference_char_tree(forest, leaf, budget, (), masks)
               for masks in itertools.product((0, 1), repeat=l)}
 
     def combine(left, right, op):
