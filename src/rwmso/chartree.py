@@ -22,16 +22,18 @@ that get children.  A depth q is the paper's tree (every m + p <= q);
 model checking builds the smaller tree of the moves its formula's game
 can take (logic.move_budget).
 
-Model checking can also have the fold get a collapse test from its
-forest, one that marks product nodes at the set-only levels (0, p) that
-its sentence has already lost.  The fold puts the forest's one
-childless lost node in their place and in place of every product with a
-lost factor, and never multiplies their subtrees.  games.Verdicts says
-when that is sound.  Without a test the fold builds the reduced tree.
+A fold can also take a collapse test from its forest, one that marks
+product nodes at the set-only levels (0, p) that its formula has
+already lost; model checking and LinEMSO both fold with it.  The fold
+puts the forest's one childless lost node in their place and in place
+of every product with a lost factor, and never multiplies their
+subtrees.  games.Verdicts says when that is sound.  Without a test the
+fold builds the reduced tree.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -65,10 +67,15 @@ LOST = OrderedStructure(Structure(0, 0, (), ()), (), ())
 
 
 def as_budget(budget: int | Sequence[int]) -> Budget:
-    """Normalise a depth q to its staircase; validate a caps sequence."""
+    """Normalise a depth q to its staircase, refusing one whose leaf tree
+    alone passes MAX_NODES; validate a caps sequence."""
     if isinstance(budget, int):
         if budget < 0:
             raise RwmsoError("depth must be nonnegative")
+        # the one-vertex leaf's tree alone has 3 * 2^q - q - 2 nodes
+        if budget > MAX_NODES.bit_length() or (3 << budget) - budget - 2 > MAX_NODES:
+            raise ScaleGuardError(f"a depth-{budget} tree would have reached {MAX_NODES} interned "
+                                  f"nodes at its leaf, the ceiling chartree.MAX_NODES={MAX_NODES}")
         return tuple(range(budget, -1, -1))
     caps = tuple(budget)
     if not caps or not all(isinstance(c, int) and c >= 0 for c in caps):
@@ -262,7 +269,7 @@ def reduced_char_tree_direct(forest: RCForest, t: int, budget: int | Budget,
     """
     caps = as_budget(budget)
     a = leaf_vertex(t)
-
+    @functools.cache  # moves in either order reach one (c, masks)
     def rec(c: tuple[int, ...], masks: tuple[int, ...]) -> int:
         label = ordered_induced(a, c, masks)
         m, p = len(c), len(masks)

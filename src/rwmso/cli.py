@@ -143,7 +143,7 @@ def cmd_optimize(args) -> int:
     elapsed = time.perf_counter() - start
     budget_fields = {"q": q, "moveBudget": list(problem.budget),
                      "dpPeakStates": stats.peak_states,
-                     "dpStatesDropped": stats.states_dropped,
+                     "collapsedNodes": stats.collapsed,
                      "dpPairProducts": stats.pair_products,
                      "peakInterned": stats.peak_interned, "parseSec": parse_s}
     if result is None:

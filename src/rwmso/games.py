@@ -13,10 +13,10 @@ supported by the direct evaluator only; a tree node keeps just the
 trace of each chosen set, which cannot decide equality of the full
 sets, so the tree game refuses a formula containing one.
 Verdicts reads the compiled table for three-valued verdicts that no
-composition context can change; LinEMSO prunes its states by them, and
-model checking collapses the subtrees a set-first sentence has lost
-(check_collapse).  The game is the Verdicts whose verdicts are final,
-as nothing is composed into the whole graph: they are its winners.
+composition context can change; by them both folds collapse the
+subtrees phi has lost (check_collapse).  The game is the Verdicts whose
+verdicts are final, as nothing is composed into the whole graph: they
+are its winners.
 """
 
 from __future__ import annotations
@@ -303,44 +303,45 @@ class Verdicts:
     atom with y or nested quantifier is UNKNOWN.  Nothing else is
     decided: a witness or a counterexample outside may still come.
 
-    That makes pruning by BOTTOM sound: a LinEMSO state whose verdict
-    at position 0 is BOTTOM fails phi at the root of every parse tree
-    it is composed into, and so does every product built from it.
-    Dropping it leaves the surviving states, the optimum and, since the
-    pairs are still visited in the same order, the first-found witness
-    unchanged.
-
-    It also makes check_collapse's collapse sound, for a set-first sentence
-    (no set quantifier below a point quantifier on any branch) and at
-    the set-only levels (0, p) only.  A product node at (0, p) is the
-    node of a subgraph's tree with p sets placed, and the game on the
-    whole graph reaches the positions of level (0, p) only at products
-    of such nodes with (0, p) nodes of the rest of the graph.  So a node
-    whose verdict is BOTTOM at every position of its level loses all of
-    them in every composition: replacing it by the forest's lost node,
-    and every product with a lost factor at (0, p) too, leaves the
+    That makes check_collapse's collapse sound, in both folds.  Its test
+    calls a node at a set-only level (0, p) lost when its verdict is
+    BOTTOM at every entry of that level: position 0 at the game's start
+    level (0, l), l the preloaded sets, and the body of each set
+    quantifier that moves into (0, p).  The game reaches a (0, p) node
+    only at an entry, as the root or by a set move, and walks
+    connectives on it from there.  A product node at (0, p) is the node
+    of a subgraph's tree with p sets placed, and the game on the whole
+    graph reaches the entries of (0, p) only at products of such nodes
+    with (0, p) nodes of the rest of the graph.  So a lost node loses
+    every entry in every composition: replacing it by the forest's lost
+    node, and every product with a lost factor at (0, p) too, leaves the
     winner at the root unchanged.  One lost node serves every level: a
     real node's label fixes its level, and so the level of each of its
     children, so sharing it merges no two real nodes that were distinct,
     and its label, chartree.LOST, is read as lost at every position by
     every view, made before or after the node: at() returns BOTTOM for
     it and stores nothing, so the game memo counts real nodes only.
-    Every other product with a lost factor is a set child of a node at
-    a level (m, p) with m >= 1, which
-    the fold builds only when some branch of phi reaches (m, p + 1) by
-    point moves (logic.move_budget), and the game of a set-first sentence
-    makes no set move there: from the root it walks (0, p) nodes by set
-    moves and then real nodes by point moves only, so those products are
-    off its move paths.
+
+    The start level holds only fold roots, no node's children, so a lost
+    factor there makes only a lost root.  Levels past it count only for
+    a set-first phi (no set quantifier below a point quantifier on any
+    branch).  There every other product with a lost factor is a set
+    child of a node at a level (m, p) with m >= 1, which the fold builds
+    only when some branch of phi reaches (m, p + 1) by point moves
+    (logic.move_budget), and the game of a set-first phi makes no set
+    move there: from the root it walks (0, p) nodes by set moves and
+    then real nodes by point moves only, so those products are off its
+    move paths.  LinEMSO's states are roots at (0, l): it drops the lost
+    node's, which stands for every state phi has lost, and the other
+    states keep their values and pair order.  States whose collapsed
+    trees are equal merge, and they have one winner in every composition.
 
     phi, with free set variables X_vars and no free object variables, is
     read as the forest's compiled game for it, so the verdicts and the root
     games compile phi once; verdicts are memoized per (node id, position)
     in a memo of their own.  fail, recorded by that compile, says per
-    position whether any verdict of it can be BOTTOM; when fail[0] is
-    False LinEMSO skips the verdicts, which would cost it time and drop
-    nothing.  Otherwise it filters each parse node's states with alive(),
-    one call per node.
+    position whether any verdict of it can be BOTTOM; the collapse test
+    reads the levels whose entries all can.
     """
 
     # a move's verdict when no child decides it; label atoms await relabelings
@@ -392,14 +393,6 @@ class Verdicts:
         self.memo[key] = out
         return out
 
-    def alive(self, states: dict) -> dict:
-        """The entries of states, a dict keyed by node id, whose verdict at
-        position 0 is not BOTTOM, in order.  One call per parse node: it
-        reads the memo itself and calls at() only for ids it has not seen."""
-        get, size, at = self.memo.get, self.size, self.at
-        return {nid: s for nid, s in states.items()
-                if (v := get(nid * size)) != BOTTOM and (v is not None or at(nid) != BOTTOM)}
-
 
 class _Game(Verdicts):
     """The forest's compiled game for phi: its table, what _compile
@@ -414,27 +407,30 @@ class _Game(Verdicts):
         self.table: list[tuple] = []
         self.atoms, self.levels, self.fail = _compile(phi, True, x_vars, X_vars, self.table)
         self.nodes, self.size = forest.nodes, len(self.table)
-        self.memo, self.test = {}, None
+        self.memo, self.test, self.X_vars = {}, None, X_vars
 
     def collapse(self, forest, phi: Formula) -> Collapse | None:
-        """Sentence phi's collapse test, kept in test: the first call makes
-        it and interns the lost node.  None when phi is not set-first or no
-        level of it can collapse, which each call finds again.  The test
-        calls a node at level (0, p) lost when its verdict is BOTTOM at
-        every position of that level, each of which can fail."""
+        """phi's collapse test, kept in test: the first call makes it and
+        interns the lost node.  None when no level can collapse, which each
+        call finds again.  The test calls a node at a set-only level (0, p)
+        lost when its verdict is BOTTOM at every entry of that level, each
+        of which can fail (see Verdicts): position 0 at the start level,
+        and past it, for a set-first phi, the body of each set quantifier
+        that moves into (0, p)."""
         if self.test is not None:
             return self.test
-        at_level: dict[int, list[int]] = {}
-        for pos, (m, p) in enumerate(self.levels):
-            if not m:
-                at_level.setdefault(p, []).append(pos)
-            elif self.table[pos][0] >= _EXISTS and not self.table[pos][2]:
-                return None  # a set move after a point move
-        positions_at = {p: ps for p, ps in at_level.items() if all(self.fail[q] for q in ps)}
+        (m, l), levels = self.levels[0], self.levels
+        entries = {} if m else {l: [0]}
+        set_moves = [(levels[pos], a) for pos, (kind, a, point) in enumerate(self.table)
+                     if kind >= _EXISTS and not point]
+        if not any(level[0] for level, _ in set_moves):  # phi is set-first
+            for (_, p), a in set_moves:
+                entries.setdefault(p + 1, []).append(a)
+        positions_at = {p: es for p, es in entries.items() if all(self.fail[e] for e in es)}
         if not positions_at:
             return None
         forest.lost_node()
-        at, nodes = Verdicts(forest, phi, ()).at, self.nodes
+        at, nodes = Verdicts(forest, phi, self.X_vars).at, self.nodes
 
         def lost(nid: int) -> bool:
             positions = positions_at.get(nodes[nid].p)
@@ -470,20 +466,23 @@ def _outside(table: list[tuple], atoms: dict[int, tuple], pos: int,
 
 
 def check_collapse(phi: Formula) -> Callable[..., Collapse | None]:
-    """The callable that model checking folds sentence phi's tree with:
-    called with the fold's forest, it returns phi's collapse test, kept
-    on the forest's compiled game for phi (_Game.collapse), or None.
+    """The callable that both folds take for phi, with no free object
+    variables: called with the fold's forest, it returns phi's collapse
+    test, kept on the forest's compiled game for phi and its free set
+    variables (_Game.collapse), or None.
 
     Model checking is char_tree_from_parse_tree(tree, move_budget(phi),
-    collapse=check_collapse(phi)), then the game.  When phi is set-first,
-    the fold collapses the (0, p) products phi has lost into the forest's
-    one lost node, which every view reads as lost by its label (see
-    Verdicts for why the game's winner stays the same), and the forest's
-    collapsed attribute counts them; otherwise the tree is the one the
-    fold builds without a test.  The tree keeps the test, and
-    game_on_tree plays no other sentence on its lost node.
+    collapse=check_collapse(phi)), then the game; linemso.solve_linemso
+    folds its states with the same test.  The fold collapses the (0, p)
+    products phi has lost into the forest's one lost node, which every
+    view reads as lost by its label (see Verdicts for why the game's
+    winner stays the same), and the forest's collapsed attribute counts
+    them; with no test the tree is the one the fold builds without one.
+    The tree keeps the test, and game_on_tree plays no other formula on
+    its lost node.
     """
-    return lambda forest: _game(forest, phi, (), ()).collapse(forest, phi)
+    X_vars = free_variables(phi).sets
+    return lambda forest: _game(forest, phi, (), X_vars).collapse(forest, phi)
 
 
 def model_check(tree: ParseTree, phi: Formula) -> bool:

@@ -12,8 +12,9 @@ min problem is the max over negated weights.  A witness is one int
 until the result: bit v*l + i says that vertex v is in set variable i,
 so a product's witness is one shift and one or.
 
-Each parse node drops the states whose games.Verdicts verdict is
-BOTTOM; see there for why this is sound.
+The fold collapses what the formula has lost into the forest's lost
+node with model checking's test (games.check_collapse), and each parse
+node drops that one state; games.Verdicts says why this is sound.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
                        tree_cross_product)
 from .errors import RwmsoError
-from .games import Verdicts, game_on_tree
+from .games import check_collapse, game_on_tree
 from .logic import Formula, free_variables, move_budget
 from .parsetree import ParseTree, fold
 
@@ -62,10 +63,10 @@ class LinEMSOResult:
 
 @dataclass
 class DPStats:
-    """Peak states at any parse node, states dropped, pairs combined, nodes interned."""
+    """Peak states at any parse node, products collapsed, pairs combined, nodes interned."""
 
     peak_states: int = 0
-    states_dropped: int = 0
+    collapsed: int = 0
     pair_products: int = 0
     peak_interned: int = 0
 
@@ -87,10 +88,12 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     sets, which occupy the first l set moves: every tree starts at
     (m, p) = (0, l) and has exactly the moves the game at the root takes.
 
-    Each parse node drops the states whose games.Verdicts verdict is
-    BOTTOM; see there for why this is sound.  stats, if given, receives
-    the peak and dropped state counts, the state pairs and the forest's
-    node count, which bounds the states (they are ids in that forest).
+    The fold takes phi's collapse test (games.check_collapse), as model
+    checking's does, after the leaves, whose roots it tests itself; each
+    parse node drops the one state of the lost node.  stats, if given,
+    receives the peak state count, the products collapsed, the state
+    pairs and the forest's node count, which bounds the states (they are
+    ids in that forest).
     """
     sign = 1 if problem.direction == "max" else -1
     weights = tuple(sign * w for w in problem.weights)
@@ -98,17 +101,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     budget = problem.budget
     set_vars = problem.set_vars
     forest = RCForest()
-    verdicts = Verdicts(forest, problem.phi, set_vars)
     if stats is None:
         stats = DPStats()
-
-    def survivors(states: dict) -> dict:
-        if verdicts.fail[0]:
-            kept = verdicts.alive(states)
-            stats.states_dropped += len(states) - len(kept)
-            states = kept
-        stats.peak_states = max(stats.peak_states, len(states))
-        return states
 
     # states per subtree: interned tree id -> (weight, packed witness); ties
     # keep the first-found witness, so results are deterministic.  A leaf's
@@ -121,10 +115,13 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
         old = leaf_states.get(rid)
         if old is None or value > old[0]:
             leaf_states[rid] = (value, choice)
-    leaf_states = survivors(leaf_states)
+    test = check_collapse(problem.phi)(forest)
+    if test is not None:
+        leaf_states = {rid: state for rid, state in leaf_states.items() if not test(rid)}
+    stats.peak_states = len(leaf_states)
 
     def combine_for(op):
-        get = forest.cross_memo_for(budget, op).get
+        get = forest.cross_memo_for(budget, op, test).get
 
         def combine(left, right):
             (states1, n1), (states2, n2) = left, right
@@ -135,18 +132,20 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
                 for id2, (v2, w2) in states2.items():
                     rid = get((id1, id2, ()))
                     if rid is None:
-                        rid = tree_cross_product(forest, id1, id2, budget, op)
+                        rid = tree_cross_product(forest, id1, id2, budget, op, test)
                     value = v1 + v2
                     old = pairs.get(rid)
                     if old is None or value > old[0]:
                         pairs[rid] = (value, w1 | w2 << shift)
-            return survivors(pairs), n1 + n2
+            pairs.pop(forest.lost, None)
+            stats.peak_states = max(stats.peak_states, len(pairs))
+            return pairs, n1 + n2
         return combine
 
     classes, _ = fold(tree, (leaf_states, 1), combine_for)
-    stats.peak_interned = len(forest)
+    stats.peak_interned, stats.collapsed = len(forest), forest.collapsed
     sat = [state for rid, state in classes.items()
-           if game_on_tree(RCTree(forest, rid, budget), problem.phi, (), set_vars)]
+           if game_on_tree(RCTree(forest, rid, budget, test), problem.phi, (), set_vars)]
     if not sat:
         return None
     value, packed = max(sat, key=lambda state: state[0])  # the first on ties

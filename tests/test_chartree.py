@@ -8,7 +8,7 @@ from rwmso import (LinEMSOProblem, ParseTree, Relabeling, Structure, build_struc
                    char_tree_from_parse_tree, chartree, compose, family_tree,
                    generate_graph, linemso, ordered_induced, parse_formula,
                    rename_combine, solve_linemso, tree_cross_product)
-from rwmso.chartree import (RCForest, RCTree, in_budget, rc_dump,
+from rwmso.chartree import (RCForest, RCTree, as_budget, in_budget, rc_dump,
                             reduced_char_tree_direct)
 from rwmso.errors import (DepthBudgetError, RwmsoError, ScaleGuardError,
                           WidthMismatchError)
@@ -114,6 +114,31 @@ def test_leaf_tree_size_within_3_to_the_q():
     for q in (0, 1, 2, 3):
         rid = reduced_char_tree_direct(forest, 1, q)
         assert RCTree(forest, rid, q).size() <= sum(3 ** i for i in range(q + 1))
+
+
+def test_leaf_tree_has_three_times_two_to_the_q_nodes(monkeypatch):
+    # the depth-q leaf tree merges to 3 * 2^q - q - 2 nodes, and its
+    # builder labels each distinct (c, masks) once, not once per path to it
+    calls = []
+    induced = chartree.ordered_induced
+    monkeypatch.setattr(chartree, "ordered_induced",
+                        lambda *args: calls.append(None) or induced(*args))
+    for q in range(11):
+        calls.clear()
+        forest = RCForest()
+        reduced_char_tree_direct(forest, 1, q)
+        assert len(forest) == 3 * 2 ** q - q - 2, q
+        if q in (6, 8, 10):
+            assert len(calls) <= 2 * len(forest), (q, len(calls), len(forest))
+
+
+def test_a_depth_whose_leaf_passes_the_ceiling_is_refused():
+    # the depth-q leaf tree alone has 3 * 2^q - q - 2 nodes, more than
+    # MAX_NODES from q = 18 on; q = 17 is still a budget
+    assert as_budget(17) == tuple(range(17, -1, -1))
+    for q in (18, 19, 1200, 10 ** 9):
+        with pytest.raises(ScaleGuardError, match=f"MAX_NODES={chartree.MAX_NODES}"):
+            as_budget(q)
 
 
 def _interned(forest):

@@ -113,6 +113,23 @@ def test_node_ceiling_is_one_error_line(p4_file, argv, monkeypatch, capsys):
     assert "reached 4 interned nodes" in err[0] and "MAX_NODES=4" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["chartree", "--q", "1200"],
+    ["bench", "--family", "path", "--n-list", "8", "--q", "1200", "--repeats", "1"],
+], ids=lambda argv: argv[0])
+def test_a_depth_past_the_ceiling_is_one_error_line(p4_file, argv, capsys):
+    # the leaf's tree alone passes MAX_NODES from q = 18 on: refused before
+    # anything is built, so no walk 1,200 moves deep overflows the stack
+    if argv[0] == "chartree":
+        argv = argv + ["--parse-tree", p4_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "a depth-1200 tree" in err[0] and "MAX_NODES=500000" in err[0]
+
+
 def test_deep_formulas_end_cleanly(tmp_path, monkeypatch, capsys):
     # 95 set quantifiers over one vertex: building the leaf's tree walks
     # ~3^96 moves, and the node ceiling ends the walk
@@ -266,20 +283,22 @@ def _optimize_json(tmp_path, capsys, family, n, formula, weights, direction):
 
 
 def test_optimize_reports_dp_states(tmp_path, capsys):
-    # the 36 states of max independent set on a path survive; the states
-    # that already hold an edge inside X are dropped.  Dominating set drops
-    # the states with a frozen vertex (label row 0) outside X and no
-    # neighbour in X: no later composition gives it one.
+    # the 36 states of max independent set on a path survive; the products
+    # that already hold an edge inside X collapse into the lost node.
+    # Dominating set collapses the products with a frozen vertex (label
+    # row 0) outside X and no neighbour in X: no later composition gives
+    # it one.  collapsedNodes counts distinct products, as for check, and
+    # peakInterned the lost node too
     report = _optimize_json(tmp_path, capsys, "path", 64,
                             "Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", "1", "max")
     assert report["answer"] == 32
-    assert (report["dpPeakStates"], report["dpStatesDropped"]) == (36, 379)
+    assert (report["dpPeakStates"], report["collapsedNodes"]) == (36, 29)
     assert report["dpPairProducts"] == 4146 and report["parseSec"] >= 0
-    assert report["peakInterned"] == 189
+    assert report["peakInterned"] == 190
     report = _optimize_json(tmp_path, capsys, "path", 64,
                             "Ax x. (X(x) | (Ex y. (adj(x,y) & X(y))))", "1", "min")
     assert report["answer"] == 22
-    assert (report["dpPeakStates"], report["dpStatesDropped"]) == (105, 539)
+    assert (report["dpPeakStates"], report["collapsedNodes"]) == (105, 25)
 
 
 def test_optimize_two_set_variables(tmp_path, capsys):

@@ -17,7 +17,7 @@ from rwmso import (FAMILIES, evaluate, family_tree, game_on_tree, generate_graph
 from rwmso import chartree
 from rwmso.chartree import RCForest, char_tree_from_parse_tree, rc_dump
 from rwmso.errors import RwmsoError
-from rwmso.games import BOTTOM, CATALOG, Verdicts, check_collapse
+from rwmso.games import _EXISTS, BOTTOM, CATALOG, Verdicts, check_collapse
 from rwmso.logic import ExistsObj, ExistsSet, ForallObj, ForallSet, move_budget
 
 from common import (catalog, random_formula, random_parse_tree, random_sentence,
@@ -378,3 +378,82 @@ def test_sentences_with_two_set_quantifiers_agree_with_the_plain_fold():
             (str(phi), tree)
         with_collapse += rc.forest.collapsed > 0
     assert with_collapse >= 20, with_collapse
+
+
+# not set-first (EX Z under Ax y); position 0 can fail through the first
+# conjunct, whose body would be an entry of (0, 1) if phi were set-first
+NOT_SET_FIRST = ("(AX S. Ax x. (S(x) | label1(x) | (Ex y. (adj(x,y) & label1(y)))))"
+                 " & (Ax y. EX Z. Z(y))")
+# set-first: AX S and EX T both move into (0, 1), so that level has two
+# entries, their bodies; below the first, Ex y stays at (0, 1) and cannot
+# fail, so a rule over every position of the level would collapse nothing
+TWO_ENTRIES = ("(AX S. ((Ax x. (S(x) | label1(x))) & (Ex y. (S(y) | label2(y)))))"
+               " | (EX T. Ax x. (T(x) & !label2(x)))")
+
+
+def _rule_trees():
+    """The family trees with n <= 8 and 40 seeded random trees, at t = 2."""
+    rng = random.Random(3)
+    trees = [family_tree(family, n, 2) for family in FAMILIES
+             for n in range(3 if family == "cycle" else 1, 9)]
+    return trees + [random_parse_tree(rng, rng.randint(2, 6), 2) for _ in range(40)]
+
+
+def _set_move_bodies(game):
+    """The bodies of the set quantifiers at (0, 0): the entries of (0, 1)."""
+    return [a for pos, (kind, a, point) in enumerate(game.table)
+            if kind >= _EXISTS and not point and game.levels[pos] == (0, 0)]
+
+
+def test_a_sentence_that_is_not_set_first_collapses_its_start_level_only():
+    # the start level holds only fold roots, which the game enters at
+    # position 0 alone, so the fold collapses there: the lost node is no
+    # node's child, though the body of AX S is BOTTOM on some (0, 1) nodes
+    phi = parse_formula(NOT_SET_FIRST, 2)
+    answers, lost_roots, lost_bodies = set(), 0, 0
+    for tree in _rule_trees():
+        forest = RCForest()
+        rc = _collapsed(tree, phi, forest)
+        want = evaluate(generate_graph(tree), phi)
+        assert game_on_tree(rc, phi) == game_on_tree(_plain(tree, phi), phi) == want, tree
+        answers.add(want)
+        lost_roots += rc.root == forest.lost
+        game = forest.game_memo[phi, (), ()]
+        (body,) = _set_move_bodies(game)
+        assert game.fail[0] and game.fail[body]
+        view = Verdicts(forest, phi, ())
+        for nid, node in enumerate(forest.nodes):
+            if nid == forest.lost:
+                continue
+            assert forest.lost not in node.point_children + node.set_children, tree
+            if not node.m and node.p:  # the test reads set-only levels only
+                assert not rc.collapse(nid), tree
+                lost_bodies += view.at(nid, body) == BOTTOM
+    assert answers == {True, False} and lost_roots > 0 and lost_bodies > 0
+
+
+def test_a_level_with_two_entries_collapses_where_both_are_lost():
+    # a (0, 1) node is lost when its verdict is BOTTOM at both entries,
+    # whatever the other positions of its level; the answers stay those
+    # of the plain fold and evaluate
+    phi = parse_formula(TWO_ENTRIES, 2)
+    answers, counts = set(), {"one entry lost": 0, "both lost": 0}
+    for tree in _rule_trees():
+        forest = RCForest()
+        rc = _collapsed(tree, phi, forest)
+        want = evaluate(generate_graph(tree), phi)
+        assert game_on_tree(rc, phi) == game_on_tree(_plain(tree, phi), phi) == want, tree
+        assert _point_moves_stay_real(rc), tree
+        answers.add(want)
+        game = forest.game_memo[phi, (), ()]
+        entries = _set_move_bodies(game)
+        assert len(entries) == 2 and all(game.fail[e] for e in entries)
+        assert not all(game.fail[pos] for pos, level in enumerate(game.levels)
+                       if level == (0, 1))
+        view = Verdicts(forest, phi, ())
+        for nid, node in enumerate(forest.nodes):
+            if nid != forest.lost and (node.m, node.p) == (0, 1):
+                lost = [view.at(nid, e) == BOTTOM for e in entries]
+                assert rc.collapse(nid) == all(lost), tree
+                counts["both lost" if all(lost) else "one entry lost"] += any(lost)
+    assert answers == {True, False} and min(counts.values()) > 0, counts

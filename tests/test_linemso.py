@@ -200,7 +200,7 @@ def test_pair_products_per_vertex_are_constant():
 def test_dominating_set_states_are_flat_and_pruned():
     # a frozen vertex (label row 0) gains no edge, so a state with one
     # outside X and no neighbour in X is lost; keeping every state, the
-    # peaks are 240 on a path and 1,400 on a cycle.  Pruning keeps the
+    # peaks are 240 on a path and 1,400 on a cycle.  Collapsing keeps the
     # optimum and the first-found witness
     problem = LinEMSOProblem(parse_formula(DOMIN, 2), (1,), "min")
     for family, sizes in (("path", (64, 128)), ("cycle", (32, 64))):
@@ -209,7 +209,7 @@ def test_dominating_set_states_are_flat_and_pruned():
             stats = DPStats()
             tree = family_tree(family, n, 2)
             got = solve_linemso(tree, problem, stats)
-            assert got.value == (n + 2) // 3 and stats.states_dropped > 0
+            assert got.value == (n + 2) // 3 and stats.collapsed > 0
             assert got == unpruned_linemso(tree, problem), (family, n)
             peaks.append(stats.peak_states)
         assert peaks[0] == peaks[1] < (240 if family == "path" else 1400), (family, peaks)

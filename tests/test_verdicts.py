@@ -1,13 +1,12 @@
-"""Stable verdicts and the LinEMSO state pruning they drive.
+"""Stable verdicts and the LinEMSO collapse they drive.
 
-The pruned solver is checked against brute force (the optimum) and
+The collapsing solver is checked against brute force (the optimum) and
 against the unpruned dynamic program in common.py (optimum and
 witness); every decided verdict is checked against evaluate on the
 whole graph, for every extension of the chosen sets outside the
 subtree.
 """
 
-import copy
 import itertools
 import random
 
@@ -16,7 +15,8 @@ import pytest
 from rwmso import (Assignment, LinEMSOProblem, RCForest, evaluate, family_tree,
                    free_variables, game_on_tree, generate_graph, parse_formula,
                    solve_linemso, tree_cross_product)
-from rwmso.chartree import char_tree_from_parse_tree
+from rwmso import linemso
+from rwmso.chartree import char_tree_from_parse_tree, reduced_char_tree_direct
 from rwmso.errors import RwmsoError
 from rwmso.games import BOTTOM, CATALOG, TOP, UNKNOWN, Verdicts, check_collapse
 from rwmso.logic import move_budget
@@ -219,32 +219,55 @@ def test_a_decided_root_verdict_is_the_games_winner():
     assert decided.count("all-sets-full") == 3
 
 
-def test_alive_keeps_what_at_keeps_in_order(monkeypatch):
-    # every state map that min dominating set's solve filters, on path 40
-    # and cycle 8: the one-call filter keeps the entries whose verdict at
-    # position 0 is not BOTTOM, keys, values and order, against at() on a
-    # copy of the verdicts with an empty memo
-    alive, fresh = Verdicts.alive, {}
-    calls, dropped = [], 0
+def test_the_fold_keeps_the_states_a_fresh_view_keeps_in_order(monkeypatch):
+    # every state map of min dominating set's solve, on path 40 and cycle
+    # 8: the collapsing fold keeps exactly the states whose verdict at
+    # position 0 a fresh view does not call BOTTOM, keys, values and
+    # order, among the leaf states and the products of each parse node's
+    # input states built without the collapse test
+    forests, maps = [], []
+    fold = linemso.fold
 
-    def checked(self, states):
-        nonlocal dropped
-        given = list(states.items())
-        kept = alive(self, states)
-        if self not in fresh:
-            fresh[self] = copy.copy(self)
-            fresh[self].memo = {}
-        at = fresh[self].at
-        assert list(kept.items()) == [(k, v) for k, v in given if at(k) != BOTTOM]
-        calls.append(len(given))
-        dropped += len(given) - len(kept)
-        return kept
+    def recording(tree, leaf, combine_for):
+        maps.append((None, None, None, leaf[0]))
 
-    monkeypatch.setattr(Verdicts, "alive", checked)
+        def recorded(op):
+            combine = combine_for(op)
+
+            def step(left, right):
+                out = combine(left, right)
+                maps.append((op, left, right, out[0]))
+                return out
+            return step
+        return fold(tree, leaf, recorded)
+
+    monkeypatch.setattr(linemso, "fold", recording)
+    monkeypatch.setattr(linemso, "RCForest", lambda: forests.append(RCForest()) or forests[-1])
     problem = LinEMSOProblem(parse_formula(DOMIN, 2), (1,), "min")
+    budget, dropped = problem.budget, 0
     for family, n in (("path", 40), ("cycle", 8)):
-        calls.clear()
-        solve_linemso(family_tree(family, n, 2), problem)
+        maps.clear()
+        tree = family_tree(family, n, 2)
+        solve_linemso(tree, problem)
+        forest = forests[-1]
+        fresh = Verdicts(forest, problem.phi, problem.set_vars)
         # the leaf states once, then one state map per composition
-        assert len(calls) == n
+        assert len(maps) == n
+        for op, left, right, kept in maps:
+            if op is None:
+                products = {reduced_char_tree_direct(forest, tree.t, budget, (bit,)): (-bit, bit)
+                            for bit in (0, 1)}
+            else:
+                (states1, n1), (states2, _) = left, right
+                products = {}
+                for id1, (v1, w1) in states1.items():
+                    for id2, (v2, w2) in states2.items():
+                        rid = tree_cross_product(forest, id1, id2, budget, op)
+                        if rid not in products or v1 + v2 > products[rid][0]:
+                            products[rid] = (v1 + v2, w1 | w2 << n1)
+            want = [(rid, state) for rid, state in products.items() if fresh.at(rid) != BOTTOM]
+            assert list(kept.items()) == want, (family, n)
+            dropped += len(products) - len(want)
     assert dropped > 0
+
+
