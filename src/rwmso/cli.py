@@ -81,11 +81,11 @@ def _tree_report(q: int, tree: ParseTree, rc: RCTree, elapsed: float) -> dict:
 def cmd_check(args) -> int:
     tree, parse_s = _read_parse_tree(args.parse_tree)
     phi = _read_formula(args, tree.t)
-    if not is_sentence(phi):
-        fv = free_variables(phi)
-        raise RwmsoError(
-            f"formula has free variables {fv.objects + fv.sets}; "
-            "use 'optimize' for formulas with free set variables")
+    fv = free_variables(phi)
+    kinds = (("object", fv.objects), ("set", fv.sets))
+    if named := [f"{kind} variables {', '.join(vs)}" for kind, vs in kinds if vs]:
+        hint = "'check' takes sentences only" if fv.objects else "use 'optimize' for free set variables"
+        raise RwmsoError(f"formula has free {' and '.join(named)}; {hint}")
     q = quantifier_rank(phi)
     start = time.perf_counter()
     # games.model_check, with the tree kept for the report

@@ -331,9 +331,9 @@ class Verdicts:
     (logic.move_budget), and the game of a set-first phi makes no set
     move there: from the root it walks (0, p) nodes by set moves and
     then real nodes by point moves only, so those products are off its
-    move paths.  LinEMSO's states are roots at (0, l): it drops the lost
-    node's, which stands for every state phi has lost, and the other
-    states keep their values and pair order.  States whose collapsed
+    move paths.  LinEMSO's states are roots at (0, l): the lost node's,
+    which stands for every state phi has lost, is never stored, and the
+    other states keep their values and pair order.  States whose collapsed
     trees are equal merge, and they have one winner in every composition.
 
     phi, with free set variables X_vars and no free object variables, is

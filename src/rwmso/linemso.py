@@ -13,8 +13,8 @@ until the result: bit v*l + i says that vertex v is in set variable i,
 so a product's witness is one shift and one or.
 
 The fold collapses what the formula has lost into the forest's lost
-node with model checking's test (games.check_collapse), and each parse
-node drops that one state; games.Verdicts says why this is sound.
+node with model checking's test (games.check_collapse), whose state is
+never stored; games.Verdicts says why this is sound.
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     (m, p) = (0, l) and has exactly the moves the game at the root takes.
 
     The fold takes phi's collapse test (games.check_collapse), as model
-    checking's does, after the leaves, whose roots it tests itself; each
-    parse node drops the one state of the lost node.  stats, if given,
-    receives the peak state count, the products collapsed, the state
-    pairs and the forest's node count, which bounds the states (they are
-    ids in that forest).
+    checking's does, before the leaves; a lost leaf root or product (the
+    lost node) is skipped where it is made, never stored.  stats, if
+    given, receives the peak state count, the products collapsed, the
+    state pairs and the forest's node count, which bounds the states
+    (they are ids in that forest).
     """
     sign = 1 if problem.direction == "max" else -1
     weights = tuple(sign * w for w in problem.weights)
@@ -104,6 +104,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     if stats is None:
         stats = DPStats()
 
+    test = check_collapse(problem.phi)(forest)
+    lost = forest.lost
     # states per subtree: interned tree id -> (weight, packed witness); ties
     # keep the first-found witness, so results are deterministic.  A leaf's
     # witness is its choice: bit i says that the vertex is in set i
@@ -111,13 +113,12 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     for choice in range(1 << l):
         bits = tuple((choice >> i) & 1 for i in range(l))
         rid = reduced_char_tree_direct(forest, tree.t, budget, bits)
+        if test is not None and test(rid):
+            continue
         value = sum(w for w, bit in zip(weights, bits) if bit)
         old = leaf_states.get(rid)
         if old is None or value > old[0]:
             leaf_states[rid] = (value, choice)
-    test = check_collapse(problem.phi)(forest)
-    if test is not None:
-        leaf_states = {rid: state for rid, state in leaf_states.items() if not test(rid)}
     stats.peak_states = len(leaf_states)
 
     def combine_for(op):
@@ -133,11 +134,12 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
                     rid = get((id1, id2, ()))
                     if rid is None:
                         rid = tree_cross_product(forest, id1, id2, budget, op, test)
+                    if rid == lost:
+                        continue
                     value = v1 + v2
                     old = pairs.get(rid)
                     if old is None or value > old[0]:
                         pairs[rid] = (value, w1 | w2 << shift)
-            pairs.pop(forest.lost, None)
             stats.peak_states = max(stats.peak_states, len(pairs))
             return pairs, n1 + n2
         return combine

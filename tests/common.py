@@ -4,7 +4,9 @@ Everything here is deliberately independent of the code paths it
 checks: ranks by list-of-list elimination, reduction by merging the
 full move tree, the game played on that unmerged tree, optima by
 subset enumeration, the LinEMSO dynamic program without state
-pruning, and the parse-tree text read one token at a time.
+pruning, the number of satisfying set tuples counted through the fold
+(count_solutions) and by enumeration (brute_force_count), and the
+parse-tree text read one token at a time.
 
 The last section holds helpers that came from the library: is_atomic,
 has_children (whether a node has point or set moves), the negation
@@ -35,11 +37,12 @@ from rwmso import (CATALOG, Assignment, BranchDecomposition, Formula,
                    game_on_tree, ordered_induced, parse_formula,
                    tree_cross_product)
 from rwmso import gf2
-from rwmso.chartree import Budget, as_budget, in_budget
+from rwmso.chartree import Budget, as_budget, in_budget, reduced_char_tree_direct
 from rwmso.errors import RwmsoError, ScaleGuardError
+from rwmso.games import check_collapse
 from rwmso.parsetree import LEAF, CompositionOp, _parse_matrix, fold, leaf_vertex
 from rwmso.logic import (ATOM_TYPES, Adj, And, Equal, ExistsObj, ExistsSet, ForallObj,
-                         ForallSet, In, Label, Not, Or)
+                         ForallSet, In, Label, Not, Or, free_variables, move_budget)
 from rwmso.structures import _as_masks, _check_width
 
 
@@ -402,6 +405,50 @@ def unpruned_linemso(tree, problem):
                 and (best is None or sign * value > sign * best[0])):
             best = (value, witness)
     return None if best is None else LinEMSOResult(*best)
+
+
+def count_solutions(tree: ParseTree, phi: Formula) -> int:
+    """The number of tuples of vertex sets, one per free set variable of
+    phi, that satisfy phi in the graph of tree, counted through the fold
+    as linemso.solve_linemso optimizes (Courcelle-Makowsky-Rotics): a
+    state maps an interned tree id to the number of assignments reaching
+    it.  Leaf choices with equal roots add, a pair multiplies its
+    factors' counts and equal products add; the fold takes the same
+    collapse test (games.check_collapse) and skips the lost leaves and
+    products.  The root states whose game is won are summed."""
+    set_vars = free_variables(phi).sets
+    budget = move_budget(phi, sets=len(set_vars))
+    forest = RCForest()
+    test = check_collapse(phi)(forest)
+    lost = forest.lost
+    leaf: dict[int, int] = {}
+    for bits in itertools.product((0, 1), repeat=len(set_vars)):
+        rid = reduced_char_tree_direct(forest, tree.t, budget, bits)
+        if test is None or not test(rid):
+            leaf[rid] = leaf.get(rid, 0) + 1
+
+    def combine_for(op):
+        def combine(counts1, counts2):
+            out: dict[int, int] = {}
+            for id1, c1 in counts1.items():
+                for id2, c2 in counts2.items():
+                    rid = tree_cross_product(forest, id1, id2, budget, op, test)
+                    if rid != lost:
+                        out[rid] = out.get(rid, 0) + c1 * c2
+            return out
+        return combine
+
+    roots = fold(tree, leaf, combine_for)
+    return sum(count for rid, count in roots.items()
+               if game_on_tree(RCTree(forest, rid, budget, test), phi, (), set_vars))
+
+
+def brute_force_count(g: Structure, phi: Formula) -> int:
+    """The same number by evaluate on every one of the 2^(l n) tuples."""
+    set_vars = free_variables(phi).sets
+    subsets = [frozenset(v for v in range(g.n) if mask >> v & 1) for mask in range(1 << g.n)]
+    return sum(evaluate(g, phi, Assignment(sets=dict(zip(set_vars, choice))))
+               for choice in itertools.product(subsets, repeat=len(set_vars)))
 
 
 # --- the token reader ----------------------------------------------------

@@ -76,6 +76,20 @@ def test_check_errors(p4_file, capsys):
     assert main(["check", "--parse-tree", "/nonexistent", "--formula", "x = x"]) == 2
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("Ex x. adj(x,y)", "free object variables y; 'check' takes sentences only"),
+    ("Ax x. (X(x) | Y(x))", "free set variables X, Y; use 'optimize' for free set variables"),
+    ("Ex x. (X(x) & adj(x,y))", "free object variables y and set variables X; "
+                                "'check' takes sentences only"),
+], ids=["object", "set", "both"])
+def test_check_names_free_variables_by_kind(p4_file, formula, message, capsys):
+    # optimize takes free set variables only, so only they are sent there
+    assert main(["check", "--parse-tree", p4_file, "--formula", formula]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: formula has {message}"]
+
+
 def test_out_of_memory_is_one_error_line(p4_file, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError
