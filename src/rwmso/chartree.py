@@ -216,9 +216,6 @@ class RCForest:
             self.lost = self.intern(lid, (), ())
         return self.lost
 
-    def node(self, nid: int) -> RCNode:
-        return self._nodes[nid]
-
     @property
     def nodes(self) -> list[RCNode]:
         """The nodes indexed by id; the list only grows, so a hot loop
@@ -348,7 +345,7 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
     for bit, row, mask in zip(bit2, cross2, s2.adj):
         adj[bit.bit_length() - 1] = row | _spread(mask, bit2)
     traces = tuple([_spread(x, bit1) | _spread(y, bit2) for x, y in zip(tr1, tr2)])
-    return OrderedStructure(_unchecked(len(labels), t, tuple(adj), tuple(labels)),
+    return OrderedStructure(_unchecked(Structure, len(labels), t, tuple(adj), tuple(labels)),
                             tuple(positions), traces)
 
 
@@ -358,28 +355,26 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
 
     Point moves pair a point child of one side with the other side's
     whole tree (appending that side to the indicator vector d, empty at
-    the roots);
-    set moves pair set children of both sides.  A factor's own (m_i, p)
-    has m_i <= m, and the budget is down-closed in m at each p (it need
-    not be in p), so factors built for the same budget have every move
-    the product needs: a point move at (m, p) needs m_i + 1 <= caps[p],
-    a set move m_i <= caps[p + 1].
-    Results are memoized in the forest, across calls, and so are product
-    labels: a miss looks its label up by (label1, label2, d) and runs
+    the roots); set moves pair set children of both sides.  A factor's
+    own (m_i, p) has m_i <= m, and the budget is down-closed in m at each
+    p (it need not be in p), so factors built for the same budget have
+    every move the product needs: a point move at (m, p) needs
+    m_i + 1 <= caps[p], a set move m_i <= caps[p + 1].
+
+    Callers look (id1, id2, ()) up in forest.cross_memo_for(budget, op,
+    collapse) first, as both folds do, and call this on a miss; it stores
+    each product there, so a repeated call returns the same id through
+    its children's entries and intern.  Product labels are memoized too:
+    a miss looks its label up by (label1, label2, d) and runs
     rename_combine only if that is new.
 
     With a collapse test, a new product node at a level (0, p) that the
     test calls lost is replaced by the forest's lost node, and so is
     every product with a lost factor, before anything of it is built.
     """
-    # both folds answer their hits from cross_memo_for themselves and
-    # call this on a miss only, with caps already normalised
     caps = budget if type(budget) is tuple else as_budget(budget)
     memo = forest.cross_memo_for(caps, op, collapse)
     get = memo.get
-    hit = get((id1, id2, ()))
-    if hit is not None:
-        return hit
     g, f1, f2 = op
     labels = forest.label_memo.setdefault((g.rows, f1.rows, f2.rows), {})
     nodes = forest._nodes
@@ -475,14 +470,14 @@ def rc_dump(forest: RCForest, root: int) -> str:
     every level and is listed at level 0 0."""
     kind = {root: "root"}
     for nid in forest.reachable(root):
-        n = forest.node(nid)
+        n = forest.nodes[nid]
         for ch in n.point_children:
             kind.setdefault(ch, "point")
         for ch in n.set_children:
             kind.setdefault(ch, "set")
     lines = []
     for nid in forest.reachable(root):
-        n = forest.node(nid)
+        n = forest.nodes[nid]
         kids = n.point_children + n.set_children
         ids = " ".join(str(c) for c in kids)
         label = "lost" if nid == forest.lost else n.ord.encode()

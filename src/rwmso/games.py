@@ -130,12 +130,12 @@ def _binder(names: tuple[str, ...], v: str) -> int:
     raise RwmsoError(f"free variable {v!r} of the formula is not listed")
 
 
-def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
-             sets: tuple[str, ...], table: list) -> tuple[dict, list, list]:
-    """Append phi's positions to table in pre-order; return its atoms,
-    position -> (formula class, object indices read, innermost object
-    index), each position's level (m, p), and per position whether some
-    verdict of it can be BOTTOM (see Verdicts).
+def _compile(phi: Formula, objs: tuple[str, ...],
+             sets: tuple[str, ...]) -> tuple[list, dict, list, list]:
+    """phi's positions in pre-order, after the listed objs and sets: the
+    table, its atoms, position -> (formula class, object indices read,
+    innermost object index), each position's level (m, p), and per
+    position whether some verdict of it can be BOTTOM (see Verdicts).
 
     A negation flips the polarity and takes no position, so the table
     holds exactly the positions of phi's negation normal form.  Each
@@ -144,6 +144,7 @@ def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
     and whether it can fail is set in post-order, once its subtree is in
     the table.
     """
+    table: list[tuple] = []
     atoms: dict[int, tuple] = {}
     levels: list[tuple[int, int]] = []
     fail: list[bool] = []
@@ -185,8 +186,8 @@ def _compile(phi: Formula, positive: bool, objs: tuple[str, ...],
         return pos
 
     try:
-        walk(phi, positive, objs, sets)
-        return atoms, levels, fail
+        walk(phi, True, objs, sets)
+        return table, atoms, levels, fail
     finally:
         del walk  # walk reaches itself through its closure cell
 
@@ -404,8 +405,7 @@ class _Game(Verdicts):
     _exists, _forall, _relabeled = BOTTOM, TOP, False
 
     def __init__(self, forest, phi: Formula, x_vars: tuple, X_vars: tuple):
-        self.table: list[tuple] = []
-        self.atoms, self.levels, self.fail = _compile(phi, True, x_vars, X_vars, self.table)
+        self.table, self.atoms, self.levels, self.fail = _compile(phi, x_vars, X_vars)
         self.nodes, self.size = forest.nodes, len(self.table)
         self.memo, self.test, self.X_vars = {}, None, X_vars
 

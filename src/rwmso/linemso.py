@@ -40,10 +40,11 @@ class LinEMSOProblem:
             raise RwmsoError(f"direction must be 'max' or 'min', got {self.direction!r}")
         fv = free_variables(self.phi)
         if fv.objects:
-            raise RwmsoError(f"free object variables are not allowed: {fv.objects}")
+            raise RwmsoError(f"free object variables are not allowed: {', '.join(fv.objects)}")
         if len(self.weights) != len(fv.sets):
-            raise RwmsoError(
-                f"{len(fv.sets)} free set variables but {len(self.weights)} weights")
+            k, w = len(fv.sets), len(self.weights)
+            raise RwmsoError(f"{k} free set variable{'s' * (k != 1)} "
+                             f"but {w} weight{'s' * (w != 1)}")
 
     @property
     def set_vars(self) -> tuple[str, ...]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .errors import RwmsoError
-from .structures import Relabeling, Structure, compose
+from .structures import Relabeling, Structure, _unchecked, compose
 
 T = TypeVar("T")
 CompositionOp = tuple[Relabeling, Relabeling, Relabeling]
@@ -60,16 +60,6 @@ class ParseTree:
     def size(self) -> int:
         """Total node count |T|."""
         return len(self.code)
-
-
-def _unchecked(t: int, ops: tuple[CompositionOp, ...], code: tuple[int, ...]) -> ParseTree:
-    """A ParseTree from fields known to be valid, skipping ``__post_init__``'s walk
-    as structures._unchecked does: the text reader's scan checks all the walk does,
-    and family codes are valid by construction; other trees use ``ParseTree(...)``."""
-    tree = object.__new__(ParseTree)
-    for name, value in (("t", t), ("ops", ops), ("code", code)):  # __init__'s order
-        object.__setattr__(tree, name, value)
-    return tree
 
 
 def fold(tree: ParseTree, leaf: T,
@@ -206,7 +196,7 @@ def parse_tree_from_text(text: str) -> ParseTree:
     if next(chunks, None) is not None:
         raise RwmsoError("trailing input after tree")
     ops = list(heads)   # distinct; index numbers them by post-order first use
-    return _unchecked(t, tuple(ops[h] for h in index), tuple(code))
+    return _unchecked(ParseTree, t, tuple(ops[h] for h in index), tuple(code))
 
 
 # --- standard families --------------------------------------------------
@@ -239,7 +229,7 @@ def family_tree(family: str, n: int, t: int | None = None) -> ParseTree:
         code: list[int] = []
         _balanced(n, code)
         op = (zero, ident, ident) if family == "cograph-union" else (one, one, one)
-        return _unchecked(t, (op,) if n > 1 else (), tuple(code))
+        return _unchecked(ParseTree, t, (op,) if n > 1 else (), tuple(code))
     if family == "cycle":
         # invariant: start {1}, active end {2}, interior unlabeled
         to_end = _pad((2,), t)           # new vertex becomes the end
@@ -256,7 +246,7 @@ def family_tree(family: str, n: int, t: int | None = None) -> ParseTree:
     code = [LEAF]
     for k, (_, count) in enumerate(runs):
         code += (LEAF, k) * count
-    return _unchecked(t, tuple(op for op, _ in runs), tuple(code))
+    return _unchecked(ParseTree, t, tuple(op for op, _ in runs), tuple(code))
 
 
 def _balanced(n: int, code: list[int]):

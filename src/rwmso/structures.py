@@ -58,23 +58,20 @@ class Structure:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-def _unchecked(n: int, t: int, adj: tuple[int, ...], labels: tuple[int, ...]) -> Structure:
-    """A Structure built from rows already known to be valid.
+def _unchecked(cls: type, *values):
+    """A Structure or ParseTree from field values known to be valid.
 
-    Library code that derives a structure from validated structures (the
-    composition and induced substructures) builds it here and skips
-    ``__post_init__``; structures from user input go through
-    ``Structure(...)``, which validates.
+    Library code that derives one from validated input (the composition,
+    induced substructures, the parse-tree text reader and the families)
+    builds it here and skips ``__post_init__``; user input goes through
+    ``cls(...)``, which validates.
     """
-    s = object.__new__(Structure)
-    # set the fields as the generated __init__ does, so the instance keeps
-    # the compact attribute layout (a materialised __dict__ doubles it)
-    setattr_ = object.__setattr__
-    setattr_(s, "n", n)
-    setattr_(s, "t", t)
-    setattr_(s, "adj", adj)
-    setattr_(s, "labels", labels)
-    return s
+    obj = object.__new__(cls)
+    # set the fields in the generated __init__'s order, so the instance
+    # keeps the compact attribute layout (a materialised __dict__ doubles it)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def build_structure(n: int, edges: Iterable[tuple[int, int]] = (), t: int = 1,
@@ -146,7 +143,7 @@ def compose(g1: Structure, g2: Structure, g: Relabeling, f1: Relabeling,
     adj.extend(row << n1 | c for row, c in zip(g2.adj, col))
     labels = tuple([vtm(lab, rows1) for lab in g1.labels]
                    + [vtm(lab, rows2) for lab in g2.labels])
-    return _unchecked(n1 + g2.n, t, tuple(adj), labels)
+    return _unchecked(Structure, n1 + g2.n, t, tuple(adj), labels)
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,7 @@ def ordered_induced(a: Structure, c: Sequence[int],
             if (mask >> e) & 1:
                 tr |= 1 << j
         traces.append(tr)
-    struct = _unchecked(k, a.t, tuple(adj), labels)
+    struct = _unchecked(Structure, k, a.t, tuple(adj), labels)
     return OrderedStructure(struct, tuple(positions), tuple(traces))
 
 

@@ -315,7 +315,7 @@ def unfold_rc(forest, nid, memo=None):
         memo = {}
     if nid in memo:
         return memo[nid]
-    n = forest.node(nid)
+    n = forest.nodes[nid]
     kids = frozenset(unfold_rc(forest, ch, memo)
                      for ch in n.point_children + n.set_children)
     memo[nid] = (n.ord, kids)

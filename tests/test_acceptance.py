@@ -201,7 +201,7 @@ def test_criterion_5_two_element_reduction():
     forest = RCForest()
     a = Structure(2, 0, (0, 0), (0, 0))
     root = reference_char_tree(forest, a, 2)
-    node = forest.node(root)
+    node = forest.nodes[root]
     set_a1 = reference_char_tree(forest, a, 2, (), [{0}])
     set_a2 = reference_char_tree(forest, a, 2, (), [{1}])
     assert set_a1 == set_a2, "redchar(eps,{a1}) must equal redchar(eps,{a2})"

@@ -61,7 +61,7 @@ def _visited_levels(phi, objects=0, sets=0):
     fv = free_variables(phi)
     x_vars = tuple(f"_x{i}" for i in range(objects - len(fv.objects))) + fv.objects
     X_vars = tuple(f"_X{i}" for i in range(sets - len(fv.sets))) + fv.sets
-    _, levels, _ = _compile(phi, True, x_vars, X_vars, [])
+    _, _, levels, _ = _compile(phi, x_vars, X_vars)
     most = {}
     for m, p in levels:
         most[p] = max(m, most.get(p, m))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from rwmso import (LinEMSOProblem, ParseTree, Relabeling, Structure, build_structure,
-                   char_tree_from_parse_tree, chartree, compose, family_tree,
-                   generate_graph, linemso, ordered_induced, parse_formula,
+                   char_tree_from_parse_tree, chartree, compose, evaluate, family_tree,
+                   generate_graph, linemso, model_check, ordered_induced, parse_formula,
                    rename_combine, solve_linemso, tree_cross_product)
 from rwmso.chartree import (RCForest, RCTree, as_budget, in_budget, rc_dump,
                             reduced_char_tree_direct)
@@ -82,7 +82,7 @@ def test_two_indistinguishable_elements_merge():
     forest = RCForest()
     a = Structure(2, 0, (0, 0), (0, 0))
     root = reference_char_tree(forest, a, 2)
-    node = forest.node(root)
+    node = forest.nodes[root]
     by_set = [reference_char_tree(forest, a, 2, (), [{v}]) for v in (0, 1)]
     assert by_set[0] == by_set[1]
     by_point = [reference_char_tree(forest, a, 2, (v,), []) for v in (0, 1)]
@@ -96,10 +96,10 @@ def test_two_indistinguishable_elements_merge():
 
 def test_leaf_tree():
     forest = RCForest()
-    leaf = forest.node(reduced_char_tree_direct(forest, 1, 0))
+    leaf = forest.nodes[reduced_char_tree_direct(forest, 1, 0)]
     assert not has_children(leaf, True) and not has_children(leaf, False)
     nid = reduced_char_tree_direct(forest, 1, 1)
-    node = forest.node(nid)
+    node = forest.nodes[nid]
     # full tree has 3 children (1 point, 2 set); the set children merge
     # because a trace is always intersected with the chosen elements
     assert full_tree_size(full_char_tree(VERTEX, 1)) == 4
@@ -211,19 +211,19 @@ def test_budget_monotone():
     q = 2
     root = reference_char_tree(forest, g, q)
     for nid in forest.reachable(root):
-        node = forest.node(nid)
+        node = forest.nodes[nid]
         assert has_children(node, True) == (node.m + node.p + 1 <= q)
         assert has_children(node, False) == (node.m + node.p + 1 <= q)
         for ch in node.point_children:
-            child = forest.node(ch)
+            child = forest.nodes[ch]
             assert child.m == node.m + 1 and child.p == node.p
         for ch in node.set_children:
-            child = forest.node(ch)
+            child = forest.nodes[ch]
             assert child.m == node.m and child.p == node.p + 1
     for budget in ((2, 1), (3,), (1, 1, 1), (0, 0)):
         root = reference_char_tree(forest, g, budget)
         for nid in forest.reachable(root):
-            node = forest.node(nid)
+            node = forest.nodes[nid]
             assert has_children(node, True) == in_budget(budget, node.m + 1, node.p)
             assert has_children(node, False) == in_budget(budget, node.m, node.p + 1)
 
@@ -371,7 +371,7 @@ def test_tcp_zero_budget_single_root():
     op = (IDENT, IDENT, IDENT)
     left = reference_char_tree(forest, VERTEX, 0)
     got = tree_cross_product(forest, left, left, 0, op)
-    node = forest.node(got)
+    node = forest.nodes[got]
     assert not has_children(node, True) and not has_children(node, False)
 
 
@@ -436,6 +436,37 @@ def test_cross_products_are_memoized_in_the_forest():
     misses = cross_misses(forest)
     assert char_tree_from_parse_tree(tree, 2, forest).root == first
     assert cross_misses(forest) == misses > 0
+
+
+def test_folds_call_the_cross_product_on_misses_only(monkeypatch):
+    # tree_cross_product does not look its root pair up: both folds do it
+    # first, so at every call the pair is absent from the memo.  A second
+    # direct call on the pair still returns the same id and interns nothing
+    cross = chartree.tree_cross_product
+    calls = []
+
+    def miss_only(forest, id1, id2, caps, op, test):
+        assert (id1, id2, ()) not in forest.cross_memo_for(caps, op, test)
+        out = cross(forest, id1, id2, caps, op, test)
+        size = len(forest)
+        assert cross(forest, id1, id2, caps, op, test) == out
+        assert len(forest) == size
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(chartree, "tree_cross_product", miss_only)
+    monkeypatch.setattr(linemso, "tree_cross_product", miss_only)
+    trees = [family_tree("path", n, t=2) for n in range(1, 13)]
+    trees += [family_tree("cycle", n) for n in range(3, 13)]
+    for tree in trees:
+        for name, phi in catalog(t=2):
+            assert model_check(tree, phi) == evaluate(generate_graph(tree), phi), (name, tree)
+    checked = len(calls)
+    for text, direction in OPTIMIZE:
+        problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
+        for tree in trees:
+            solve_linemso(tree, problem)
+    assert 0 < checked < len(calls)
 
 
 def test_label_memo_entries_are_rename_combine(monkeypatch):
@@ -508,7 +539,7 @@ def test_intern_keys_on_label_values():
     assert a == b and a is not b
     nid = forest.intern(forest.label_id(a), (), ())
     assert forest.intern(forest.label_id(b), (), ()) == nid
-    assert forest.num_labels() == 1 and forest.node(nid).ord is a
+    assert forest.num_labels() == 1 and forest.nodes[nid].ord is a
 
 
 def test_rc_dump_format():

@@ -359,6 +359,20 @@ def test_optimize_bad_weights(p4_file, capsys):
     assert "--weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formula, weights, message", [
+    ("Ax x. (X(x) | adj(x,y))", "1", "free object variables are not allowed: y"),
+    ("Ax x. (X(x) | adj(x,y) | adj(x,z))", "1", "free object variables are not allowed: y, z"),
+    ("Ax x. X(x)", "1,2", "1 free set variable but 2 weights"),
+    ("Ax x. (X(x) | Y(x))", "1", "2 free set variables but 1 weight"),
+], ids=["object", "objects", "one-set", "one-weight"])
+def test_optimize_names_what_the_problem_lacks(p4_file, formula, weights, message, capsys):
+    assert main(["optimize", "--parse-tree", p4_file, "--formula", formula,
+                 "--weights", weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_graph_with_malformed_number_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("p graph 2 1 1\ne 0 x\n")

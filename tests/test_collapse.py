@@ -41,7 +41,7 @@ def _point_moves_stay_real(rc):
     the game of a set-first sentence meets it only at set moves from
     (0, p) nodes, where its verdict holds, and never after a point move."""
     forest = rc.forest
-    return not any(forest.lost in forest.node(nid).point_children
+    return not any(forest.lost in forest.nodes[nid].point_children
                    for nid in forest.reachable(rc.root))
 
 
@@ -304,14 +304,14 @@ def test_lost_nodes():
     size = len(forest)
     assert rc.root == forest.lost == forest.lost_node() and len(forest) == size
     assert rc_dump(forest, rc.root) == f"{rc.root} root 0 0 0 | lost\n"
-    lost = forest.node(forest.lost)
+    lost = forest.nodes[forest.lost]
     assert not lost.point_children + lost.set_children
     # the real childless nodes (the leaf's, at the budget's last level)
     # keep labels of their own
     childless = [nid for nid, node in enumerate(forest.nodes) if nid != forest.lost
                  and not node.point_children + node.set_children]
     assert childless
-    assert lost.label not in {forest.node(nid).label for nid in childless}
+    assert lost.label not in {forest.nodes[nid].label for nid in childless}
 
 
 def test_every_verdict_view_reads_the_lost_node_as_lost():
@@ -323,7 +323,7 @@ def test_every_verdict_view_reads_the_lost_node_as_lost():
     before = Verdicts(forest, phi, ())
     forest = _collapsed(family_tree("cycle", 9, 2), phi, forest).forest
     assert forest.lost is not None
-    assert forest.node(forest.lost).ord is chartree.LOST
+    assert forest.nodes[forest.lost].ord is chartree.LOST
     verdicts = Verdicts(forest, phi, ())
     assert all(verdicts.at(forest.lost, pos) == BOTTOM for pos in range(verdicts.size))
     assert all(before.at(forest.lost, pos) == BOTTOM for pos in range(before.size))

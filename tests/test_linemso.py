@@ -254,8 +254,7 @@ def test_root_games_share_one_memo(monkeypatch):
     monkeypatch.setattr(linemso, "game_on_tree", counting)
     for name, text, direction in (("mis", INDEP, "max"), ("mds", DOMIN, "min")):
         problem = LinEMSOProblem(parse_formula(text, 2), (1,), direction)
-        table = []
-        games._compile(problem.phi, True, (), problem.set_vars, table)
+        table, *_ = games._compile(problem.phi, (), problem.set_vars)
         evaluations = []
         for size in (64, 70):
             stats.evaluations = 0
@@ -271,14 +270,13 @@ def test_root_games_share_one_memo(monkeypatch):
 
 def test_phi_is_compiled_once_per_solve(monkeypatch):
     # the verdicts and every root game read one compiled table from the
-    # forest; a compile starts on an empty table
+    # forest
     compile_ = games._compile
     compiles = []
 
-    def counting(psi, positive, objs, sets, table):
-        if not table:
-            compiles.append(psi)
-        return compile_(psi, positive, objs, sets, table)
+    def counting(psi, objs, sets):
+        compiles.append(psi)
+        return compile_(psi, objs, sets)
 
     monkeypatch.setattr(games, "_compile", counting)
     for text, direction in ((INDEP, "max"), (VCOVER, "min"), (DOMIN, "min")):

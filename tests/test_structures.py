@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
-from rwmso import (Relabeling, Structure, build_structure, compose,
-                   format_graph, ordered_induced, parse_graph)
+from rwmso import (Relabeling, Structure, build_structure, compose, family_tree,
+                   format_graph, format_parse_tree, ordered_induced, parse_graph,
+                   parse_tree_from_text, rename_combine)
 from rwmso.errors import RwmsoError, WidthMismatchError
 from rwmso.gf2 import rank
-from rwmso.parsetree import leaf_vertex
+from rwmso.parsetree import FAMILIES, leaf_vertex
+from rwmso.structures import _unchecked
 
 from common import (dot, generated_subspace, induced, is_partial_isomorphism, mat_mul,
                     naive_rank, permuted, random_relabeling, random_structure, relabel,
@@ -390,3 +393,58 @@ def test_constructor_error_messages(build, message):
     with pytest.raises(RwmsoError) as err:
         build()
     assert err.type is RwmsoError and str(err.value) == message
+
+
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in type(obj).__dataclass_fields__)
+
+
+def _traced_bytes(build, count: int) -> int:
+    """The bytes that count instances from build() hold, as tracemalloc
+    sees them."""
+    build()  # warm up
+    tracemalloc.start()
+    try:
+        made = [build() for _ in range(count)]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del made
+    return size
+
+
+def test_unchecked_builds_what_the_validating_constructors_build():
+    # the library builds derived Structures and ParseTrees with _unchecked,
+    # skipping __post_init__: each equals, hashes and reprs like the
+    # validating constructor on the same fields (which accepts them), and
+    # keeps its compact attribute layout, so 10,000 take the same bytes to
+    # within one byte per instance
+    rng = random.Random(33)
+    made = []
+    for _ in range(20):
+        t = rng.randrange(1, 4)
+        g1, g2 = (random_structure(rng, rng.randrange(1, 6), t) for _ in range(2))
+        op = tuple(random_relabeling(rng, t) for _ in range(3))
+        made.append(compose(g1, g2, *op))
+        c1 = [rng.randrange(g1.n) for _ in range(rng.randrange(4))]
+        c2 = [rng.randrange(g2.n) for _ in range(rng.randrange(4))]
+        o1 = ordered_induced(g1, c1, [rng.randrange(1 << g1.n)])
+        o2 = ordered_induced(g2, c2, [rng.randrange(1 << g2.n)])
+        d = tuple(rng.sample([1] * len(c1) + [2] * len(c2), len(c1) + len(c2)))
+        made += [o1.structure, rename_combine(o1, o2, d, op).structure]
+    for family in FAMILIES:
+        tree = family_tree(family, 7, 3)
+        made += [tree, parse_tree_from_text(format_parse_tree(tree))]
+    for obj in made:
+        cls, values = type(obj), _fields(obj)
+        checked = cls(*values)
+        assert obj == checked and hash(obj) == hash(checked)
+        assert repr(obj) == repr(checked)
+    # a few hundred bytes of the interpreter's own leftovers (an iterator,
+    # a frame) vary from run to run; a materialised __dict__ would add
+    # 64 bytes per instance
+    for obj in (made[0], made[-1]):
+        cls, values = type(obj), _fields(obj)
+        checked = _traced_bytes(lambda: cls(*values), 10_000)
+        unchecked = _traced_bytes(lambda: _unchecked(cls, *values), 10_000)
+        assert abs(checked - unchecked) < 10_000, (cls, checked, unchecked)
