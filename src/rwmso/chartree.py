@@ -364,9 +364,9 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     Callers look (id1, id2, ()) up in forest.cross_memo_for(budget, op,
     collapse) first, as both folds do, and call this on a miss; it stores
     each product there, so a repeated call returns the same id through
-    its children's entries and intern.  Product labels are memoized too:
-    a miss looks its label up by (label1, label2, d) and runs
-    rename_combine only if that is new.
+    its children's entries and intern, and counts no collapse again.
+    Product labels are memoized too: a miss looks its label up by
+    (label1, label2, d) and runs rename_combine only if that is new.
 
     With a collapse test, a new product node at a level (0, p) that the
     test calls lost is replaced by the forest's lost node, and so is
@@ -386,8 +386,8 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         # a miss: every caller looked (i1, i2, d) up first, so hits cost
         # no call
         if collapse is not None and (i1 == lost or i2 == lost):
-            if not d:
-                forest.collapsed += 1
+            if not d:  # once per product: a repeated call counts nothing
+                forest.collapsed += (i1, i2, d) not in memo
             memo[i1, i2, d] = lost
             return lost
         n1, n2 = nodes[i1], nodes[i2]
@@ -402,19 +402,22 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
         if p < ncaps and m < caps[p]:
             if not (n1.point_children and n2.point_children):
                 raise _too_shallow("point", m, p, caps)
-            d1, d2 = d + (1,), d + (2,)
-            point = {h if (h := get((u, i2, d1))) is not None else rec(u, i2, d1)
-                     for u in n1.point_children}
-            point.update(h if (h := get((i1, u, d2))) is not None else rec(i1, u, d2)
-                         for u in n2.point_children)
+            # plain loops: a comprehension or generator costs a frame per node
+            d1, d2, point = d + (1,), d + (2,), set()
+            for u in n1.point_children:
+                point.add(h if (h := get((u, i2, d1))) is not None else rec(u, i2, d1))
+            for u in n2.point_children:
+                point.add(h if (h := get((i1, u, d2))) is not None else rec(i1, u, d2))
         if p + 1 < ncaps and m <= caps[p + 1]:
             if not (n1.set_children and n2.set_children):
                 raise _too_shallow("set", m, p, caps)
-            set_kids = {h if (h := get((u1, u2, d))) is not None else rec(u1, u2, d)
-                        for u1 in n1.set_children for u2 in n2.set_children}
+            set_kids = set()
+            for u1 in n1.set_children:
+                for u2 in n2.set_children:
+                    set_kids.add(h if (h := get((u1, u2, d))) is not None else rec(u1, u2, d))
         out = forest.intern(root, point, set_kids)
         if collapse is not None and not d and collapse(out):
-            forest.collapsed += 1
+            forest.collapsed += (i1, i2, d) not in memo
             out = forest.lost_node()
         memo[i1, i2, d] = out
         return out

@@ -380,17 +380,19 @@ class Verdicts:
             if out != TOP and (right := self.at(nid, b)) > out:
                 out = right
         else:
-            at = self.at  # once for the child loops
-            moves = node.point_children if b else node.set_children
-            if kind == _FORALL:
-                out = BOTTOM if any(at(ch, a) == BOTTOM for ch in moves) else self._forall
-            else:
-                out = TOP if any(at(ch, a) == TOP for ch in moves) else self._exists
-                if (out == UNKNOWN and self.fail[pos]  # a point move
-                        and all(at(ch, a) == BOTTOM for ch in moves)
-                        and _outside(self.table, self.atoms, a, functools.partial(at, nid), o)
-                        == BOTTOM):
-                    out = BOTTOM
+            at = self.at  # once for the child loop, a plain one: no generator frame
+            win = TOP if kind == _EXISTS else BOTTOM  # the child verdict that decides it
+            out, all_bottom = (self._exists if win == TOP else self._forall), True
+            for ch in (node.point_children if b else node.set_children):
+                if (v := at(ch, a)) == win:
+                    out = win
+                    break
+                all_bottom = all_bottom and v == BOTTOM
+            if (out == UNKNOWN and win == TOP and all_bottom
+                    and self.fail[pos]  # a point move
+                    and _outside(self.table, self.atoms, a, functools.partial(at, nid), o)
+                    == BOTTOM):
+                out = BOTTOM
         self.memo[key] = out
         return out
 
@@ -433,8 +435,11 @@ class _Game(Verdicts):
         at, nodes = Verdicts(forest, phi, self.X_vars).at, self.nodes
 
         def lost(nid: int) -> bool:
-            positions = positions_at.get(nodes[nid].p)
-            return positions is not None and all(at(nid, pos) == BOTTOM for pos in positions)
+            positions = positions_at.get(len(nodes[nid].ord.set_traces), ())
+            for pos in positions:  # a plain loop: no generator frame
+                if at(nid, pos) != BOTTOM:
+                    return False
+            return bool(positions)
 
         self.test = lost
         return lost

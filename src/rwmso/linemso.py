@@ -123,7 +123,9 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
     stats.peak_states = len(leaf_states)
 
     def combine_for(op):
-        get = forest.cross_memo_for(budget, op, test).get
+        # op's root pairs, id1 -> {id2: product id}: a root pair is made only
+        # by the call on its miss, so the index and op's memo miss alike
+        index: dict[int, dict[int, int]] = {}
 
         def combine(left, right):
             (states1, n1), (states2, n2) = left, right
@@ -131,10 +133,11 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
             shift = n1 * l
             pairs = {}
             for id1, (v1, w1) in states1.items():
+                row = index.setdefault(id1, {})
                 for id2, (v2, w2) in states2.items():
-                    rid = get((id1, id2, ()))
+                    rid = row.get(id2)
                     if rid is None:
-                        rid = tree_cross_product(forest, id1, id2, budget, op, test)
+                        rid = row[id2] = tree_cross_product(forest, id1, id2, budget, op, test)
                     if rid == lost:
                         continue
                     value = v1 + v2

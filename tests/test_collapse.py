@@ -118,6 +118,22 @@ def test_refolds_of_one_sentence_share_the_forest_memos(monkeypatch):
     assert {key[1] for key in forest.cross_memo} == tests
 
 
+def test_a_repeated_cross_product_counts_no_collapse_again():
+    # collapsed counts distinct (0, p) products: a second direct call on a
+    # collapsed pair, a real one (1, 1) or one with the lost factor, finds
+    # its memo entry and adds nothing
+    phi = parse_formula("EX S. Ax x. (S(x) & !S(x))", 2)
+    tree = family_tree("path", 4, 2)
+    rc = _collapsed(tree, phi)
+    forest, op = rc.forest, tree.ops[0]
+    assert forest.collapsed == 6
+    for pair in ((1, 1), (forest.lost, 1)):
+        assert forest.cross_memo_for(rc.budget, op, rc.collapse)[pair + ((),)] == forest.lost
+        assert chartree.tree_cross_product(forest, *pair, rc.budget, op,
+                                           rc.collapse) == forest.lost
+        assert forest.collapsed == 6, pair
+
+
 def test_frozen_vertices_collapse_label1_dominates():
     # label1-dominates fails once a frozen vertex (label row 0) has no
     # neighbour that can still carry label 1: it can gain neither.  The
