@@ -34,8 +34,8 @@ fold builds the reduced tree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections import namedtuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
@@ -89,8 +89,7 @@ def in_budget(caps: Budget, m: int, p: int) -> bool:
     return p < len(caps) and m <= caps[p]
 
 
-@dataclass(frozen=True)
-class RCNode:
+class RCNode(NamedTuple):
     """Interned node: ordered structure plus sorted child id sets.
 
     Children are partitioned by move kind; a point extension has one
@@ -174,7 +173,9 @@ class RCForest:
 
     def label_id(self, ord_struct: OrderedStructure) -> int:
         """The id of an ordered structure in the label table, equal
-        structures sharing one id."""
+        structures sharing one id.  Labels are tuples, hashed and compared
+        in C; a tuple equals any tuple of the same fields, so the table
+        holds ordered structures only."""
         lid = self._label_ids.get(ord_struct)
         if lid is None:
             lid = self._label_ids[ord_struct] = len(self._labels)
@@ -205,7 +206,7 @@ class RCForest:
                     f"the forest reached {nid} interned nodes, the ceiling "
                     f"chartree.MAX_NODES={MAX_NODES}; use a smaller formula or depth")
             self._ids[key] = nid
-            self._nodes.append(RCNode(self._labels[label], point, set_kids, label))
+            self._nodes.append(tuple.__new__(RCNode, (self._labels[label], point, set_kids, label)))
         return nid
 
     def lost_node(self) -> int:
@@ -237,18 +238,17 @@ class RCForest:
         return sorted(order)
 
 
-@dataclass(frozen=True)
-class RCTree:
+class RCTree(namedtuple("RCTree", "forest root budget collapse")):
     """A root id, its forest, the move budget it was built for (a depth q
-    is normalised to its staircase) and its fold's collapse test, if any."""
+    is normalised to its staircase) and its fold's collapse test, if any:
+    a tuple (forest: RCForest, root: int, budget: Budget, collapse:
+    Collapse | None)."""
 
-    forest: RCForest
-    root: int
-    budget: Budget
-    collapse: Collapse | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "budget", as_budget(self.budget))
+    def __new__(cls, forest: RCForest, root: int, budget: int | Budget,
+                collapse: Collapse | None = None):
+        return tuple.__new__(cls, (forest, root, as_budget(budget), collapse))
 
     def size(self) -> int:
         return len(self.forest.reachable(self.root))

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chartree import RCForest, RCTree, char_tree_from_parse_tree, rc_dump
 from .errors import RwmsoError
@@ -209,8 +209,7 @@ def cmd_qrank(args) -> int:
     return 0
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     n: int
     parse_tree_nodes: int
     char_tree_nodes: int

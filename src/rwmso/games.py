@@ -22,8 +22,8 @@ are its winners.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from collections import namedtuple
+from typing import Callable, Mapping, NamedTuple
 
 from .chartree import LOST, Collapse, RCTree, char_tree_from_parse_tree, in_budget
 from .errors import DepthBudgetError, RwmsoError
@@ -34,18 +34,21 @@ from .parsetree import ParseTree
 from .structures import Structure
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(namedtuple("Assignment", "objects sets")):
     """Values for free variables: elements for object variables,
-    element sets for set variables."""
+    element sets for set variables.  A tuple (objects: Mapping[str, int],
+    sets: Mapping[str, frozenset[int]]), each a fresh dict by default."""
 
-    objects: Mapping[str, int] = field(default_factory=dict)
-    sets: Mapping[str, frozenset[int]] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        overlap = set(self.objects) & set(self.sets)
+    def __new__(cls, objects: Mapping[str, int] | None = None,
+                sets: Mapping[str, frozenset[int]] | None = None):
+        objects = {} if objects is None else objects
+        sets = {} if sets is None else sets
+        overlap = set(objects) & set(sets)
         if overlap:
             raise RwmsoError(f"variables assigned twice: {sorted(overlap)}")
+        return tuple.__new__(cls, (objects, sets))
 
 
 def _check_assignment(a: Structure, phi: Formula, alpha: Assignment):
@@ -107,11 +110,13 @@ def _eval(a: Structure, phi: Formula, obj: dict[str, int], sets: dict[str, int])
 
 # --- the game on characteristic trees ------------------------------------
 
-@dataclass
 class GameStats:
     """Number of (node, subformula position) pairs actually evaluated."""
 
-    evaluations: int = 0
+    __slots__ = ("evaluations",)
+
+    def __init__(self, evaluations: int = 0):
+        self.evaluations = evaluations
 
 
 # kinds of the game's positions; a position is (kind, a, b): and/or
@@ -505,8 +510,7 @@ def model_check(tree: ParseTree, phi: Formula) -> bool:
 
 # --- formula catalog (shared test fixture) --------------------------------
 
-@dataclass(frozen=True)
-class CatalogSentence:
+class CatalogSentence(NamedTuple):
     name: str
     text: str
     qr: int

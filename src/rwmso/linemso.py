@@ -19,7 +19,8 @@ never stored; games.Verdicts says why this is sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
                        tree_cross_product)
@@ -29,22 +30,23 @@ from .logic import Formula, free_variables, move_budget
 from .parsetree import ParseTree, fold
 
 
-@dataclass(frozen=True)
-class LinEMSOProblem:
-    phi: Formula
-    weights: tuple[int, ...]
-    direction: str  # "max" or "min"
+class LinEMSOProblem(namedtuple("LinEMSOProblem", "phi weights direction")):
+    """A tuple (phi: Formula, weights: tuple[int, ...], direction: "max"
+    or "min"), validated when made."""
 
-    def __post_init__(self):
-        if self.direction not in ("max", "min"):
-            raise RwmsoError(f"direction must be 'max' or 'min', got {self.direction!r}")
-        fv = free_variables(self.phi)
+    __slots__ = ()
+
+    def __new__(cls, phi: Formula, weights: tuple[int, ...], direction: str):
+        if direction not in ("max", "min"):
+            raise RwmsoError(f"direction must be 'max' or 'min', got {direction!r}")
+        fv = free_variables(phi)
         if fv.objects:
             raise RwmsoError(f"free object variables are not allowed: {', '.join(fv.objects)}")
-        if len(self.weights) != len(fv.sets):
-            k, w = len(fv.sets), len(self.weights)
+        if len(weights) != len(fv.sets):
+            k, w = len(fv.sets), len(weights)
             raise RwmsoError(f"{k} free set variable{'s' * (k != 1)} "
                              f"but {w} weight{'s' * (w != 1)}")
+        return tuple.__new__(cls, (phi, weights, direction))
 
     @property
     def set_vars(self) -> tuple[str, ...]:
@@ -56,20 +58,18 @@ class LinEMSOProblem:
         return move_budget(self.phi, sets=len(self.weights))
 
 
-@dataclass(frozen=True)
-class LinEMSOResult:
+class LinEMSOResult(NamedTuple):
     value: int
     witness: tuple[frozenset[int], ...]
 
 
-@dataclass
 class DPStats:
     """Peak states at any parse node, products collapsed, pairs combined, nodes interned."""
 
-    peak_states: int = 0
-    collapsed: int = 0
-    pair_products: int = 0
-    peak_interned: int = 0
+    __slots__ = ("peak_states", "collapsed", "pair_products", "peak_interned")
+
+    def __init__(self):
+        self.peak_states = self.collapsed = self.pair_products = self.peak_interned = 0
 
 
 def unpack_witness(witness: int, l: int) -> tuple[frozenset[int], ...]:

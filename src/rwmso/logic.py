@@ -22,89 +22,105 @@ Nesting past MAX_NESTING levels is a FormulaSyntaxError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RwmsoError
 
 
 class Formula:
-    """Base class for formula AST nodes."""
+    """Base class for formula AST nodes.
 
-    __slots__ = ()
+    Each node class lists its fields in __slots__, in constructor order:
+    variable names are str, Label's index an int, and sub, left and
+    right below a connective or quantifier are formulas.  Nodes are
+    immutable, equal when their classes and fields are (And and Or have
+    the same fields), and hash once, when they are made: formulas key
+    the game memo.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((type(self), *values)))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self._values() == other._values())
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self):
         return pretty_print(self)
 
 
-@dataclass(frozen=True)
 class Equal(Formula):
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class SetEqual(Formula):
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Adj(Formula):
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Label(Formula):
-    index: int
-    var: str
+    __slots__ = ("index", "var")
 
 
-@dataclass(frozen=True)
 class In(Formula):
-    set_var: str
-    var: str
+    __slots__ = ("set_var", "var")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class ExistsObj(Formula):
-    var: str
-    sub: Formula
+    __slots__ = ("var", "sub")
 
 
-@dataclass(frozen=True)
 class ForallObj(Formula):
-    var: str
-    sub: Formula
+    __slots__ = ("var", "sub")
 
 
-@dataclass(frozen=True)
 class ExistsSet(Formula):
-    set_var: str
-    sub: Formula
+    __slots__ = ("set_var", "sub")
 
 
-@dataclass(frozen=True)
 class ForallSet(Formula):
-    set_var: str
-    sub: Formula
+    __slots__ = ("set_var", "sub")
 
 
 ATOM_TYPES = (Equal, SetEqual, Adj, Label, In)
@@ -113,8 +129,7 @@ _QUANT = {ExistsObj: "Ex", ForallObj: "Ax", ExistsSet: "EX", ForallSet: "AX"}
 _QUANT_OF = {tok: cls for cls, tok in _QUANT.items()}
 
 
-@dataclass(frozen=True)
-class VariableList:
+class VariableList(NamedTuple):
     objects: tuple[str, ...]
     sets: tuple[str, ...]
 

@@ -8,7 +8,7 @@ leaves-to-root; the i-th leaf in left-to-right order is vertex i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, TypeVar
 
 from .errors import RwmsoError
@@ -21,9 +21,10 @@ FAMILIES = ("path", "cycle", "complete", "cograph-union", "cograph-join", "star"
 LEAF = -1
 
 
-@dataclass(frozen=True)
-class ParseTree:
-    """An operator table and the nodes in post-order.
+class ParseTree(namedtuple("ParseTree", "t ops code")):
+    """An operator table and the nodes in post-order: a tuple (t: int,
+    ops: tuple[CompositionOp, ...], code: tuple[int, ...]), validated
+    when made.
 
     ``ops`` holds the distinct (g, f1, f2) operators in the order ``code``
     first uses them.  ``code`` has one int per node: LEAF (-1) for a leaf,
@@ -31,31 +32,30 @@ class ParseTree:
     end just before it, left then right.  So equal trees compare equal.
     """
 
-    t: int
-    ops: tuple[CompositionOp, ...]
-    code: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __new__(cls, t: int, ops: tuple[CompositionOp, ...], code: tuple[int, ...]):
+        if t < 1:
             raise RwmsoError("width must be at least 1")
-        if any([getattr(r, "t", None) for r in op] != [self.t] * 3 for op in self.ops):
-            raise RwmsoError(f"an operator is three relabelings of width {self.t}")
-        if len(set(self.ops)) != len(self.ops):
+        if any([getattr(r, "t", None) for r in op] != [t] * 3 for op in ops):
+            raise RwmsoError(f"an operator is three relabelings of width {t}")
+        if len(set(ops)) != len(ops):
             raise RwmsoError("operators must be distinct")
         subtrees = used = 0   # subtrees finished so far, operators used so far
-        for c in self.code:
+        for c in code:
             if c == LEAF:
                 subtrees += 1
-            elif type(c) is not int or not 0 <= c <= used or c >= len(self.ops):
+            elif type(c) is not int or not 0 <= c <= used or c >= len(ops):
                 raise RwmsoError(f"operator index {c!r} out of range or first-use order")
             elif subtrees < 2:
                 raise RwmsoError("an inner node has fewer than two children")
             else:
                 used += c == used
                 subtrees -= 1
-        if subtrees != 1 or used != len(self.ops):
+        if subtrees != 1 or used != len(ops):
             raise RwmsoError(f"code builds {subtrees} trees with {used} of "
-                             f"{len(self.ops)} operators, not one tree using all")
+                             f"{len(ops)} operators, not one tree using all")
+        return tuple.__new__(cls, (t, ops, code))
 
     def size(self) -> int:
         """Total node count |T|."""

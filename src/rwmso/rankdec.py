@@ -6,8 +6,7 @@ splits (about 3^n steps), so it is meant for small graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import gf2
 from .errors import RwmsoError, ScaleGuardError
@@ -16,8 +15,7 @@ from .structures import Structure
 MAX_EXACT_N = 8
 
 
-@dataclass
-class BranchDecomposition:
+class BranchDecomposition(NamedTuple):
     """Unrooted subcubic tree with leaves mapped bijectively to vertices.
 
     Nodes are 0..num_nodes-1; edges is a list of node pairs; leaf_map

@@ -7,34 +7,30 @@ labeling operations are GF(2) bitset arithmetic (see gf2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import gf2
 from .errors import RwmsoError, WidthMismatchError
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(namedtuple("Structure", "n t adj labels")):
     """Graph over vocabulary {E, L1..Lt}; universe is 0..n-1.
 
     adj[u] has bit v set iff {u,v} is an edge; labels[u] has bit i-1 set
-    iff u carries label i.
+    iff u carries label i.  A tuple (n: int, t: int, adj: tuple[int, ...],
+    labels: tuple[int, ...]), validated when made.
     """
 
-    n: int
-    t: int
-    adj: tuple[int, ...]
-    labels: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.t < 0:
+    def __new__(cls, n: int, t: int, adj: tuple[int, ...], labels: tuple[int, ...]):
+        if n < 0 or t < 0:
             raise RwmsoError("negative size")
-        if len(self.adj) != self.n or len(self.labels) != self.n:
+        if len(adj) != n or len(labels) != n:
             raise RwmsoError("row count does not match universe size")
-        adj = self.adj
         for u, row in enumerate(adj):
-            if row >> self.n:
+            if row >> n:
                 raise RwmsoError(f"adjacency row {u} references missing vertices")
             if (row >> u) & 1:
                 raise RwmsoError(f"loop at vertex {u}")
@@ -44,8 +40,9 @@ class Structure:
                 if not (adj[low.bit_length() - 1] >> u) & 1:
                     raise RwmsoError("adjacency not symmetric")
                 row ^= low
-        if any(lab >> self.t for lab in self.labels):
+        if any(lab >> t for lab in labels):
             raise RwmsoError("label row wider than t")
+        return tuple.__new__(cls, (n, t, adj, labels))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -63,15 +60,10 @@ def _unchecked(cls: type, *values):
 
     Library code that derives one from validated input (the composition,
     induced substructures, the parse-tree text reader and the families)
-    builds it here and skips ``__post_init__``; user input goes through
-    ``cls(...)``, which validates.
+    builds it here and skips the validating ``__new__``; user input goes
+    through ``cls(...)``, which validates.
     """
-    obj = object.__new__(cls)
-    # set the fields in the generated __init__'s order, so the instance
-    # keeps the compact attribute layout (a materialised __dict__ doubles it)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
+    return tuple.__new__(cls, values)
 
 
 def build_structure(n: int, edges: Iterable[tuple[int, int]] = (), t: int = 1,
@@ -88,16 +80,17 @@ def build_structure(n: int, edges: Iterable[tuple[int, int]] = (), t: int = 1,
     return Structure(n, t, tuple(adj), tuple(labels))
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """Linear map on GF(2)^t; rows[i] is the image of label i+1."""
+class Relabeling(namedtuple("Relabeling", "rows")):
+    """Linear map on GF(2)^t; rows[i] is the image of label i+1.  A
+    tuple (rows: tuple[int, ...],), validated when made."""
 
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = len(self.rows)
-        if any(r >> t for r in self.rows):
+    def __new__(cls, rows: tuple[int, ...]):
+        t = len(rows)
+        if any(r >> t for r in rows):
             raise RwmsoError("relabeling row wider than t")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def t(self) -> int:
@@ -146,8 +139,7 @@ def compose(g1: Structure, g2: Structure, g: Relabeling, f1: Relabeling,
     return _unchecked(Structure, n1 + g2.n, t, tuple(adj), labels)
 
 
-@dataclass(frozen=True)
-class OrderedStructure:
+class OrderedStructure(NamedTuple):
     """Induced structure on the entries of a vector, remembering order.
 
     Positions that name the same element fall into one class; classes are
@@ -238,8 +230,7 @@ def _int(token: str, lineno: int) -> int:
         raise RwmsoError(f"line {lineno}: expected an integer, got {token!r}") from None
 
 
-@dataclass(frozen=True)
-class GraphText:
+class GraphText(NamedTuple):
     """Graph text checked line by line, with no row built yet: a caller
     can refuse a large header n before build() makes n rows."""
 

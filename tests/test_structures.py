@@ -396,7 +396,7 @@ def test_constructor_error_messages(build, message):
 
 
 def _fields(obj) -> tuple:
-    return tuple(getattr(obj, name) for name in type(obj).__dataclass_fields__)
+    return tuple(getattr(obj, name) for name in obj._fields)
 
 
 def _traced_bytes(build, count: int) -> int:
@@ -415,10 +415,10 @@ def _traced_bytes(build, count: int) -> int:
 
 def test_unchecked_builds_what_the_validating_constructors_build():
     # the library builds derived Structures and ParseTrees with _unchecked,
-    # skipping __post_init__: each equals, hashes and reprs like the
-    # validating constructor on the same fields (which accepts them), and
-    # keeps its compact attribute layout, so 10,000 take the same bytes to
-    # within one byte per instance
+    # skipping the validating __new__: each equals, hashes and reprs like
+    # the validating constructor on the same fields (which accepts them),
+    # and has the same layout, so 10,000 take the same bytes to within
+    # one byte per instance
     rng = random.Random(33)
     made = []
     for _ in range(20):
