@@ -43,7 +43,8 @@ from .gf2 import vec_times_matrix as vtm
 from .structures import (OrderedStructure, Structure, _check_width, _unchecked,
                          compose, ordered_induced)  # compose: kept for perfbench's tracer
 
-# the most nodes one forest interns: ~1.3-2.1 KB each, ~0.7-1.1 GB at the cap
+# the most nodes one forest interns: ~1.3-2.1 KB each on family trees (1-3
+# operators), ~29 KB each on random width-2 trees (ROADMAP item 15)
 MAX_NODES = 500_000
 
 
@@ -117,24 +118,25 @@ class RCForest:
 
     Ids are stable and identify subtrees up to deep structural equality.
     Labels go in through label_id(), which numbers each distinct ordered
-    structure once; nodes go in through intern(), keyed by a label id and
-    the child ids, and are immutable.  The labels come from a finite set
-    fixed by the move budget and t, so both tables stop growing once a
-    fold has stabilised.
+    structure once in the list labels; nodes go in through intern(), keyed
+    by a label id and the child ids, into the list nodes, and are immutable.
+    Both lists only grow, so a hot loop may hold them across interning.
+    The labels come from a finite set fixed by the move budget and t, so
+    both tables stop growing once a fold has stabilised.
 
     That set's size is a tower in the budget, so the node count, not the
     depth, is what a run costs: intern() refuses a new node past MAX_NODES
     with ScaleGuardError, and every construction goes through it.
 
-    cross_memo holds tree_cross_product's results, one dict per move
-    budget, operator and collapse test (cross_memo_for gives it), from
+    cross_memo holds tree_cross_product's results, one dict per (move
+    budget, collapse test, operator) key (cross_memo_for gives it), from
     (id1, id2, d) to the product's id: a fold answers its hits from it.
-    label_memo maps (g.rows, f1.rows, f2.rows) to a dict from (label1,
-    label2, d) to the id of the product label, so rename_combine runs
-    once per distinct label product: a label product depends on neither
-    the budget nor the children.  Operators are keyed by their matrix
-    rows, so equal operators parsed from text share entries, and the
-    inner keys are ints and the indicator vector only.  game_memo maps
+    label_memo maps an operator to a dict from (label1, label2, d) to the
+    id of the product label, so rename_combine runs once per distinct
+    label product: a label product depends on neither the budget nor the
+    children.  An operator is a tuple of Relabeling tuples, hashed and
+    compared in C, so equal operators parsed from text share entries,
+    and the inner keys are ints and the indicator vector only.  game_memo maps
     (phi, x_vars, X_vars) to the game's compiled record (games._game):
     the position table, what games._compile records, the memo from
     (node id, position) to the winner, TOP or BOTTOM, and a sentence's
@@ -154,22 +156,21 @@ class RCForest:
 
     def __init__(self):
         self._label_ids: dict[OrderedStructure, int] = {}
-        self._labels: list[OrderedStructure] = []
+        self.labels: list[OrderedStructure] = []
         self._ids: dict[tuple[int, tuple[int, ...], tuple[int, ...]], int] = {}
-        self._nodes: list[RCNode] = []
+        self.nodes: list[RCNode] = []
         self.cross_memo: dict[tuple, dict[tuple, int]] = {}
-        self.label_memo: dict[tuple, dict[tuple, int]] = {}
+        self.label_memo: dict[CompositionOp, dict[tuple, int]] = {}
         self.game_memo: dict[tuple, object] = {}
         self.lost: int | None = None
         self.collapsed = 0
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     def cross_memo_for(self, caps: Budget, op: CompositionOp,
                        collapse: Collapse | None = None) -> dict[tuple, int]:
-        g, f1, f2 = op
-        return self.cross_memo.setdefault((caps, collapse, g.rows, f1.rows, f2.rows), {})
+        return self.cross_memo.setdefault((caps, collapse, op), {})
 
     def label_id(self, ord_struct: OrderedStructure) -> int:
         """The id of an ordered structure in the label table, equal
@@ -178,15 +179,9 @@ class RCForest:
         holds ordered structures only."""
         lid = self._label_ids.get(ord_struct)
         if lid is None:
-            lid = self._label_ids[ord_struct] = len(self._labels)
-            self._labels.append(ord_struct)
+            lid = self._label_ids[ord_struct] = len(self.labels)
+            self.labels.append(ord_struct)
         return lid
-
-    def label(self, lid: int) -> OrderedStructure:
-        return self._labels[lid]
-
-    def num_labels(self) -> int:
-        return len(self._labels)
 
     def intern(self, label: int, point_children: Iterable[int],
                set_children: Iterable[int]) -> int:
@@ -200,28 +195,22 @@ class RCForest:
         key = (label, point, set_kids)
         nid = self._ids.get(key)
         if nid is None:
-            nid = len(self._nodes)
+            nid = len(self.nodes)
             if nid >= MAX_NODES:
                 raise ScaleGuardError(
                     f"the forest reached {nid} interned nodes, the ceiling "
                     f"chartree.MAX_NODES={MAX_NODES}; use a smaller formula or depth")
             self._ids[key] = nid
-            self._nodes.append(tuple.__new__(RCNode, (self._labels[label], point, set_kids, label)))
+            self.nodes.append(tuple.__new__(RCNode, (self.labels[label], point, set_kids, label)))
         return nid
 
     def lost_node(self) -> int:
         """The id of the lost node, interned under LOST on first use."""
         if self.lost is None:
-            lid = len(self._labels)
-            self._labels.append(LOST)
+            lid = len(self.labels)
+            self.labels.append(LOST)
             self.lost = self.intern(lid, (), ())
         return self.lost
-
-    @property
-    def nodes(self) -> list[RCNode]:
-        """The nodes indexed by id; the list only grows, so a hot loop
-        may hold it across interning."""
-        return self._nodes
 
     def reachable(self, root: int) -> list[int]:
         seen = {root}
@@ -230,7 +219,7 @@ class RCForest:
         while stack:
             nid = stack.pop()
             order.append(nid)
-            n = self._nodes[nid]
+            n = self.nodes[nid]
             for ch in n.point_children + n.set_children:
                 if ch not in seen:
                     seen.add(ch)
@@ -375,9 +364,8 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     caps = budget if type(budget) is tuple else as_budget(budget)
     memo = forest.cross_memo_for(caps, op, collapse)
     get = memo.get
-    g, f1, f2 = op
-    labels = forest.label_memo.setdefault((g.rows, f1.rows, f2.rows), {})
-    nodes = forest._nodes
+    labels = forest.label_memo.setdefault(op, {})
+    nodes = forest.nodes
     ncaps = len(caps)
     # a lost node made below is a product of this call, never a factor
     lost = forest.lost
@@ -472,14 +460,15 @@ def rc_dump(forest: RCForest, root: int) -> str:
     with "lost" in place of the ord of the lost node, which stands at
     every level and is listed at level 0 0."""
     kind = {root: "root"}
-    for nid in forest.reachable(root):
+    reachable = forest.reachable(root)
+    for nid in reachable:
         n = forest.nodes[nid]
         for ch in n.point_children:
             kind.setdefault(ch, "point")
         for ch in n.set_children:
             kind.setdefault(ch, "set")
     lines = []
-    for nid in forest.reachable(root):
+    for nid in reachable:
         n = forest.nodes[nid]
         kids = n.point_children + n.set_children
         ids = " ".join(str(c) for c in kids)

@@ -75,7 +75,7 @@ def _tree_report(q: int, tree: ParseTree, rc: RCTree, elapsed: float) -> dict:
     return {"q": q, "moveBudget": list(rc.budget), "t": tree.t,
             "parseTreeNodes": tree.size(),
             "charTreeNodes": rc.size(), "peakInterned": len(rc.forest),
-            "internedLabels": rc.forest.num_labels(), "wallTimeSec": elapsed}
+            "internedLabels": len(rc.forest.labels), "wallTimeSec": elapsed}
 
 
 def cmd_check(args) -> int:

@@ -142,8 +142,7 @@ def test_a_depth_whose_leaf_passes_the_ceiling_is_refused():
 
 
 def _interned(forest):
-    return ([(n.label, n.point_children, n.set_children) for n in forest.nodes],
-            [forest.label(i) for i in range(forest.num_labels())])
+    return [(n.label, n.point_children, n.set_children) for n in forest.nodes], forest.labels
 
 
 def test_leaf_builder_matches_the_definition():
@@ -497,12 +496,10 @@ def test_label_memo_entries_are_rename_combine(monkeypatch):
     assert len(forests) == 7
     for forest in forests:
         assert forest.label_memo
-        for (g, f1, f2), memo in forest.label_memo.items():
-            op = (Relabeling(g), Relabeling(f1), Relabeling(f2))
+        labels = forest.labels
+        for op, memo in forest.label_memo.items():
             for (l1, l2, d), lid in memo.items():
-                assert forest.label(lid) == reference_rename_combine(
-                    forest.label(l1), forest.label(l2), d, op)
-        labels = [forest.label(lid) for lid in range(forest.num_labels())]
+                assert labels[lid] == reference_rename_combine(labels[l1], labels[l2], d, op)
         assert len(set(labels)) == len(labels)
 
 
@@ -539,7 +536,7 @@ def test_intern_keys_on_label_values():
     assert a == b and a is not b
     nid = forest.intern(forest.label_id(a), (), ())
     assert forest.intern(forest.label_id(b), (), ()) == nid
-    assert forest.num_labels() == 1 and forest.nodes[nid].ord is a
+    assert len(forest.labels) == 1 and forest.nodes[nid].ord is a
 
 
 def test_rc_dump_format():

@@ -6,7 +6,9 @@ fresh dict defaults where they have defaults; and every repr reads as
 it did when the records were dataclasses.
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from rwmso import Assignment, LinEMSOProblem, LinEMSOResult, build_structure, family_tree
-from rwmso.logic import And, Equal, ExistsObj, ForallObj, Or, parse_formula
+from rwmso.logic import Adj, And, Equal, ExistsObj, ForallObj, Or, parse_formula, pretty_print
 from rwmso.structures import ordered_induced
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,10 +34,23 @@ def test_importing_the_cli_imports_no_dataclasses():
 
 
 def test_equal_formulas_are_equal_and_hash_alike():
-    phi, psi = parse_formula(TEXT, 1), parse_formula(TEXT, 1)
-    assert phi is not psi
-    assert phi == psi and hash(phi) == hash(psi)
-    assert {phi: 1}[psi] == 1
+    # a second parse, and copies made through __reduce__
+    phi = parse_formula(TEXT, 1)
+    for psi in (parse_formula(TEXT, 1), pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
+        assert phi is not psi
+        assert phi == psi and hash(phi) == hash(psi)
+        assert {phi: 1}[psi] == 1
+
+
+def test_a_formula_prints_as_its_concrete_syntax():
+    phi = parse_formula(TEXT, 1)
+    assert str(phi) == pretty_print(phi)
+
+
+def test_a_wrong_field_count_is_a_type_error():
+    for args in (("x",), ("x", "y", "z")):
+        with pytest.raises(TypeError, match="takes fields"):
+            Adj(*args)
 
 
 def test_nodes_of_two_classes_with_equal_fields_differ():
@@ -49,6 +64,7 @@ def test_records_are_immutable():
     g = build_structure(3, [(0, 1), (1, 2)], 2, [1, 2, 3])
     phi = parse_formula("Ax x. (X(x) | !X(x))", 1)
     records = [(parse_formula(TEXT, 1), "sub"), (Equal("x", "y"), "left"), (g, "n"),
+               (pickle.loads(pickle.dumps(phi)), "sub"), (copy.deepcopy(phi), "sub"),
                (ordered_induced(g, [0, 2]), "positions"), (family_tree("path", 4), "code"),
                (LinEMSOProblem(phi, (1,), "max"), "weights")]
     for record, field in records:
