@@ -40,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
 from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
 from .gf2 import vec_times_matrix as vtm
-from .structures import (OrderedStructure, Structure, _check_width, _unchecked,
+from .structures import (OrderedStructure, Relabeling, Structure, _check_width, _unchecked,
                          compose, ordered_induced)  # compose: kept for perfbench's tracer
 
 # the most nodes one forest interns: ~1.3-2.1 KB each on family trees (1-3
@@ -79,10 +79,12 @@ def as_budget(budget: int | Sequence[int]) -> Budget:
                                   f"nodes at its leaf, the ceiling chartree.MAX_NODES={MAX_NODES}")
         return tuple(range(budget, -1, -1))
     caps = tuple(budget)
-    if not caps or not all(isinstance(c, int) and c >= 0 for c in caps):
+    for c in caps:  # a plain loop: every RCTree validates its budget
+        if not isinstance(c, int) or c < 0:
+            caps = ()
+    if not caps:
         raise RwmsoError(
-            f"move budget must be a nonempty sequence of nonnegative ints, "
-            f"got {budget!r}")
+            f"move budget must be a nonempty sequence of nonnegative ints, got {budget!r}")
     return caps
 
 
@@ -277,13 +279,25 @@ def reduced_char_tree_direct(forest: RCForest, t: int, budget: int | Budget,
 IndicatorVector = tuple[int, ...]  # the side, 1 or 2, of each position
 
 
-def _spread(mask: int, bits: Sequence[int]) -> int:
-    out = 0  # the OR of bits[j] over the set bits j of mask
-    for bit in bits:
-        if mask & 1:
-            out |= bit
-        mask >>= 1
-    return out
+class _Images(dict):
+    """The images of label rows under one relabeling, each computed on its
+    first read, so a table holds only the rows that occur, never all 2^t."""
+
+    def __init__(self, relabeling: Relabeling):
+        self.rows = relabeling.rows
+
+    def __missing__(self, label: int) -> int:
+        image = self[label] = vtm(label, self.rows)
+        return image
+
+
+_image_table = functools.lru_cache(maxsize=1024)(_Images)  # one table per relabeling
+
+
+@functools.lru_cache(maxsize=1024)
+def _images(op: CompositionOp) -> tuple[_Images, _Images, _Images]:
+    """The image tables of op's g, f1 and f2; equal relabelings share one."""
+    return tuple(map(_image_table, op))
 
 
 def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
@@ -293,13 +307,14 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
     Equals Ord(A1 (x) A2, c, C) whenever o_i = Ord(A_i, c[A_i], C n A_i)
     and d is the indicator vector of c, the side of each entry.  Each
     label holds just the classes its side's part of c reaches, numbered
-    by first occurrence, so one pass over d merges the two numberings.
-    A side's edges are its label's, a cross edge joins labels l1, l2 with
-    l1 . g(l2) odd, labels go through f1 and f2, and traces are merged.
-    The fold runs it once per distinct label product.
+    by first occurrence, so one pass over d merges the two numberings
+    and joins each new class to those numbered before it: within a side
+    by its label's edges, across by l1 . g(l2) odd.  Labels go through
+    f1 and f2, and traces are merged; the images of label rows under g,
+    f1 and f2 are read from op's tables (_images).  The fold runs it
+    once per distinct label product.
     """
     s1, s2, tr1, tr2 = o1.structure, o2.structure, o1.set_traces, o2.set_traces
-    it1, it2 = iter(o1.positions), iter(o2.positions)
     m1, m2 = len(o1.positions), len(o2.positions)
     if len(tr1) != len(tr2):
         raise RwmsoError(f"trace counts differ: {len(tr1)} vs {len(tr2)}")
@@ -308,34 +323,39 @@ def rename_combine(o1: OrderedStructure, o2: OrderedStructure,
     (g, f1, f2), t = op, s1.t
     if not t == s2.t == len(g.rows) == len(f1.rows) == len(f2.rows):
         _check_width(t, s2.t, g.t, f1.t, f2.t)
-    bit1, bit2, positions, labels = [], [], [], []  # biti[a]: the bit of side i's class a
+    gimg, f1img, f2img = _images(op)
+    # sides[k]: side k's positions, structure, traces, label images, the
+    # table its cross keys go through (g for side 2, none for side 1), and
+    # its own and the other side's classes so far as (class, cross key)
+    new1, new2, positions, labels, adj = [], [], [], [], []
+    traces = [0] * len(tr1)
+    sides = (None, (iter(o1.positions), s1, tr1, f1img, None, new1, new2),
+             (iter(o2.positions), s2, tr2, f2img, gimg, new2, new1))
     for side in d:
-        if side == 1:
-            a = next(it1)
-            if a == len(bit1):
-                bit1.append(1 << len(labels))
-                labels.append(vtm(s1.labels[a], f1.rows))
-            positions.append(bit1[a].bit_length() - 1)
-        else:
-            b = next(it2)
-            if b == len(bit2):
-                bit2.append(1 << len(labels))
-                labels.append(vtm(s2.labels[b], f2.rows))
-            positions.append(bit2[b].bit_length() - 1)
-    adj, cross2 = [0] * len(labels), [0] * len(bit2)  # cross2[b]: class b's cross edges
-    glab2 = [vtm(lab, g.rows) for lab in s2.labels]
-    for bit, lab, mask in zip(bit1, s1.labels, s1.adj):
-        row = _spread(mask, bit1)
-        for b, bit_b in enumerate(bit2):
-            if (lab & glab2[b]).bit_count() & 1:
-                row |= bit_b
-                cross2[b] |= bit
-        adj[bit.bit_length() - 1] = row
-    for bit, row, mask in zip(bit2, cross2, s2.adj):
-        adj[bit.bit_length() - 1] = row | _spread(mask, bit2)
-    traces = tuple([_spread(x, bit1) | _spread(y, bit2) for x, y in zip(tr1, tr2)])
+        it, s, tr, fimg, cross, new, other = sides[side]
+        a = next(it)
+        if a == len(new):
+            i = len(labels)
+            bit, row, lab, mask = 1 << i, 0, s.labels[a], s.adj[a]
+            key = lab if cross is None else cross[lab]
+            for j, _ in new:
+                if mask & 1:
+                    row |= 1 << j
+                    adj[j] |= bit
+                mask >>= 1
+            for j, key2 in other:
+                if (key & key2).bit_count() & 1:
+                    row |= 1 << j
+                    adj[j] |= bit
+            for k, x in enumerate(tr):
+                if x >> a & 1:
+                    traces[k] |= bit
+            new.append((i, key))
+            labels.append(fimg[lab])
+            adj.append(row)
+        positions.append(new[a][0])
     return OrderedStructure(_unchecked(Structure, len(labels), t, tuple(adj), tuple(labels)),
-                            tuple(positions), traces)
+                            tuple(positions), tuple(traces))
 
 
 def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budget,

@@ -263,12 +263,14 @@ def game_on_tree(tree: RCTree, phi: Formula,
             f"got {len(x_vars)} object and {len(X_vars)} set variables")
     game = _game(forest, phi, tuple(x_vars), tuple(X_vars))
     caps = tree.budget
-    for (kind, _, point), (m, p) in zip(game.table, game.levels):  # a quantifier moves from (m, p)
-        if kind >= _EXISTS and not in_budget(caps, m + point, p + 1 - point):
-            raise DepthBudgetError(
-                f"a {'point' if point else 'set'} move to m={m + point}, p={p + 1 - point} "
-                f"is outside the tree's move budget {list(caps)}: build the tree for the "
-                "formula's budget")
+    if caps not in game.budgets:  # each budget's moves are checked once
+        for (kind, _, point), (m, p) in zip(game.table, game.levels):  # a move from (m, p)
+            if kind >= _EXISTS and not in_budget(caps, m + point, p + 1 - point):
+                raise DepthBudgetError(
+                    f"a {'point' if point else 'set'} move to m={m + point}, p={p + 1 - point} "
+                    f"is outside the tree's move budget {list(caps)}: build the tree for the "
+                    "formula's budget")
+        game.budgets.add(caps)
     lost = forest.lost
     if (lost is not None and (tree.collapse is None or tree.collapse is not game.test)
             and lost in forest.reachable(tree.root)):
@@ -407,14 +409,15 @@ class _Game(Verdicts):
     records, and final verdicts, as nothing is composed into the whole
     graph: label atoms are decided, an existential move with no TOP
     child is BOTTOM and a universal one with no BOTTOM child is TOP, so
-    its memo holds the game's winners, and test phi's collapse test."""
+    its memo holds the game's winners, test phi's collapse test, and
+    budgets the move budgets whose trees game_on_tree found phi's moves in."""
 
     _exists, _forall, _relabeled = BOTTOM, TOP, False
 
     def __init__(self, forest, phi: Formula, x_vars: tuple, X_vars: tuple):
         self.table, self.atoms, self.levels, self.fail = _compile(phi, x_vars, X_vars)
         self.nodes, self.size = forest.nodes, len(self.table)
-        self.memo, self.test, self.X_vars = {}, None, X_vars
+        self.memo, self.test, self.X_vars, self.budgets = {}, None, X_vars, set()
 
     def collapse(self, forest, phi: Formula) -> Collapse | None:
         """phi's collapse test, kept in test: the first call makes it and

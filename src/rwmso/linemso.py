@@ -2,15 +2,16 @@
 
 A problem is a formula with free set variables X1..Xl, integer weights
 a1..al and a direction.  The solver is the parse-tree fold of model
-checking with a richer value per subtree: a map from reduced
+checking with a richer value per subtree: two maps from reduced
 characteristic trees, built with the l chosen sets preloaded as traces,
-to the best weight (plus one witness) reaching that tree.  The 2^l leaf
-states are built once per solve and combined pairwise with the tree
-cross product.  At the root, the game decides which states satisfy the
+to the best weight reaching each tree and to one witness of it.  The
+2^l leaf states are built once per solve and combined pairwise with the
+tree cross product.  At the root, the game decides which states satisfy the
 formula, all root states sharing one compiled game in the forest.  A
 min problem is the max over negated weights.  A witness is one int
 until the result: bit v*l + i says that vertex v is in set variable i,
-so a product's witness is one shift and one or.
+so a product's witness is one or, with side 2's witnesses shifted once
+per combine.
 
 The fold collapses what the formula has lost into the forest's lost
 node with model checking's test (games.check_collapse), whose state is
@@ -107,20 +108,21 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     test = check_collapse(problem.phi)(forest)
     lost = forest.lost
-    # states per subtree: interned tree id -> (weight, packed witness); ties
-    # keep the first-found witness, so results are deterministic.  A leaf's
-    # witness is its choice: bit i says that the vertex is in set i
-    leaf_states: dict[int, tuple[int, int]] = {}
+    # states per subtree: two maps from interned tree id, to its best weight
+    # and to that weight's packed witness; ties keep the first-found witness,
+    # so results are deterministic.  A leaf's witness is its choice: bit i
+    # says that the vertex is in set i
+    leaf_values, leaf_witnesses = {}, {}
     for choice in range(1 << l):
         bits = tuple((choice >> i) & 1 for i in range(l))
         rid = reduced_char_tree_direct(forest, tree.t, budget, bits)
         if test is not None and test(rid):
             continue
         value = sum(w for w, bit in zip(weights, bits) if bit)
-        old = leaf_states.get(rid)
-        if old is None or value > old[0]:
-            leaf_states[rid] = (value, choice)
-    stats.peak_states = len(leaf_states)
+        old = leaf_values.get(rid)
+        if old is None or value > old:
+            leaf_values[rid], leaf_witnesses[rid] = value, choice
+    stats.peak_states = len(leaf_values)
 
     def combine_for(op):
         # op's root pairs, id1 -> {id2: product id}: a root pair is made only
@@ -128,33 +130,38 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
         index: dict[int, dict[int, int]] = {}
 
         def combine(left, right):
-            (states1, n1), (states2, n2) = left, right
-            stats.pair_products += len(states1) * len(states2)
-            shift = n1 * l
-            pairs = {}
-            for id1, (v1, w1) in states1.items():
-                row = index.setdefault(id1, {})
-                for id2, (v2, w2) in states2.items():
+            (values1, witnesses1, n1), (values2, witnesses2, n2) = left, right
+            stats.pair_products += len(values1) * len(values2)
+            # side 2's states, each witness shifted once past side 1's n1 vertices
+            states2 = [(id2, v2, witnesses2[id2] << n1 * l) for id2, v2 in values2.items()]
+            values, witnesses = {}, {}
+            for id1, v1 in values1.items():
+                w1 = witnesses1[id1]
+                row = index.get(id1)
+                if row is None:
+                    row = index[id1] = {}
+                for id2, v2, w2 in states2:
                     rid = row.get(id2)
                     if rid is None:
                         rid = row[id2] = tree_cross_product(forest, id1, id2, budget, op, test)
                     if rid == lost:
                         continue
                     value = v1 + v2
-                    old = pairs.get(rid)
-                    if old is None or value > old[0]:
-                        pairs[rid] = (value, w1 | w2 << shift)
-            stats.peak_states = max(stats.peak_states, len(pairs))
-            return pairs, n1 + n2
+                    old = values.get(rid)
+                    if old is None or value > old:
+                        values[rid], witnesses[rid] = value, w1 | w2
+            stats.peak_states = max(stats.peak_states, len(values))
+            return values, witnesses, n1 + n2
         return combine
 
-    classes, _ = fold(tree, (leaf_states, 1), combine_for)
+    values, witnesses, _ = fold(tree, (leaf_values, leaf_witnesses, 1), combine_for)
     stats.peak_interned, stats.collapsed = len(forest), forest.collapsed
-    sat = [state for rid, state in classes.items()
+    sat = [rid for rid in values
            if game_on_tree(RCTree(forest, rid, budget, test), problem.phi, (), set_vars)]
     if not sat:
         return None
-    value, packed = max(sat, key=lambda state: state[0])  # the first on ties
+    best = max(sat, key=values.__getitem__)  # the first on ties
+    value, packed = values[best], witnesses[best]
     witness = unpack_witness(packed, l)
     check = sum(w * len(u) for w, u in zip(weights, witness))
     if check != value:

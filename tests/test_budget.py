@@ -204,6 +204,16 @@ def test_game_rejects_a_move_kind_the_tree_was_not_built_for():
     deep = to_nnf(parse_formula("Ex a. Ex b. Ex c. Ex d. adj(a,d)", 2))
     with pytest.raises(DepthBudgetError, match="point move"):
         game_on_tree(rc, deep)
+    # the game records the budgets it found phi's moves in, per budget: in
+    # one forest, a tree built for two-colorable's own budget plays, and a
+    # tree whose budget lacks its set move is still refused
+    two_colorable = to_nnf(sentences["two-colorable"])
+    forest = RCForest()
+    own = char_tree_from_parse_tree(tree, move_budget(two_colorable), forest)
+    assert game_on_tree(own, two_colorable)
+    shallow = char_tree_from_parse_tree(tree, move_budget(triangle), forest)
+    with pytest.raises(DepthBudgetError, match="set move"):
+        game_on_tree(shallow, two_colorable)
 
 
 def test_one_sentence_keeps_one_game_record_across_budgets():

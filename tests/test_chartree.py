@@ -527,6 +527,28 @@ def test_misses_build_labels_without_composing(monkeypatch):
         assert counts[0]["compose"] == 0 < counts[0]["ordered_induced"], (name, counts)
 
 
+def test_label_images_are_computed_once_and_only_for_rows_that_occur(monkeypatch):
+    # deterministic gate: a cycle padded to t = 12 has 2^12 label rows, but
+    # the fold computes the image of a row under a relabeling only for the
+    # labels its factors carry, at most once per (relabeling, row), and a
+    # second fold with the same operators into a fresh forest computes none
+    calls = []
+    vtm = chartree.vtm
+    monkeypatch.setattr(chartree, "vtm", lambda v, rows: calls.append((rows, v)) or vtm(v, rows))
+    chartree._images.cache_clear()
+    chartree._image_table.cache_clear()
+    tree = family_tree("cycle", 16, 12)
+    forest = RCForest()
+    char_tree_from_parse_tree(tree, 2, forest)
+    rows = {lab for o in forest.labels for lab in o.structure.labels}
+    assert calls and len(set(calls)) == len(calls)
+    assert {v for _, v in calls} <= rows
+    assert {r for r, _ in calls} <= {rel.rows for op in tree.ops for rel in op}
+    first = len(calls)
+    char_tree_from_parse_tree(tree, 2, RCForest())
+    assert len(calls) == first
+
+
 def test_intern_keys_on_label_values():
     # an equal but distinct ordered structure gets the same label id, so
     # interning it gives the same node, which keeps the first label object

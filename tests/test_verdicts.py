@@ -224,19 +224,20 @@ def test_the_fold_keeps_the_states_a_fresh_view_keeps_in_order(monkeypatch):
     # 8: the collapsing fold keeps exactly the states whose verdict at
     # position 0 a fresh view does not call BOTTOM, keys, values and
     # order, among the leaf states and the products of each parse node's
-    # input states built without the collapse test
+    # input states built without the collapse test; a state map is a fold
+    # value's two maps, tree id -> value and tree id -> witness
     forests, maps = [], []
     fold = linemso.fold
 
     def recording(tree, leaf, combine_for):
-        maps.append((None, None, None, leaf[0]))
+        maps.append((None, None, None, leaf[:2]))
 
         def recorded(op):
             combine = combine_for(op)
 
             def step(left, right):
                 out = combine(left, right)
-                maps.append((op, left, right, out[0]))
+                maps.append((op, left, right, out[:2]))
                 return out
             return step
         return fold(tree, leaf, recorded)
@@ -258,15 +259,18 @@ def test_the_fold_keeps_the_states_a_fresh_view_keeps_in_order(monkeypatch):
                 products = {reduced_char_tree_direct(forest, tree.t, budget, (bit,)): (-bit, bit)
                             for bit in (0, 1)}
             else:
-                (states1, n1), (states2, _) = left, right
+                (values1, witnesses1, n1), (values2, witnesses2, _) = left, right
                 products = {}
-                for id1, (v1, w1) in states1.items():
-                    for id2, (v2, w2) in states2.items():
+                for id1, v1 in values1.items():
+                    for id2, v2 in values2.items():
+                        w1, w2 = witnesses1[id1], witnesses2[id2]
                         rid = tree_cross_product(forest, id1, id2, budget, op)
                         if rid not in products or v1 + v2 > products[rid][0]:
                             products[rid] = (v1 + v2, w1 | w2 << n1)
             want = [(rid, state) for rid, state in products.items() if fresh.at(rid) != BOTTOM]
-            assert list(kept.items()) == want, (family, n)
+            values, witnesses = kept
+            assert list(witnesses) == list(values), (family, n)
+            assert [(rid, (v, witnesses[rid])) for rid, v in values.items()] == want, (family, n)
             dropped += len(products) - len(want)
     assert dropped > 0
 
