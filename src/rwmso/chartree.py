@@ -38,7 +38,7 @@ from collections import namedtuple
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DepthBudgetError, RwmsoError, ScaleGuardError
-from .parsetree import CompositionOp, ParseTree, fold, leaf_vertex
+from .parsetree import CompositionOp, Decided, ParseTree, fold, leaf_vertex
 from .gf2 import vec_times_matrix as vtm
 from .structures import (OrderedStructure, Relabeling, Structure, _check_width, _unchecked,
                          compose, ordered_induced)  # compose: kept for perfbench's tracer
@@ -152,8 +152,8 @@ class RCForest:
     for a lost subtree at every level: childless, under the label LOST,
     whose id label_id() never returns, so it never merges with a real
     node.  lost is its id, or None before it is made, and collapsed
-    counts the (0, p) products a collapsing fold replaced by it.  Not
-    thread-safe: confine construction to one thread.
+    counts the (0, p) products a collapsing fold replaced by it before
+    the fold stopped.  Not thread-safe: confine construction to one thread.
     """
 
     def __init__(self):
@@ -457,19 +457,27 @@ def char_tree_from_parse_tree(tree: ParseTree, budget: int | Budget,
     given, is called with the forest after the leaf and returns the
     fold's collapse test (None for no test), which the tree keeps; model
     checking passes games.check_collapse(phi), and the tree then has the
-    lost node in place of what phi has lost.
+    lost node in place of what phi has lost.  A miss that makes the lost
+    node ends the fold (parsetree.Decided): every product with a lost
+    factor is lost, so it is the root.
     """
     caps = as_budget(budget)
     if forest is None:
         forest = RCForest()
     leaf = reduced_char_tree_direct(forest, tree.t, caps)
     test = collapse(forest) if collapse is not None else None
+    lost = forest.lost  # made by a test, never returned without one
 
     def combine_for(op: CompositionOp):
         get = forest.cross_memo_for(caps, op, test).get
-        return lambda left, right: (hit if (hit := get((left, right, ()))) is not None
-                                    else tree_cross_product(forest, left, right, caps, op,
-                                                            test))
+
+        def step(left: int, right: int) -> int:
+            if (hit := get((left, right, ()))) is not None:
+                return hit
+            if (out := tree_cross_product(forest, left, right, caps, op, test)) == lost:
+                raise Decided(out)  # and so is every product above it
+            return out
+        return step
 
     root = fold(tree, leaf, combine_for)
     return RCTree(forest, root, caps, test)

@@ -503,7 +503,8 @@ def model_check(tree: ParseTree, phi: Formula) -> bool:
 
     Builds the reduced characteristic tree for phi's move budget from
     the parse tree, collapsed by check_collapse, then plays the game on
-    it; never materializes the graph.
+    it; never materializes the graph.  The fold stops at the first lost
+    subgraph, whose root, the lost node, loses the game.
     """
     if not is_sentence(phi):
         raise RwmsoError("model checking requires a sentence (no free variables)")

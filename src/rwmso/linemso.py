@@ -28,7 +28,7 @@ from .chartree import (RCForest, RCTree, reduced_char_tree_direct,
 from .errors import RwmsoError
 from .games import check_collapse, game_on_tree
 from .logic import Formula, free_variables, move_budget
-from .parsetree import ParseTree, fold
+from .parsetree import Decided, ParseTree, fold
 
 
 class LinEMSOProblem(namedtuple("LinEMSOProblem", "phi weights direction")):
@@ -92,10 +92,11 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
 
     The fold takes phi's collapse test (games.check_collapse), as model
     checking's does, before the leaves; a lost leaf root or product (the
-    lost node) is skipped where it is made, never stored.  stats, if
+    lost node) is skipped where it is made, never stored, and a combine
+    that keeps no state ends the fold (parsetree.Decided).  stats, if
     given, receives the peak state count, the products collapsed, the
     state pairs and the forest's node count, which bounds the states
-    (they are ids in that forest).
+    (they are ids in that forest), of the combines before any such stop.
     """
     sign = 1 if problem.direction == "max" else -1
     weights = tuple(sign * w for w in problem.weights)
@@ -151,6 +152,8 @@ def solve_linemso(tree: ParseTree, problem: LinEMSOProblem,
                     if old is None or value > old:
                         values[rid], witnesses[rid] = value, w1 | w2
             stats.peak_states = max(stats.peak_states, len(values))
+            if not values:  # every assignment is lost on this subgraph
+                raise Decided((values, witnesses, n1 + n2))
             return values, witnesses, n1 + n2
         return combine
 

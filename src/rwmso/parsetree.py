@@ -62,20 +62,28 @@ class ParseTree(namedtuple("ParseTree", "t ops code")):
         return len(self.code)
 
 
+class Decided(Exception):
+    """Decided(value), raised by a fold step: value is the whole fold's."""
+
+
 def fold(tree: ParseTree, leaf: T,
          combine_for: Callable[[CompositionOp], Callable[[T, T], T]]) -> T:
     """Evaluate the tree leaves-to-root, in post-order: every leaf is
     ``leaf``, every inner node ``step(left, right)`` of its operands, where
-    ``step = combine_for(op)`` is made once per operator of the table."""
+    ``step = combine_for(op)`` is made once per operator of the table.  A
+    step that raises Decided(value) ends the fold: it returns value."""
     steps = [combine_for(op) for op in tree.ops]
     results: list[T] = []
     push, pop = results.append, results.pop
-    for c in tree.code:
-        if c < 0:   # LEAF
-            push(leaf)
-        else:
-            right = pop()
-            results[-1] = steps[c](results[-1], right)
+    try:
+        for c in tree.code:
+            if c < 0:   # LEAF
+                push(leaf)
+            else:
+                right = pop()
+                results[-1] = steps[c](results[-1], right)
+    except Decided as stop:
+        return stop.args[0]
     return results[0]
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from rwmso import (FAMILIES, evaluate, family_tree, game_on_tree, generate_graph,
                    model_check, parse_formula, quantifier_rank)
-from rwmso import chartree
+from rwmso import LinEMSOProblem, chartree, linemso, solve_linemso
 from rwmso.chartree import RCForest, char_tree_from_parse_tree, rc_dump
 from rwmso.errors import RwmsoError
 from rwmso.games import _EXISTS, BOTTOM, CATALOG, Verdicts, check_collapse
@@ -90,6 +90,52 @@ def test_collapsed_node_count_is_flat_in_n():
         assert rc.forest.collapsed > 0
         counts.append(len(rc.forest))
     assert counts == [102, 102], counts
+
+
+def _count_steps(module, monkeypatch):
+    """A list that grows by one per fold step the module takes."""
+    steps, fold = [], module.fold
+
+    def counted_fold(tree, leaf, combine_for):
+        def counted_for(op):
+            step = combine_for(op)
+
+            def counted(left, right):
+                steps.append(op)
+                return step(left, right)
+            return counted
+        return fold(tree, leaf, counted_for)
+
+    monkeypatch.setattr(module, "fold", counted_fold)
+    return steps
+
+
+def test_both_folds_stop_at_their_first_lost_root(monkeypatch):
+    # a lost root loses every graph it is composed into, so the fold ends
+    # at the first one: as many steps at n = 4096 as at n = 64
+    steps = _count_steps(chartree, monkeypatch)
+    lost = {"edgeless": ("path", "cycle", "star"), "complete": ("path", "cycle", "star"),
+            "label1-dominates": ("path", "cycle"), "two-colorable": ()}
+    for name, families in lost.items():
+        phi = parse_formula(next(e.text for e in CATALOG if e.name == name), 2)
+        for family in ("path", "cycle", "star"):
+            taken = []
+            for n in (64, 4096):
+                steps.clear()
+                rc = _collapsed(family_tree(family, n, 2), phi)
+                assert game_on_tree(rc, phi) is (family not in families), (name, family)
+                assert (rc.root == rc.forest.lost) is (family in families), (name, family)
+                taken.append(len(steps))
+            # the rest hold (on a star every vertex sees the center, the one
+            # vertex left labeled 1) and take all n - 1 steps
+            assert taken == ([taken[0]] * 2 if family in families else [63, 4095]), (
+                name, family, taken)
+    # no state of a LinEMSO solve survives the first combine
+    steps = _count_steps(linemso, monkeypatch)
+    problem = LinEMSOProblem(parse_formula("Ax x. Ax y. (!adj(x,y) | (X(x) & !X(x)))", 2),
+                             (1,), "max")
+    assert solve_linemso(family_tree("path", 4096), problem) is None
+    assert len(steps) == 1
 
 
 def test_refolds_of_one_sentence_share_the_forest_memos(monkeypatch):
@@ -286,7 +332,7 @@ def test_collapsed_rc_dump_is_byte_identical():
                 lines += text.count("\n")
                 digest.update(text.encode())
             collapsed += forest.collapsed
-    assert (lines, collapsed) == (898, 256)
+    assert (lines, collapsed) == (898, 224)
     assert digest.hexdigest() == COLLAPSED_RC_DUMP_SHA256
 
 

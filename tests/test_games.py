@@ -362,11 +362,18 @@ def test_finished_calls_leave_no_cycles(monkeypatch):
         problem = LinEMSOProblem(
             parse_formula("Ax x. Ax y. (!X(x) | !X(y) | !adj(x,y))", 2), (1,), "max")
         assert solve_linemso(tree, problem).value == 3
+        # and folds that stop at a lost root, through an exception whose
+        # traceback held the fold's frames
+        edgeless = parse_formula(next(e.text for e in CATALOG if e.name == "edgeless"), 2)
+        assert not model_check(family_tree("path", 64), edgeless)
+        problem = LinEMSOProblem(
+            parse_formula("Ax x. Ax y. (!adj(x,y) | (X(x) & !X(x)))", 2), (1,), "max")
+        assert solve_linemso(family_tree("path", 64), problem) is None
         forest = RCForest()
         rid = reference_char_tree(forest, K2, 2)
         assert game_on_tree(RCTree(forest, rid, 2), to_nnf(HAS_EDGE))
         del forest
-        assert len(forests) == 2 and all(ref() is None for ref in forests)
+        assert len(forests) == 4 and all(ref() is None for ref in forests)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -215,7 +215,7 @@ def test_a_decided_root_verdict_is_the_games_winner():
                 decided.append(name)
                 assert (verdict == TOP) == game_on_tree(rc, phi), (name, family)
         collapsed += forest.collapsed
-    assert (cases, len(decided), lost_roots, collapsed) == (48, 23, 14, 126)
+    assert (cases, len(decided), lost_roots, collapsed) == (48, 23, 14, 107)
     assert decided.count("all-sets-full") == 3
 
 
