@@ -172,7 +172,11 @@ class RCForest:
 
     def cross_memo_for(self, caps: Budget, op: CompositionOp,
                        collapse: Collapse | None = None) -> dict[tuple, int]:
-        return self.cross_memo.setdefault((caps, collapse, op), {})
+        key = (caps, collapse, op)
+        memo = self.cross_memo.get(key)
+        if memo is None:  # a dict made on a miss only, not one per call
+            memo = self.cross_memo[key] = {}
+        return memo
 
     def label_id(self, ord_struct: OrderedStructure) -> int:
         """The id of an ordered structure in the label table, equal
@@ -384,7 +388,9 @@ def tree_cross_product(forest: RCForest, id1: int, id2: int, budget: int | Budge
     caps = budget if type(budget) is tuple else as_budget(budget)
     memo = forest.cross_memo_for(caps, op, collapse)
     get = memo.get
-    labels = forest.label_memo.setdefault(op, {})
+    labels = forest.label_memo.get(op)
+    if labels is None:
+        labels = forest.label_memo[op] = {}
     nodes = forest.nodes
     ncaps = len(caps)
     # a lost node made below is a product of this call, never a factor

@@ -17,7 +17,7 @@ from rwmso import (Assignment, LinEMSOProblem, Structure, build_structure,
                    evaluate, family_tree, game_on_tree, generate_graph,
                    model_check, parse_formula, quantifier_rank, solve_linemso)
 from rwmso.chartree import RCForest, RCTree, char_tree_from_parse_tree, tree_cross_product
-from rwmso.cli import run_bench
+from rwmso.commands import run_bench
 from rwmso.parsetree import FAMILIES
 from rwmso.rankdec import cut_rank, exact_rankwidth
 from rwmso.structures import Relabeling, compose

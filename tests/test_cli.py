@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,11 +11,13 @@ import pytest
 from rwmso import (BranchDecomposition, LinEMSOProblem, format_graph, format_parse_tree,
                    family_tree, free_variables, generate_graph, parse_formula, parse_graph,
                    pretty_print)
-from rwmso import chartree, cli
+from rwmso import chartree, cli, commands
 from rwmso.chartree import RCForest, char_tree_from_parse_tree
 from rwmso.cli import main
 
 from common import decomposition_width, random_formula, random_structure
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -206,7 +211,7 @@ def test_oracle_guard_bounds_nested_point_quantifiers(tmp_path, monkeypatch, cap
     def reached(*args):
         raise AssertionError("evaluate reached")
 
-    monkeypatch.setattr(cli, "evaluate", reached)
+    monkeypatch.setattr(commands, "evaluate", reached)
     empty = tmp_path / "empty.graph"
     empty.write_text("p graph 12 0 1\n")
 
@@ -219,6 +224,17 @@ def test_oracle_guard_bounds_nested_point_quantifiers(tmp_path, monkeypatch, cap
     for argv in ([nested(6)], [nested(7), "--force"]):
         with pytest.raises(AssertionError, match="evaluate reached"):
             main(["oracle", "--graph", str(empty), "--formula", *argv])
+
+
+@pytest.mark.parametrize("formula, out, code", [("Ax x. x = x", "true", 0),
+                                                ("Ex x. x = x", "false", 1)])
+def test_oracle_on_an_empty_graph(tmp_path, capsys, formula, out, code):
+    # no vertex, so a point quantifier's branch visits 0 assignments; the
+    # guard's message, with log2 of that count, is built only when it trips
+    empty = tmp_path / "empty.graph"
+    empty.write_text("p graph 0 0 1\n")
+    assert main(["oracle", "--graph", str(empty), "--formula", formula]) == code
+    assert capsys.readouterr().out.splitlines() == [out]
 
 
 def test_oracle_refuses_a_huge_header_only_graph(tmp_path, capsys):
@@ -503,9 +519,9 @@ def test_nine_point_moves_answer_under_defaults(tmp_path, capsys):
 def test_bench_ratio_is_the_median_of_paired_ratios(monkeypatch, capsys):
     # best-of times 0.01 and 0.06 give 6.0; within each repeat the
     # ratios are 6, 2 and 2, so the median is 2
-    rows = [cli.BenchRow(8, 15, 1, 1, 0.01, (0.01, 0.03, 0.03)),
-            cli.BenchRow(16, 31, 1, 1, 0.06, (0.06, 0.06, 0.06))]
-    monkeypatch.setattr(cli, "run_bench", lambda *args: rows)
+    rows = [commands.BenchRow(8, 15, 1, 1, 0.01, (0.01, 0.03, 0.03)),
+            commands.BenchRow(16, 31, 1, 1, 0.06, (0.06, 0.06, 0.06))]
+    monkeypatch.setattr(commands, "run_bench", lambda *args: rows)
     assert main(["bench", "--family", "path", "--n-list", "8,16"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "# n 8 -> 16: time ratio 2.00"
@@ -523,3 +539,27 @@ def test_oracle_refuses_free_variables(c5_graph, capsys):
 def test_gen_without_output_writes_to_stdout(capsys):
     assert main(["gen", "--family", "cycle", "--n", "5"]) == 0
     assert capsys.readouterr().out == format_parse_tree(family_tree("cycle", 5))
+
+
+def test_importing_the_cli_leaves_out_what_check_and_optimize_never_run():
+    # a fresh interpreter, as a user's `rwmso check` starts (-S: no site
+    # hook imports anything first); then each deferred name of the
+    # package loads its module
+    deferred = ["rwmso.commands", "rwmso.direct", "rwmso.graphtext", "rwmso.rankdec"]
+    names = ["evaluate", "Assignment", "exact_rankwidth", "cut_rank", "BranchDecomposition",
+             "parse_graph", "format_graph"]
+    code = (f"import sys, rwmso.cli; print([m for m in {deferred} if m in sys.modules]); "
+            f"import rwmso; print([getattr(rwmso, name).__module__ for name in {names}])")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "[]", str(["rwmso.direct"] * 2 + ["rwmso.rankdec"] * 3 + ["rwmso.graphtext"] * 2)]
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    import rwmso
+
+    assert not hasattr(rwmso, "no_such_name")
+    with pytest.raises(ImportError):
+        from rwmso import no_such_name  # noqa: F401
